@@ -123,6 +123,37 @@ inline workloads::ScaleConfig stdScale(const Options &Opt = Options()) {
   return Scale;
 }
 
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define MDABT_BENCH_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) ||  \
+    __has_feature(memory_sanitizer)
+#define MDABT_BENCH_SANITIZED 1
+#endif
+#endif
+
+/// Exit 2 when this binary is unoptimized or sanitized.  Called before
+/// writing a --perf-json record: tools/check_perf_floor.sh compares
+/// every later measurement against the checked-in record, so it must
+/// only ever hold numbers from an optimized, uninstrumented build.
+inline void requireOptimizedBuildForPerfJson(const char *Tool) {
+#if defined(MDABT_BENCH_SANITIZED)
+  std::fprintf(stderr,
+               "%s: refusing --perf-json from a sanitized build; rebuild "
+               "with -DCMAKE_BUILD_TYPE=Release and MDABT_SANITIZE=OFF\n",
+               Tool);
+  std::exit(2);
+#elif !defined(__OPTIMIZE__)
+  std::fprintf(stderr,
+               "%s: refusing --perf-json from an unoptimized build; rebuild "
+               "with -DCMAKE_BUILD_TYPE=Release\n",
+               Tool);
+  std::exit(2);
+#else
+  (void)Tool;
+#endif
+}
+
 /// Standard bench banner.
 inline void banner(const char *Title, const char *PaperShape) {
   std::printf("==============================================================="

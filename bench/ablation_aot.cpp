@@ -158,6 +158,8 @@ int main(int argc, char **argv) {
       return 2;
     }
   }
+  if (PerfJsonPath)
+    requireOptimizedBuildForPerfJson("ablation_aot");
 
   banner("Ablation (beyond the paper): static AOT pre-translation vs "
          "two-phase DBT under EH",

@@ -12,6 +12,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchCommon.h"
+
 #include "dbt/Engine.h"
 #include "dbt/FusionRules.h"
 #include "dbt/GuestBlock.h"
@@ -475,6 +477,8 @@ int main(int argc, char **argv) {
   }
   argv[Out] = nullptr;
   argc = Out;
+  if (PerfJsonPath)
+    bench::requireOptimizedBuildForPerfJson("micro_components");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv))
     return 1;

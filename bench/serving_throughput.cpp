@@ -284,6 +284,8 @@ int main(int argc, char **argv) {
       return 2;
     }
   }
+  if (PerfJsonPath)
+    requireOptimizedBuildForPerfJson("serving_throughput");
 
   banner("Serving throughput (beyond the paper): shared translation "
          "cache, cold vs warm vs disk-warmed",

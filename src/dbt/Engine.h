@@ -201,29 +201,22 @@ struct EngineConfig {
   // CPU state — are bit-identical for every combination, only modeled
   // cycles and host-code layout change) ------------------------------
 
-  /// Replace the monitor's per-dispatch block-map lookup with an
-  /// open-addressed PC -> host-entry hash table (DispatchTable): a hit
-  /// costs CostModel::DispatchTableHitCycles instead of
-  /// MonitorDispatchCycles; a miss falls into translate-on-miss.
+  /// Price monitor dispatch as a hash-table hit: the monitor's single
+  /// block-map lookup is unchanged, but a hit costs
+  /// CostModel::DispatchTableHitCycles instead of MonitorDispatchCycles
+  /// (misses stay unpriced on both paths), and the run reports
+  /// dispatch.table_hits / dispatch.table_misses.
   bool HashDispatch = false;
-  /// Emit a small tagged inline cache at every indirect block exit
-  /// (Ret/JmpR): recently seen targets are compared against the live
-  /// exit PC in translated code and hit without returning to the
+  /// Emit a small tagged inline cache (two ways) at every indirect block
+  /// exit (Ret/JmpR): recently seen targets are compared against the
+  /// live exit PC in translated code and hit without returning to the
   /// monitor.  Misses fall back to the monitor, which fills a way.
   bool InlineCaches = false;
-  /// Ways per indirect-exit inline cache (clamped to 1..4).
-  uint32_t IcWays = 2;
-  /// Form superblocks (straight-line traces across chained direct block
-  /// exits) when a backward chain marks a loop head as hot.  The trace
-  /// supersedes the head block; de-optimization (trace invalidation)
-  /// falls back to the still-installed constituent blocks.
+  /// Form superblocks (straight-line traces of up to eight chained
+  /// direct-exit blocks) when a backward chain marks a loop head as hot.
+  /// The trace supersedes the head block; de-optimization (trace
+  /// invalidation) falls back to the still-installed constituent blocks.
   bool Superblocks = false;
-  /// Backward-chain events into one head before a trace is attempted.
-  uint32_t SuperblockThreshold = 1;
-  /// Maximum constituent blocks per superblock.
-  uint32_t SuperblockMaxBlocks = 8;
-  /// Formation attempts per head PC (bounds retry after de-opt).
-  uint32_t TraceFormationLimit = 8;
 
   /// Table-driven peephole fusion (dbt/FusionRules.h): rewrite short
   /// windows of guest instructions — mov-op chains, compare-branch

@@ -11,7 +11,6 @@
 #include "analysis/HostVerifier.h"
 #include "chaos/FaultInjector.h"
 #include "dbt/AotTranslator.h"
-#include "dbt/DispatchTable.h"
 #include "dbt/FusionRules.h"
 #include "dbt/GuestBlock.h"
 #include "dbt/TranslationCapture.h"
@@ -40,6 +39,16 @@ using namespace mdabt::dbt;
 using namespace mdabt::host;
 
 namespace {
+
+// Hot-dispatch shape (EngineConfig::InlineCaches / Superblocks).
+/// Inline-cache ways per indirect block exit.
+constexpr uint32_t InlineCacheWays = 2;
+/// Backward-chain events into one loop head before a trace is attempted.
+constexpr uint32_t TraceHotChains = 1;
+/// Maximum constituent blocks per superblock.
+constexpr uint32_t TraceMaxBlocks = 8;
+/// Formation attempts per head PC (bounds retry after de-opt).
+constexpr uint32_t TraceFormsPerHead = 8;
 
 /// The disabled-guard word of an inline-cache way: skip the way's
 /// remaining IcWayWords - 1 words.
@@ -81,8 +90,6 @@ public:
     Mem.setWriteWatcher([this](uint32_t Addr, unsigned Size) {
       onGuestCodeStore(Addr, Size);
     });
-    if (Config.HashDispatch)
-      Dispatch.emplace();
     if (Config.Analysis) {
       // Static alignment inference over this run's own image copy (one
       // run = one isolated world, so --jobs fan-out stays bit-exact).
@@ -250,18 +257,11 @@ private:
     return Policy.planMemoryOp(Pc, I);
   }
 
-  /// Inline-cache ways per indirect exit for this run (0 when disabled).
-  uint32_t icWays() const {
-    if (!Config.InlineCaches)
-      return 0;
-    return std::min(4u, std::max(1u, Config.IcWays));
-  }
-
   /// Policy translation options with the engine's dispatch knobs folded
   /// in.
   TranslationOpts translationOpts() {
     TranslationOpts Opts = Policy.translationOpts();
-    Opts.IcWays = icWays();
+    Opts.IcWays = Config.InlineCaches ? InlineCacheWays : 0;
     Opts.FusionMask =
         Config.Fusion ? (Config.FusionMask & FusionMaskAll) : 0;
     return Opts;
@@ -366,8 +366,6 @@ private:
     Translation *T = &Store.back();
     Regions[T->EntryWord] = {T->EndWord, T};
     BlockMap[GuestPc] = T;
-    if (Dispatch)
-      Dispatch->insert(GuestPc, T);
     trackTranslation(T);
     if (!Policy.translationIsOffline())
       TranslateCycles += static_cast<uint64_t>(Block.size()) *
@@ -423,8 +421,6 @@ private:
     // revocation, ladder) also invalidates the statically computed
     // plans of its pending AOT unit: never re-install those.
     dropAotUnit(Old->GuestPc);
-    if (Dispatch)
-      Dispatch->eraseIf(Old->GuestPc, Old);
     HTrapBlock->record(Old->FaultCount);
     Trace.emit(obs::TraceEventKind::BlockInvalidated, 0, Old->GuestPc,
                Old->FaultCount, Old->Generation);
@@ -553,8 +549,6 @@ private:
     Leases.clear(); // release every shared-cache lease with the arena
     PatchedOriginals.clear();
     StaleChainWords.clear();
-    if (Dispatch)
-      Dispatch->clear();
     assert(StaleChainWords.empty() &&
            "stale-chain quarantine must drain on flush");
     PendingFlush = false;
@@ -665,8 +659,6 @@ private:
     T->AotInstalled = true;
     Regions[T->EntryWord] = {T->EndWord, T};
     BlockMap[U.GuestPc] = T;
-    if (Dispatch)
-      Dispatch->insert(U.GuestPc, T);
     trackTranslation(T);
     if (!Policy.translationIsOffline())
       TranslateCycles += static_cast<uint64_t>(T->GuestInsts) *
@@ -1312,7 +1304,7 @@ private:
       // counter would stop ticking exactly when the loop gets hot.)
       if (Config.Superblocks && Abort == RunError::None &&
           X.TargetGuestPc <= Owner->GuestPc &&
-          ++BackedgeHeat[X.TargetGuestPc] >= Config.SuperblockThreshold)
+          ++BackedgeHeat[X.TargetGuestPc] >= TraceHotChains)
         tryFormSuperblock(X.TargetGuestPc);
       return;
     }
@@ -1454,7 +1446,7 @@ private:
     maybeReanalyze();
     if (Abort != RunError::None)
       return;
-    if (TraceFormsAt[HeadPc] >= Config.TraceFormationLimit)
+    if (TraceFormsAt[HeadPc] >= TraceFormsPerHead)
       return;
     auto HIt = BlockMap.find(HeadPc);
     if (HIt == BlockMap.end() || !HIt->second->Valid ||
@@ -1469,7 +1461,7 @@ private:
     std::unordered_map<uint32_t, MemPlan> Plans;
     uint32_t Pc = HeadPc;
     bool ClosedAtHead = false;
-    while (Pcs.size() < Config.SuperblockMaxBlocks) {
+    while (Pcs.size() < TraceMaxBlocks) {
       auto It = BlockMap.find(Pc);
       if (It == BlockMap.end() || !It->second->Valid ||
           It->second->IsTrace)
@@ -1507,7 +1499,7 @@ private:
     // instructions per circuit but multiplies code size (I-cache
     // pressure — exactly the locality figs. 6/11 measure) and
     // translation cycles.
-    if (ClosedAtHead && Pcs.size() * 2 <= Config.SuperblockMaxBlocks) {
+    if (ClosedAtHead && Pcs.size() * 2 <= TraceMaxBlocks) {
       const std::vector<uint32_t> Body = Pcs;
       Pcs.insert(Pcs.end(), Body.begin(), Body.end());
     }
@@ -1608,7 +1600,7 @@ private:
         Tr->EndWord - Tr->EntryWord > Config.CodeCacheLimitWords) {
       // The trace alone would thrash the cache: drop it and stop trying
       // to form one at this head.
-      TraceFormsAt[HeadPc] = Config.TraceFormationLimit;
+      TraceFormsAt[HeadPc] = TraceFormsPerHead;
       invalidate(Tr);
       runVerifier();
       return;
@@ -1620,8 +1612,6 @@ private:
     const std::vector<uint32_t> Incoming = Head->IncomingChains;
     invalidate(Head);
     BlockMap[HeadPc] = Tr;
-    if (Dispatch)
-      Dispatch->insert(HeadPc, Tr);
     for (uint32_t W : Incoming) {
       if (StaleChainWords.count(W))
         continue; // the unchain did not stick; leave it quarantined
@@ -1770,9 +1760,6 @@ private:
   /// Host-word region -> owning translation (bodies and stubs).
   std::map<uint32_t, std::pair<uint32_t, Translation *>> Regions;
 
-  /// Hash-table monitor dispatch (EngineConfig::HashDispatch); a pure
-  /// cache over BlockMap, kept coherent at install/invalidate/flush.
-  std::optional<DispatchTable> Dispatch;
   /// Backward-chain events per loop-head PC (superblock hotness).
   std::unordered_map<uint32_t, uint32_t> BackedgeHeat;
   /// Formation attempts per head PC (bounds retry after de-opt).
@@ -1901,9 +1888,8 @@ private:
   uint64_t ChaosFlushStorms = 0;
   uint64_t PlanAlignedElides = 0;
   uint64_t PlanInlineForced = 0;
-  uint64_t TableHits = 0;
-  uint64_t TableMisses = 0;
-  uint64_t TableProbes = 0;
+  uint64_t DispatchHits = 0;
+  uint64_t DispatchMisses = 0;
   uint64_t IcFills = 0;
   uint64_t IcMisses = 0;
   uint64_t IcEvictions = 0;
@@ -2014,40 +2000,18 @@ RunResult ExecutionContext::Impl::run() {
       }
     }
 
-    Translation *T = nullptr;
-    if (Dispatch) {
-      // Hash-table dispatch: one open-addressed probe chain instead of
-      // the block-map walk; each probe is priced individually.
-      uint32_t Probes = 0;
-      T = Dispatch->lookup(Cpu.Pc, Probes);
-      TableProbes += Probes;
-      if (T) {
-        ++TableHits;
-        MonitorCycles +=
-            Cost.DispatchTableHitCycles +
-            static_cast<uint64_t>(Probes - 1) * Cost.DispatchProbeCycles;
-      } else {
-        // Miss: like the baseline block-map path, the failed lookup is
-        // folded into the interpretation/translation episode it starts
-        // (charging it here would penalize the table for misses the
-        // baseline never prices).  Probes are still counted.
-        ++TableMisses;
-      }
-#ifndef NDEBUG
-      // The table is a pure cache over BlockMap: any divergence is a
-      // coherence bug, never a semantic choice.
-      auto It = BlockMap.find(Cpu.Pc);
-      Translation *Ref =
-          (It != BlockMap.end() && It->second->Valid) ? It->second
-                                                      : nullptr;
-      assert(T == Ref && "dispatch table diverged from block map");
-#endif
+    // One block-map lookup on every dispatch; HashDispatch only selects
+    // the modeled price of a hit.  A miss is not priced on either path:
+    // it is folded into the interpretation/translation episode it starts.
+    auto It = BlockMap.find(Cpu.Pc);
+    Translation *T =
+        (It != BlockMap.end() && It->second->Valid) ? It->second : nullptr;
+    if (T) {
+      ++DispatchHits;
+      MonitorCycles += Config.HashDispatch ? Cost.DispatchTableHitCycles
+                                           : Cost.MonitorDispatchCycles;
     } else {
-      auto It = BlockMap.find(Cpu.Pc);
-      T = (It != BlockMap.end() && It->second->Valid) ? It->second
-                                                      : nullptr;
-      if (T)
-        MonitorCycles += Cost.MonitorDispatchCycles;
+      ++DispatchMisses;
     }
 
     // Dispatch miss with a pending pre-translated unit: install it now,
@@ -2216,14 +2180,8 @@ RunResult ExecutionContext::Impl::run() {
     Reg.addCounter("cache.hit_insts", CacheHitInsts);
   }
   if (Config.HashDispatch) {
-    Reg.addCounter("dispatch.table_hits", TableHits);
-    Reg.addCounter("dispatch.table_misses", TableMisses);
-    Reg.addCounter("dispatch.table_probes", TableProbes);
-    Reg.addCounter("dispatch.table_inserts", Dispatch->inserts());
-    Reg.addCounter("dispatch.table_erases", Dispatch->erases());
-    Reg.addCounter("dispatch.table_rehashes", Dispatch->rehashes());
-    Reg.setGauge("dispatch.table_capacity", Dispatch->capacity());
-    Reg.setGauge("dispatch.table_tombstones", Dispatch->tombstones());
+    Reg.addCounter("dispatch.table_hits", DispatchHits);
+    Reg.addCounter("dispatch.table_misses", DispatchMisses);
   }
   if (Config.InlineCaches) {
     Reg.addCounter("dispatch.ic_fills", IcFills);

@@ -49,16 +49,12 @@ struct CostModel {
   uint32_t MonitorDispatchCycles = 60;
   /// Patching one chain link between translated blocks.
   uint32_t ChainPatchCycles = 20;
-  /// Hash-table monitor dispatch (EngineConfig::HashDispatch): a hit is
-  /// one table probe plus the indirect jump into translated code —
-  /// replacing the MonitorDispatchCycles map-lookup path.
+  /// Monitor dispatch priced as a hash-table hit (EngineConfig::
+  /// HashDispatch): one probe plus the indirect jump into translated
+  /// code, charged instead of MonitorDispatchCycles.  Misses are not
+  /// priced on either path — the failed lookup is folded into the
+  /// interpretation/translation episode it starts.
   uint32_t DispatchTableHitCycles = 15;
-  /// Each additional probe along an open-addressing collision chain,
-  /// charged on hits beyond the first probe.  Misses are not priced —
-  /// the baseline path folds its failed map lookup into the
-  /// interpretation/translation episode it starts, and the table keeps
-  /// the same convention so the two dispatch models stay comparable.
-  uint32_t DispatchProbeCycles = 5;
   /// Installing one guest instruction's worth of host words from the
   /// shared translation cache (EngineConfig::Service) on a cache hit:
   /// a word copy plus metadata rebasing, replacing the full

@@ -6,24 +6,22 @@
 ///
 /// \file
 /// The hot-dispatch mechanisms behind EngineConfig::HashDispatch,
-/// InlineCaches and Superblocks: DispatchTable unit behaviour
-/// (collisions, tombstones, upsert, guarded erase, flush reset),
-/// inline-cache fill/hit/eviction across retranslation, superblock
-/// formation and de-optimization, and the architectural-transparency
-/// guarantee (every combination reproduces the interpreter oracle and
-/// replays bit-identically) including under code-cache flush storms.
+/// InlineCaches and Superblocks: HashDispatch as a pure pricing switch
+/// over the monitor's block-map lookup, inline-cache fill/hit/eviction
+/// across retranslation, superblock formation and de-optimization, and
+/// the architectural-transparency guarantee (every combination
+/// reproduces the interpreter oracle and replays bit-identically)
+/// including under code-cache flush storms.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
-#include "dbt/DispatchTable.h"
 #include "mda/PolicyFactory.h"
 #include "workloads/Hostile.h"
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -31,18 +29,6 @@ using namespace mdabt;
 using namespace mdabt::testutil;
 
 namespace {
-
-/// PCs that all land in one bucket of a fresh (64-slot) table, so probe
-/// chains and tombstone traversal are exercised deterministically.
-std::vector<uint32_t> collidingPcs(size_t N) {
-  auto Bucket = [](uint32_t Pc) { return (Pc * 2654435761u) & 63u; };
-  std::vector<uint32_t> Pcs;
-  uint32_t Want = Bucket(4);
-  for (uint32_t Pc = 4; Pcs.size() < N; Pc += 4)
-    if (Bucket(Pc) == Want)
-      Pcs.push_back(Pc);
-  return Pcs;
-}
 
 dbt::RunResult runDispatch(const guest::GuestImage &Image,
                            const mda::PolicySpec &Spec,
@@ -189,163 +175,6 @@ guest::GuestImage multiFuncLoopProgram(uint32_t Iters, unsigned NumFuncs) {
 
 } // namespace
 
-// ---- DispatchTable unit behaviour ------------------------------------------
-
-TEST(DispatchTableTest, InsertLookupEraseRoundTrip) {
-  dbt::DispatchTable Table;
-  dbt::Translation T[3];
-  Table.insert(0x10, &T[0]);
-  Table.insert(0x20, &T[1]);
-  uint32_t Probes = 0;
-  EXPECT_EQ(Table.lookup(0x10, Probes), &T[0]);
-  EXPECT_GE(Probes, 1u);
-  EXPECT_EQ(Table.lookup(0x30, Probes), nullptr);
-  EXPECT_EQ(Table.size(), 2u);
-
-  // Guarded erase: a mismatched translation must not drop the entry
-  // (the superblock-install path depends on this).
-  Table.eraseIf(0x10, &T[2]);
-  EXPECT_EQ(Table.lookup(0x10, Probes), &T[0]);
-  Table.eraseIf(0x10, &T[0]);
-  EXPECT_EQ(Table.lookup(0x10, Probes), nullptr);
-  EXPECT_EQ(Table.size(), 1u);
-  EXPECT_EQ(Table.tombstones(), 1u);
-}
-
-TEST(DispatchTableTest, UpsertReplacesWithoutGrowth) {
-  dbt::DispatchTable Table;
-  dbt::Translation A, B;
-  Table.insert(0x40, &A);
-  Table.insert(0x40, &B);
-  uint32_t Probes = 0;
-  EXPECT_EQ(Table.lookup(0x40, Probes), &B);
-  EXPECT_EQ(Table.size(), 1u);
-}
-
-TEST(DispatchTableTest, CollisionChainProbesLinearly) {
-  dbt::DispatchTable Table;
-  std::vector<uint32_t> Pcs = collidingPcs(5);
-  std::vector<dbt::Translation> T(Pcs.size());
-  for (size_t I = 0; I != Pcs.size(); ++I)
-    Table.insert(Pcs[I], &T[I]);
-  // The last-inserted collider sits at the end of the probe chain.
-  uint32_t Probes = 0;
-  EXPECT_EQ(Table.lookup(Pcs.back(), Probes), &T.back());
-  EXPECT_EQ(Probes, Pcs.size());
-  EXPECT_EQ(Table.lookup(Pcs.front(), Probes), &T.front());
-  EXPECT_EQ(Probes, 1u);
-}
-
-TEST(DispatchTableTest, LookupCrossesTombstonesAndInsertReusesThem) {
-  dbt::DispatchTable Table;
-  std::vector<uint32_t> Pcs = collidingPcs(3);
-  dbt::Translation T[3];
-  for (size_t I = 0; I != 3; ++I)
-    Table.insert(Pcs[I], &T[I]);
-  // Knock out the middle of the chain: later entries must still be
-  // reachable across the grave.
-  Table.eraseIf(Pcs[1], &T[1]);
-  uint32_t Probes = 0;
-  EXPECT_EQ(Table.lookup(Pcs[2], Probes), &T[2]);
-  EXPECT_EQ(Probes, 3u);
-  // A new collider reuses the tombstone instead of lengthening the
-  // chain.
-  dbt::Translation Fresh;
-  Table.insert(Pcs[1], &Fresh);
-  EXPECT_EQ(Table.tombstones(), 0u);
-  EXPECT_EQ(Table.lookup(Pcs[1], Probes), &Fresh);
-  EXPECT_EQ(Probes, 2u);
-}
-
-TEST(DispatchTableTest, FlushStormResetsCapacityAndDropsEntries) {
-  dbt::DispatchTable Table;
-  std::vector<dbt::Translation> T(512);
-  for (int Storm = 0; Storm != 4; ++Storm) {
-    for (uint32_t I = 0; I != 512; ++I)
-      Table.insert(I * 4, &T[I]);
-    EXPECT_EQ(Table.size(), 512u);
-    EXPECT_GT(Table.capacity(), 512u); // grew past the initial 64
-    Table.clear();
-    EXPECT_EQ(Table.size(), 0u);
-    EXPECT_EQ(Table.tombstones(), 0u);
-    EXPECT_EQ(Table.capacity(), 64u); // flush forgets thrash-inflated size
-    uint32_t Probes = 0;
-    EXPECT_EQ(Table.lookup(0, Probes), nullptr);
-  }
-  EXPECT_GT(Table.rehashes(), 0u);
-  EXPECT_EQ(Table.inserts(), 4u * 512u);
-}
-
-TEST(DispatchTableTest, RehashDropsTombstones) {
-  dbt::DispatchTable Table;
-  std::vector<dbt::Translation> T(256);
-  // Churn insert/erase so tombstones pile up and force growth; the
-  // rehash must rebuild from live entries only.
-  for (uint32_t I = 0; I != 256; ++I) {
-    Table.insert(I * 4, &T[I]);
-    if (I % 2 == 0)
-      Table.eraseIf(I * 4, &T[I]);
-  }
-  EXPECT_GT(Table.rehashes(), 0u);
-  uint32_t Probes = 0;
-  for (uint32_t I = 0; I != 256; ++I) {
-    dbt::Translation *Want = I % 2 == 0 ? nullptr : &T[I];
-    EXPECT_EQ(Table.lookup(I * 4, Probes), Want) << "pc " << I * 4;
-  }
-}
-
-TEST(DispatchTableTest, EraseIfStormInterleavedWithRehashTracksReference) {
-  // An SMC invalidation storm: bursts of guarded erases (some with the
-  // live translation, some deliberately stale — which must be no-ops)
-  // interleaved with fresh inserts that keep forcing growth.  After
-  // every burst the table must agree with a reference map on every PC
-  // ever touched, including across rehashes that drop the storm's
-  // tombstones.
-  dbt::DispatchTable Table;
-  std::vector<dbt::Translation> Gen0(512), Gen1(512);
-  std::map<uint32_t, dbt::Translation *> Ref;
-  uint64_t Rng = 0x9e3779b97f4a7c15ULL; // deterministic xorshift
-  auto Next = [&Rng]() {
-    Rng ^= Rng << 13;
-    Rng ^= Rng >> 7;
-    Rng ^= Rng << 17;
-    return Rng;
-  };
-  for (uint32_t I = 0; I != 512; ++I) {
-    uint32_t Pc = (I + 1) * 4;
-    Table.insert(Pc, &Gen0[I]);
-    Ref[Pc] = &Gen0[I];
-    if (I % 8 != 7)
-      continue;
-    // Invalidation burst over a window of already-installed PCs.
-    for (uint32_t K = 0; K != 16; ++K) {
-      uint32_t J = static_cast<uint32_t>(Next() % (I + 1));
-      uint32_t VictimPc = (J + 1) * 4;
-      if (Next() % 4 == 0) {
-        // Stale guard: the PC was already remapped to a newer
-        // translation (superblock formation does exactly this), so
-        // the erase for the old one must not drop the fresh entry.
-        Table.insert(VictimPc, &Gen1[J]);
-        Ref[VictimPc] = &Gen1[J];
-        Table.eraseIf(VictimPc, &Gen0[J]);
-      } else {
-        Table.eraseIf(VictimPc, Ref[VictimPc]);
-        Ref[VictimPc] = nullptr;
-      }
-    }
-    uint32_t Probes = 0;
-    for (const auto &KV : Ref)
-      ASSERT_EQ(Table.lookup(KV.first, Probes), KV.second)
-          << "pc " << KV.first << " after burst at insert " << I;
-  }
-  EXPECT_GT(Table.rehashes(), 0u);
-  EXPECT_GT(Table.erases(), 0u);
-  size_t Live = 0;
-  for (const auto &KV : Ref)
-    Live += KV.second != nullptr;
-  EXPECT_EQ(Table.size(), Live);
-}
-
 // ---- engine-level: transparency and mechanism activity ---------------------
 
 TEST(DispatchEngineTest, HashDispatchIsArchitecturallyTransparent) {
@@ -358,7 +187,54 @@ TEST(DispatchEngineTest, HashDispatchIsArchitecturallyTransparent) {
       Image, {mda::MechanismKind::Dpeh, 50, false, 0, false}, Config);
   expectMatchesOracle(R, O, "hash dispatch");
   EXPECT_GT(R.Counters.get("dispatch.table_hits"), 0u);
-  EXPECT_GT(R.Counters.get("dispatch.table_inserts"), 0u);
+  EXPECT_GT(R.Counters.get("dispatch.table_misses"), 0u);
+}
+
+TEST(DispatchEngineTest, HashDispatchOnlyChangesPricing) {
+  // Both dispatch paths do the same block-map lookup; HashDispatch only
+  // selects what a hit costs.  Everything else — architectural state,
+  // every counter outside the monitor's cycle account — must match.
+  guest::GuestImage Image = callRetProgram(500);
+  mda::PolicySpec Spec{mda::MechanismKind::Dpeh, 50, false, 0, false};
+  dbt::EngineConfig Off;
+  Off.InlineCaches = true;
+  Off.Superblocks = true;
+  Off.Verify = true;
+  dbt::EngineConfig On = Off;
+  On.HashDispatch = true;
+  dbt::RunResult A = runDispatch(Image, Spec, Off);
+  dbt::RunResult B = runDispatch(Image, Spec, On);
+  ASSERT_TRUE(A.completed());
+  ASSERT_TRUE(B.completed());
+  EXPECT_EQ(A.Checksum, B.Checksum);
+  EXPECT_EQ(A.MemoryHash, B.MemoryHash);
+  for (unsigned I = 0; I != guest::NumGPR; ++I)
+    EXPECT_EQ(A.FinalCpu.Gpr[I], B.FinalCpu.Gpr[I]) << "GPR " << I;
+  for (unsigned I = 0; I != guest::NumQReg; ++I)
+    EXPECT_EQ(A.FinalCpu.Qreg[I], B.FinalCpu.Qreg[I]) << "Q" << I;
+  EXPECT_EQ(A.FinalCpu.Pc, B.FinalCpu.Pc);
+
+  auto PricingOnly = [](const std::string &Name) {
+    return Name == "cycles.monitor" || Name == "cycles.total" ||
+           Name.rfind("dispatch.table_", 0) == 0;
+  };
+  // Both directions, so a counter registered on only one side is checked.
+  for (const auto &[X, Y] : {std::pair(&A, &B), std::pair(&B, &A)}) {
+    for (const auto &Entry : X->Counters.entries()) {
+      if (PricingOnly(Entry.first))
+        continue;
+      EXPECT_EQ(Entry.second, Y->Counters.get(Entry.first)) << Entry.first;
+    }
+  }
+
+  host::CostModel Cost;
+  uint64_t Hits = B.Counters.get("dispatch.table_hits");
+  uint64_t Saved =
+      Hits * (Cost.MonitorDispatchCycles - Cost.DispatchTableHitCycles);
+  EXPECT_GT(Hits, 0u);
+  EXPECT_EQ(A.Counters.get("cycles.monitor"),
+            B.Counters.get("cycles.monitor") + Saved);
+  EXPECT_EQ(A.Cycles, B.Cycles + Saved);
 }
 
 TEST(DispatchEngineTest, InlineCachesFillAndCutMonitorEntries) {
@@ -472,7 +348,7 @@ TEST(DispatchEngineTest, ChainBookkeepingSurvivesFlushStorms) {
   }
 }
 
-TEST(DispatchEngineTest, HashTableStaysCoherentAcrossFlushStorms) {
+TEST(DispatchEngineTest, HashDispatchSurvivesFlushStorms) {
   guest::GuestImage Image = multiFuncLoopProgram(500, 6);
   Oracle O = interpretOracle(Image);
   mda::PolicySpec Spec{mda::MechanismKind::Dpeh, 10, false, 0, false};
@@ -486,10 +362,12 @@ TEST(DispatchEngineTest, HashTableStaysCoherentAcrossFlushStorms) {
   expectMatchesOracle(Calm, O, "hash dispatch, unlimited cache");
   expectMatchesOracle(Stormy, O, "hash dispatch under flush storms");
   EXPECT_GT(Stormy.Counters.get("dbt.flushes"), 0u);
-  // Each flush drops the table wholesale; flush victims that come back
-  // hot are re-inserted, so the stormy run inserts strictly more.
-  EXPECT_GT(Stormy.Counters.get("dispatch.table_inserts"),
-            Calm.Counters.get("dispatch.table_inserts"));
+  EXPECT_GT(Stormy.Counters.get("dispatch.table_hits"), 0u);
+  // Each flush drops every translation; flush victims that come back
+  // hot miss once more before they are retranslated, so the stormy run
+  // misses strictly more often.
+  EXPECT_GT(Stormy.Counters.get("dispatch.table_misses"),
+            Calm.Counters.get("dispatch.table_misses"));
 }
 
 // ---- every combination is transparent and deterministic ---------------------
@@ -533,8 +411,8 @@ namespace {
 /// A guest whose worker patches the imm32 of its *return-target*
 /// block before returning into it: the ret's cached inline-cache way
 /// then points at a translation that is invalidated on every circuit,
-/// so the storm exercises way retirement, not just dispatch-table
-/// erasure.  (The nop padding 4-aligns the patched imm so the patch
+/// so the storm exercises way retirement, not just block invalidation.
+/// (The nop padding 4-aligns the patched imm so the patch
 /// store itself is aligned traffic.)
 guest::GuestImage icStormProgram(uint32_t Iters) {
   using namespace guest;
@@ -575,9 +453,9 @@ guest::GuestImage icStormProgram(uint32_t Iters) {
 
 TEST(DispatchEngineTest, InlineCacheRetirementSurvivesSmcInvalidationStorm) {
   // Each circuit invalidates the worker's cached return target: the
-  // SMC barrier must retire the dispatch-table entry and the filled
-  // inline-cache way before the next dispatch, while the table keeps
-  // churning — and the run must stay byte-identical.
+  // SMC barrier must invalidate the translation and retire the filled
+  // inline-cache way before the next dispatch — and the run must stay
+  // byte-identical.
   guest::GuestImage Image = icStormProgram(250);
   Oracle O = interpretOracle(Image);
   dbt::EngineConfig Config = allOn();
@@ -587,7 +465,7 @@ TEST(DispatchEngineTest, InlineCacheRetirementSurvivesSmcInvalidationStorm) {
       Image, {mda::MechanismKind::Direct, 0, false, 0, false}, Config);
   expectMatchesOracle(R, O, "ic.storm all-on");
   EXPECT_GT(R.Counters.get("smc.invalidations"), 0u);
-  EXPECT_GT(R.Counters.get("dispatch.table_erases"), 0u);
+  EXPECT_GT(R.Counters.get("dispatch.table_hits"), 0u);
   EXPECT_GT(R.Counters.get("dispatch.ic_fills"), 0u);
   EXPECT_GT(R.Counters.get("dispatch.ic_evictions"), 0u);
 }
