@@ -24,6 +24,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <thread>
 
 namespace mdabt {
 namespace bench {
@@ -152,6 +154,22 @@ inline void requireOptimizedBuildForPerfJson(const char *Tool) {
 #else
   (void)Tool;
 #endif
+}
+
+#ifndef MDABT_BUILD_TYPE
+#define MDABT_BUILD_TYPE "unknown"
+#endif
+
+/// The stamp every --perf-json record carries: two JSON members, the
+/// CMake build type and the core count, each on its own line at
+/// \p Indent with a trailing comma.  tools/check_perf_floor.sh refuses
+/// to compare records of different build types and warns when the core
+/// counts differ.
+inline std::string perfStampJson(const char *Indent) {
+  return std::string(Indent) +
+         "\"build_type\": \"" MDABT_BUILD_TYPE "\",\n" + Indent +
+         "\"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
+         ",\n";
 }
 
 /// Standard bench banner.

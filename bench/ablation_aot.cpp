@@ -127,6 +127,7 @@ void writeAotPerfJson(const char *Path, uint64_t Blocks,
   }
   std::fprintf(F,
                "%s  \"aot\": {\n"
+               "%s"
                "    \"aot_blocks\": %llu,\n"
                "    \"aot_coverage_pct\": %llu,\n"
                "    \"aot_fallback_blocks\": %llu,\n"
@@ -134,7 +135,8 @@ void writeAotPerfJson(const char *Path, uint64_t Blocks,
                "    \"aot_steady_mips\": %g,\n"
                "    \"aot_dbt_baseline_mips\": %g\n"
                "  }\n}\n",
-               Head.c_str(), (unsigned long long)Blocks,
+               Head.c_str(), perfStampJson("    ").c_str(),
+               (unsigned long long)Blocks,
                (unsigned long long)CoveragePct,
                (unsigned long long)Fallback,
                (unsigned long long)StartupCycles, SteadyMips,

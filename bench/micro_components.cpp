@@ -418,6 +418,7 @@ void writeBenchPerfJson(const char *Path) {
       std::filesystem::path(Path).parent_path());
   std::ofstream Out(Path);
   Out << "{\n";
+  Out << bench::perfStampJson("  ");
   Out << "  \"host_sim\": {\n";
   Out << "    \"predecode_mips\": " << PredecodeMips << ",\n";
   Out << "    \"legacy_mips\": " << LegacyMips << ",\n";

@@ -230,6 +230,7 @@ void writeServingPerfJson(const char *Path, size_t Requests,
   }
   std::fprintf(F,
                "%s  \"serving\": {\n"
+               "%s"
                "    \"requests\": %zu,\n"
                "    \"serving_cold_mips\": %g,\n"
                "    \"serving_warm_mips\": %g,\n"
@@ -241,9 +242,9 @@ void writeServingPerfJson(const char *Path, size_t Requests,
                "    \"warm_p50_ms\": %g,\n"
                "    \"warm_p99_ms\": %g\n"
                "  }\n}\n",
-               Head.c_str(), Requests, Cold.Mips, Warm.Mips, ColdModeled,
-               WarmModeled, Warm.HitRate, Cold.P50Ms, Cold.P99Ms,
-               Warm.P50Ms, Warm.P99Ms);
+               Head.c_str(), perfStampJson("    ").c_str(), Requests,
+               Cold.Mips, Warm.Mips, ColdModeled, WarmModeled, Warm.HitRate,
+               Cold.P50Ms, Cold.P99Ms, Warm.P50Ms, Warm.P99Ms);
   std::fclose(F);
   std::fprintf(stderr, "serving_throughput: perf record written to %s\n",
                Path);

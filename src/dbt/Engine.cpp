@@ -8,25 +8,84 @@
 /// The Engine façade: one Engine::run constructs one per-run
 /// ExecutionContext (which holds ALL mutable run state — see
 /// docs/SERVING.md for the serving-architecture split) and executes it.
-/// Shared leaf utilities (fnv1a, RunError names) live here too.
+/// Shared leaf utilities (fnv1a, memoryHash, RunError names) live here
+/// too.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "dbt/Engine.h"
 
 #include "dbt/ExecutionContext.h"
+#include "guest/GuestMemory.h"
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 using namespace mdabt;
 using namespace mdabt::dbt;
 
-uint64_t mdabt::dbt::fnv1a(const uint8_t *Bytes, size_t Size) {
-  uint64_t H = 0xcbf29ce484222325ULL;
-  for (size_t I = 0; I != Size; ++I) {
+namespace {
+
+constexpr uint64_t FnvOffset = 0xcbf29ce484222325ULL;
+constexpr uint64_t FnvPrime = 0x100000001b3ULL;
+
+/// FnvPrime^N mod 2^64.  FNV-1a turns a zero byte into `H *= FnvPrime`,
+/// so this is the whole effect of a run of N zero bytes.
+constexpr uint64_t primePow(uint64_t N) {
+  uint64_t R = 1;
+  for (uint64_t B = FnvPrime; N != 0; N >>= 1, B *= B)
+    if (N & 1)
+      R *= B;
+  return R;
+}
+
+constexpr size_t ChunkBytes = 64;
+constexpr uint64_t ChunkMul = primePow(ChunkBytes);
+
+/// Continue FNV-1a state \p H over [Bytes, Bytes + Size), multiplying
+/// all-zero chunks through in one step.
+uint64_t fnv1aFold(uint64_t H, const uint8_t *Bytes, size_t Size) {
+  size_t I = 0;
+  for (; Size - I >= ChunkBytes; I += ChunkBytes) {
+    uint64_t Words[ChunkBytes / 8];
+    std::memcpy(Words, Bytes + I, ChunkBytes);
+    uint64_t Any = 0;
+    for (uint64_t W : Words)
+      Any |= W;
+    if (Any == 0) {
+      H *= ChunkMul;
+      continue;
+    }
+    for (size_t J = I; J != I + ChunkBytes; ++J) {
+      H ^= Bytes[J];
+      H *= FnvPrime;
+    }
+  }
+  for (; I != Size; ++I) {
     H ^= Bytes[I];
-    H *= 0x100000001b3ULL;
+    H *= FnvPrime;
+  }
+  return H;
+}
+
+} // namespace
+
+uint64_t mdabt::dbt::fnv1a(const uint8_t *Bytes, size_t Size) {
+  return fnv1aFold(FnvOffset, Bytes, Size);
+}
+
+uint64_t mdabt::dbt::memoryHash(const guest::GuestMemory &Mem) {
+  using guest::GuestMemory;
+  constexpr uint64_t PageMul = primePow(GuestMemory::DirtyPageBytes);
+  uint64_t H = FnvOffset;
+  for (uint32_t P = 0, E = Mem.dirtyPageCount(); P != E; ++P) {
+    uint32_t Begin = P << GuestMemory::DirtyPageShift;
+    uint32_t Len = Mem.pageEnd(P) - Begin;
+    if (Mem.pageDirty(P))
+      H = fnv1aFold(H, Mem.data() + Begin, Len);
+    else
+      H *= Len == GuestMemory::DirtyPageBytes ? PageMul : primePow(Len);
   }
   return H;
 }

@@ -39,6 +39,9 @@ namespace mdabt {
 namespace chaos {
 struct FaultPlan;
 } // namespace chaos
+namespace guest {
+class GuestMemory;
+} // namespace guest
 
 namespace dbt {
 
@@ -262,7 +265,9 @@ struct RunResult {
   uint64_t Cycles = 0;
   /// The guest program's observable output.
   uint64_t Checksum = 0;
-  /// FNV-1a hash of final guest memory (differential testing).
+  /// FNV-1a hash of the full final guest memory (differential testing).
+  /// Computed by memoryHash in time proportional to the pages the run
+  /// touched; the value equals fnv1a over all of memory.
   uint64_t MemoryHash = 0;
   /// Final architectural state.
   guest::GuestCPU FinalCpu;
@@ -298,8 +303,15 @@ private:
   bool Used = false;
 };
 
-/// FNV-1a over a byte range (exposed for tests).
+/// FNV-1a over a byte range.  All-zero 64-byte chunks are folded in
+/// with one multiply (a zero byte only multiplies by the FNV prime), so
+/// sparse buffers hash fast; the value is plain byte-serial FNV-1a.
 uint64_t fnv1a(const uint8_t *Bytes, size_t Size);
+
+/// fnv1a(Mem.data(), Mem.size()), bit for bit, in time proportional to
+/// the pages the memory's "may be non-zero" map has marked: clean pages
+/// are multiplied through without being read.
+uint64_t memoryHash(const guest::GuestMemory &Mem);
 
 } // namespace dbt
 } // namespace mdabt

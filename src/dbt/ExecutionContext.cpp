@@ -27,7 +27,6 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <optional>
@@ -2106,9 +2105,8 @@ RunResult ExecutionContext::Impl::run() {
   // guest-visible state: zero them so the memory hash is comparable
   // with a pure-interpreter run.
   if (NextCounterCell > guest::layout::RuntimeBase)
-    std::memset(Mem.data() + guest::layout::RuntimeBase, 0,
-                NextCounterCell - guest::layout::RuntimeBase);
-  R.MemoryHash = fnv1a(Mem.data(), Mem.size());
+    Mem.zeroRange(guest::layout::RuntimeBase, NextCounterCell);
+  R.MemoryHash = memoryHash(Mem);
   R.Cycles = Machine.Cycles + InterpCycles + TranslateCycles +
              MonitorCycles + ChainCycles;
   Trace.emit(obs::TraceEventKind::RunEnd, Cpu.Pc, 0,

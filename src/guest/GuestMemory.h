@@ -22,6 +22,16 @@
 /// callback — the software analogue of write-protecting code pages in a
 /// real translator.  Unwatched stores pay exactly one integer compare.
 ///
+/// Beside it sits a "may be non-zero" map at 4 KiB granularity
+/// (DirtyPageShift).  Its invariant: every byte of an unmarked page is
+/// zero.  loadImage marks the pages it copies the image into and every
+/// store() marks the first and last page it touches; the only other
+/// writes are loadImage's and zeroRange's zero-fills, which cannot break
+/// the invariant.  There is no mutable data() accessor, so a write that
+/// bypassed the map would not compile.  dbt::memoryHash relies on the
+/// invariant to hash a 16 MiB memory in time proportional to the pages
+/// a run touched, and loadImage relies on it to re-zero only those.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MDABT_GUEST_GUESTMEMORY_H
@@ -29,6 +39,7 @@
 
 #include "guest/GuestImage.h"
 
+#include <array>
 #include <cassert>
 #include <cstring>
 #include <functional>
@@ -40,7 +51,7 @@ namespace guest {
 /// Flat, byte-addressable guest memory.
 class GuestMemory {
 public:
-  /// Log2 of the write-watch page size.  64 bytes keeps the dirty map
+  /// Log2 of the write-watch page size.  64 bytes keeps the watch map
   /// fine enough that unrelated translations rarely share a page, while
   /// one page still covers a typical guest basic block.
   static constexpr uint32_t WatchPageShift = 6;
@@ -51,17 +62,27 @@ public:
   /// watches but must not store through this GuestMemory.
   using WriteWatcher = std::function<void(uint32_t Addr, unsigned Size)>;
 
-  explicit GuestMemory(uint32_t Size = layout::MemorySize) : Bytes(Size, 0) {}
+  /// Log2 of the "may be non-zero" page size (see the file comment).
+  static constexpr uint32_t DirtyPageShift = 12;
+  static constexpr uint32_t DirtyPageBytes = 1u << DirtyPageShift;
 
-  /// Zero memory and copy the image's code and data segments in.
+  /// \p Size is at most the guest address space, layout::MemorySize.
+  explicit GuestMemory(uint32_t Size = layout::MemorySize) : Bytes(Size, 0) {
+    assert(Size <= layout::MemorySize && "guest memory larger than layout");
+  }
+
+  /// Zero memory and copy the image's code and data segments in.  Only
+  /// pages marked by earlier writes need zeroing; unmarked ones already
+  /// are.
   void loadImage(const GuestImage &Image) {
-    std::memset(Bytes.data(), 0, Bytes.size());
-    assert(Image.codeEnd() <= Bytes.size() && "code segment out of range");
-    assert(Image.dataEnd() <= Bytes.size() && "data segment out of range");
-    std::memcpy(Bytes.data() + Image.CodeBase, Image.Code.data(),
-                Image.Code.size());
-    std::memcpy(Bytes.data() + Image.DataBase, Image.Data.data(),
-                Image.Data.size());
+    for (uint32_t P = 0, E = dirtyPageCount(); P != E; ++P)
+      if (Dirty[P]) {
+        uint32_t Begin = P << DirtyPageShift;
+        std::memset(Bytes.data() + Begin, 0, pageEnd(P) - Begin);
+        Dirty[P] = 0;
+      }
+    copyIn(Image.CodeBase, Image.Code.data(), Image.Code.size());
+    copyIn(Image.DataBase, Image.Data.data(), Image.Data.size());
   }
 
   /// Load \p Size (1/2/4/8) bytes at \p Addr, zero-extended.
@@ -76,6 +97,8 @@ public:
   void store(uint32_t Addr, unsigned Size, uint64_t Value) {
     assert(inRange(Addr, Size) && "guest store out of range");
     std::memcpy(Bytes.data() + Addr, &Value, Size);
+    Dirty[Addr >> DirtyPageShift] = 1;
+    Dirty[(Addr + Size - 1) >> DirtyPageShift] = 1;
     if (WatchedPages != 0) {
       uint32_t P0 = Addr >> WatchPageShift;
       uint32_t P1 = (Addr + Size - 1) >> WatchPageShift;
@@ -128,8 +151,33 @@ public:
   /// Number of distinct pages currently under watch.
   uint32_t watchedPages() const { return WatchedPages; }
 
+  /// Zero the half-open byte range [Begin, End).  Zeroing keeps the
+  /// page-map invariant, so no page changes state.
+  void zeroRange(uint32_t Begin, uint32_t End) {
+    assert(Begin <= End && End <= Bytes.size() && "zeroRange out of range");
+    std::memset(Bytes.data() + Begin, 0, End - Begin);
+  }
+
+  // -- "may be non-zero" page map ---------------------------------------
+
+  /// Number of DirtyPageBytes pages; the last one is partial when size()
+  /// is not a multiple of DirtyPageBytes.
+  uint32_t dirtyPageCount() const {
+    return (size() + DirtyPageBytes - 1) >> DirtyPageShift;
+  }
+
+  /// False only if every byte of page \p Page is zero.
+  bool pageDirty(uint32_t Page) const { return Dirty[Page] != 0; }
+
+  /// One past the last byte of page \p Page.
+  uint32_t pageEnd(uint32_t Page) const {
+    uint64_t End = (static_cast<uint64_t>(Page) + 1) << DirtyPageShift;
+    return End < Bytes.size() ? static_cast<uint32_t>(End) : size();
+  }
+
+  /// Read-only view of the bytes.  Writes go through store(), loadImage()
+  /// or zeroRange(), which keep the page-map invariant.
   const uint8_t *data() const { return Bytes.data(); }
-  uint8_t *data() { return Bytes.data(); }
   uint32_t size() const { return static_cast<uint32_t>(Bytes.size()); }
 
   bool inRange(uint32_t Addr, unsigned Size) const {
@@ -137,7 +185,28 @@ public:
   }
 
 private:
+  /// Copy \p Size bytes to \p Addr and mark the pages they cover.
+  void copyIn(uint32_t Addr, const uint8_t *Src, size_t Size) {
+    if (Size == 0)
+      return;
+    assert(inRange(Addr, static_cast<unsigned>(Size)) &&
+           "image segment out of range");
+    std::memcpy(Bytes.data() + Addr, Src, Size);
+    for (uint32_t P = Addr >> DirtyPageShift,
+                  Last = static_cast<uint32_t>((Addr + Size - 1) >>
+                                               DirtyPageShift);
+         P <= Last; ++P)
+      Dirty[P] = 1;
+  }
+
   std::vector<uint8_t> Bytes;
+  /// The "may be non-zero" map: one byte per DirtyPageBytes page, 0 only
+  /// if the whole page is zero.  Inline rather than a second heap block:
+  /// a separate 4 KiB allocation beside each 16 MiB one measurably grew
+  /// peak RSS through allocator placement.
+  static constexpr uint32_t MaxDirtyPages =
+      (layout::MemorySize + DirtyPageBytes - 1) >> DirtyPageShift;
+  std::array<uint8_t, MaxDirtyPages> Dirty{};
   /// Per-page count of watched ranges covering the page; allocated
   /// lazily on the first watchRange so watch-free runs pay nothing.
   std::vector<uint32_t> Watch;

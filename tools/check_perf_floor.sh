@@ -15,6 +15,11 @@
 #    and load, so a hard gate against a reference measured elsewhere
 #    would flake.
 #
+# Every --perf-json writer also stamps its record with "build_type" and
+# "nproc".  Both files' stamps are printed.  A build-type mismatch, or a
+# missing or mixed build type, HARD-FAILS: numbers from different build
+# types are never comparable.  A core-count mismatch only warns.
+#
 # Usage: check_perf_floor.sh <fresh bench_perf.json> [reference.json]
 # The reference defaults to the repo's results/bench_perf.json.
 set -u
@@ -46,9 +51,32 @@ WALL_FIELDS="predecode_mips legacy_mips interpreter_mips
              baseline_mips hash_mips ic_mips superblock_mips all_on_mips
              serving_warm_mips off_guest_mips on_guest_mips"
 
+# Distinct values of a stamp key across the whole file, space-separated
+# (one per record that carries it; a clean file has exactly one).
+stamps() {
+  sed -n 's/.*"'"$2"'": *"\{0,1\}\([^",]*\)"\{0,1\},\{0,1\} *$/\1/p' "$1" |
+    sort -u | paste -sd' ' -
+}
+
 checked=0
 warned=0
 failed=0
+
+new_bt="$(stamps "$FRESH" build_type)"
+old_bt="$(stamps "$REF" build_type)"
+new_np="$(stamps "$FRESH" nproc)"
+old_np="$(stamps "$REF" nproc)"
+echo "check_perf_floor: fresh build_type=${new_bt:-missing} nproc=${new_np:-missing};" \
+     "reference build_type=${old_bt:-missing} nproc=${old_np:-missing}"
+if [ -z "$new_bt" ] || [ -z "$old_bt" ] || [ "$new_bt" != "$old_bt" ] ||
+   [[ "$new_bt" == *" "* ]]; then
+  echo "::error ::check_perf_floor: build_type '${new_bt:-missing}' vs reference '${old_bt:-missing}' (records from different, mixed or unstamped build types are not comparable)"
+  failed=$((failed + 1))
+fi
+if [ "$new_np" != "$old_np" ]; then
+  echo "::warning ::check_perf_floor: nproc '${new_np:-missing}' vs reference '${old_np:-missing}' (wall-clock fields compare different machines)"
+  warned=$((warned + 1))
+fi
 
 for key in $EXACT_FIELDS; do
   new="$(field "$FRESH" "$key")"
@@ -81,6 +109,6 @@ for key in $WALL_FIELDS; do
   fi
 done
 
-echo "check_perf_floor: $checked fields compared, $warned warnings, $failed deterministic mismatches"
+echo "check_perf_floor: $checked fields compared, $warned warnings, $failed hard failures"
 [ "$failed" -eq 0 ] || exit 1
 exit 0
