@@ -204,7 +204,7 @@ double elapsedSeconds(std::chrono::steady_clock::time_point T0) {
 /// loop (aligned load + add + count-down + branch) so the measurement is
 /// dominated by the fetch/decode/dispatch path the predecode cache and
 /// the cache-model line filter optimize.
-double hostSimMips(bool Predecode) {
+double hostSimMips() {
   constexpr uint32_t Iters = 2'000'000;
   host::CodeSpace Code;
   {
@@ -225,7 +225,6 @@ double hostSimMips(bool Predecode) {
   double Best = 0.0;
   for (int Rep = 0; Rep != 3; ++Rep) {
     host::HostMachine Machine(Code, Mem, Hier, Cost);
-    Machine.UsePredecode = Predecode;
     auto T0 = std::chrono::steady_clock::now();
     host::ExitInfo E = Machine.run(0);
     double Sec = elapsedSeconds(T0);
@@ -380,10 +379,7 @@ FusionPerf engineFusionPerf(uint32_t Mask) {
 }
 
 void writeBenchPerfJson(const char *Path) {
-  double LegacyMips = hostSimMips(false);
-  double PredecodeMips = hostSimMips(true);
-  double Gain =
-      LegacyMips > 0.0 ? PredecodeMips / LegacyMips - 1.0 : 0.0;
+  double PredecodeMips = hostSimMips();
   double InterpMips = interpreterMips();
   // The fan-out pair must be two *real* measurements: on a one-core
   // default the old `Jobs > 1 ? ... : Serial` shortcut recorded jobs=1
@@ -420,9 +416,7 @@ void writeBenchPerfJson(const char *Path) {
   Out << "{\n";
   Out << bench::perfStampJson("  ");
   Out << "  \"host_sim\": {\n";
-  Out << "    \"predecode_mips\": " << PredecodeMips << ",\n";
-  Out << "    \"legacy_mips\": " << LegacyMips << ",\n";
-  Out << "    \"predecode_gain\": " << Gain << "\n";
+  Out << "    \"predecode_mips\": " << PredecodeMips << "\n";
   Out << "  },\n";
   Out << "  \"interpreter_mips\": " << InterpMips << ",\n";
   Out << "  \"dispatch\": {\n";
@@ -447,13 +441,13 @@ void writeBenchPerfJson(const char *Path) {
   Out << "    \"jobsN_seconds\": " << Fanned << "\n";
   Out << "  }\n";
   Out << "}\n";
-  std::printf("bench_perf: host-sim %.1f MIPS predecoded vs %.1f legacy "
-              "(%+.1f%%), interpreter %.1f MIPS, engine dispatch %.1f "
-              "MIPS baseline vs %.1f all-on (%+.1f%%), fusion %.1f "
-              "guest-MIPS off vs %.1f on (%+.1f%%, host/guest %.3f -> "
-              "%.3f), matrix %.2fs at jobs=1 vs %.2fs at jobs=%u -> %s\n",
-              PredecodeMips, LegacyMips, Gain * 100.0, InterpMips,
-              DispatchBase, DispatchAll, DispatchGain * 100.0,
+  std::printf("bench_perf: host-sim %.1f MIPS, interpreter %.1f MIPS, "
+              "engine dispatch %.1f MIPS baseline vs %.1f all-on "
+              "(%+.1f%%), fusion %.1f guest-MIPS off vs %.1f on (%+.1f%%, "
+              "host/guest %.3f -> %.3f), matrix %.2fs at jobs=1 vs %.2fs "
+              "at jobs=%u -> %s\n",
+              PredecodeMips, InterpMips, DispatchBase, DispatchAll,
+              DispatchGain * 100.0,
               FusionOff.Mips, FusionOn.Mips, FusionGain * 100.0,
               FusionOff.Hipgi, FusionOn.Hipgi, Serial, Fanned, Jobs,
               Path);

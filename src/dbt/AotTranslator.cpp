@@ -35,26 +35,24 @@ void AotTranslator::pretranslateAll() {
     GuestBlock GB = discoverBlock(Mem, B.StartPc);
     Unit U;
     U.GuestPc = B.StartPc;
-    const GuestBlock *One = &GB;
-    U.Key = translationContentKey(Mem, &One, 1, Plan, Opts, false);
-    if (Service) {
-      if (TranslationLease L = Service->acquire(U.Key)) {
-        // Warm start: someone (a previous run, the disk artifact, or a
-        // concurrent tenant) already produced these exact words.
-        U.Payload = L.get();
-        U.Lease = std::move(L);
-        U.FromCache = true;
-        ++S.FromCache;
-      }
-    }
-    if (!U.FromCache) {
-      Translation T = Trans.translate(GB, Plan, 0, Opts);
-      U.Payload = captureTranslation(T, Scratch);
-      if (Service)
-        U.Lease = Service->publish(U.Key, U.Payload);
+    U.Key = translationContentKey(Mem, &GB, 1, Plan, Opts, false);
+    Translation T;
+    auto Translate = [&]() -> const Translation & {
+      T = Trans.translate(GB, Plan, 0, Opts);
       ++S.Translated;
       S.StartupTranslateCycles +=
           static_cast<uint64_t>(GB.size()) * Cost.TranslateCyclesPerInst;
+      return T;
+    };
+    if (Service) {
+      // A hit is a warm start: someone (a previous run, the disk
+      // artifact, or a concurrent tenant) already produced these words.
+      U.FromCache =
+          acquireOrPublish(*Service, U.Key, Scratch, Translate, U.Lease);
+      U.Payload = U.Lease.get();
+      S.FromCache += U.FromCache ? 1 : 0;
+    } else {
+      U.Payload = captureTranslation(Translate(), Scratch);
     }
     S.GuestInsts += GB.size();
     Units.emplace(B.StartPc, std::move(U));

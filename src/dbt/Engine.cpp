@@ -5,21 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The Engine façade: one Engine::run constructs one per-run
-/// ExecutionContext (which holds ALL mutable run state — see
-/// docs/SERVING.md for the serving-architecture split) and executes it.
-/// Shared leaf utilities (fnv1a, memoryHash, RunError names) live here
-/// too.
+/// Engine's shared leaf utilities: fnv1a, memoryHash, and the RunError
+/// and AotMode names.  Engine::run lives in ExecutionContext.cpp, next
+/// to the per-run state it builds (see docs/SERVING.md for the
+/// serving-architecture split).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "dbt/Engine.h"
 
-#include "dbt/ExecutionContext.h"
 #include "guest/GuestMemory.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 using namespace mdabt;
@@ -133,17 +129,3 @@ MdaPolicy::~MdaPolicy() = default;
 Engine::Engine(const guest::GuestImage &Image, MdaPolicy &Policy,
                EngineConfig Config)
     : Image(Image), Policy(Policy), Config(Config) {}
-
-RunResult Engine::run() {
-  if (Used) {
-    // A second run would silently reuse policy state already specialized
-    // by the first; that has produced corrupt figures before.  Hard
-    // error in every build mode, not just under assert.
-    std::fprintf(stderr, "mdabt fatal: Engine::run() called twice; one "
-                         "Engine performs exactly one run\n");
-    std::abort();
-  }
-  Used = true;
-  ExecutionContext Ctx(Image, Policy, Config);
-  return Ctx.run();
-}

@@ -110,18 +110,12 @@ const char *aotModeName(AotMode M);
 /// interpret-only) rather than aborting; the ceilings exist so that an
 /// operator can bound how much misbehaviour a run may absorb before it
 /// is reported as a typed failure instead.
+///
+/// The watchdog's trap count, the per-block translate retries and the
+/// per-patch repair attempts are constants in ExecutionContext.cpp.
 struct HardeningConfig {
-  /// Consecutive no-progress traps at one host word before the
-  /// degradation ladder engages (the trap-storm watchdog).
-  uint32_t WatchdogTrapK = 8;
   /// Watchdog escalations tolerated before the run aborts (TrapStorm).
   uint32_t MaxWatchdogTrips = 256;
-  /// Failed translation attempts for one block before it is pinned
-  /// interpret-only.
-  uint32_t TranslateRetryLimit = 4;
-  /// Re-write attempts for a dropped/torn code-cache patch before the
-  /// previous content is restored and the patch abandoned.
-  uint32_t PatchRepairLimit = 3;
   /// Abandoned patches tolerated before the run aborts (PatchFailed).
   /// 0 = unlimited.
   uint32_t PatchFailureLimit = 0;

@@ -3,8 +3,25 @@
 // Part of the MDABT project (CGO 2009 MDA-handling reproduction).
 //
 //===----------------------------------------------------------------------===//
+///
+/// \file
+/// The per-run layer of the serving architecture (docs/SERVING.md):
+/// Engine::run builds one ExecutionContext, which owns ALL mutable state
+/// of one guest run — guest memory and registers, the host code arena,
+/// trap/patch bookkeeping, SMC epochs, budgets, degradation-ladder
+/// state — and performs the run's monitor loop.
+///
+/// Every translation enters the arena through one pipeline.  obtain()
+/// produces it — translated locally by the stateless Translator or, when
+/// EngineConfig::Service is set, leased from the process-wide shared
+/// cache — and install() registers it, whichever of the three producers
+/// asked: a demand block, a superblock trace or a pre-translated AOT
+/// unit.  Either way the run installs a private copy in its own
+/// CodeSpace, so concurrent runs never share mutable code.
+///
+//===----------------------------------------------------------------------===//
 
-#include "dbt/ExecutionContext.h"
+#include "dbt/Engine.h"
 
 #include "analysis/AlignmentAnalysis.h"
 #include "analysis/CfgRecovery.h"
@@ -49,6 +66,17 @@ constexpr uint32_t TraceMaxBlocks = 8;
 /// Formation attempts per head PC (bounds retry after de-opt).
 constexpr uint32_t TraceFormsPerHead = 8;
 
+// Degradation tolerances.
+/// Consecutive no-progress traps at one host word before the
+/// degradation ladder engages (the trap-storm watchdog).
+constexpr uint32_t WatchdogTrapK = 8;
+/// Failed translation attempts for one block before it is pinned
+/// interpret-only.
+constexpr uint32_t TranslateRetryLimit = 4;
+/// Re-write attempts for a dropped/torn code-cache patch before the
+/// previous content is restored and the patch abandoned.
+constexpr uint32_t PatchRepairLimit = 3;
+
 /// The disabled-guard word of an inline-cache way: skip the way's
 /// remaining IcWayWords - 1 words.
 uint32_t icDisabledGuardWord() {
@@ -62,15 +90,33 @@ uint32_t hostNopWord() {
   return encodeHost(opInst(HostOp::Bis, RegZero, RegZero, RegZero));
 }
 
-} // namespace
+/// The `br` word that, placed at host word \p From, jumps to \p Entry
+/// (a chained exit, a redirected backedge, an inline-cache way's final
+/// branch); nullopt when \p Entry is out of branch range, and the
+/// caller keeps going through the monitor.
+std::optional<uint32_t> branchTo(uint32_t From, uint32_t Entry) {
+  int64_t Disp =
+      static_cast<int64_t>(Entry) - (static_cast<int64_t>(From) + 1);
+  if (Disp < -(1 << 20) || Disp >= (1 << 20))
+    return std::nullopt;
+  return Translator::stubBranchWord(From, Entry);
+}
 
-/// All per-run state of the engine: built fresh for every run().
+/// Visit every write-watch page of the guest bytes [Lo, Hi), Lo < Hi.
+template <typename Fn> void forEachPage(uint32_t Lo, uint32_t Hi, Fn F) {
+  uint32_t P0 = Lo >> guest::GuestMemory::WatchPageShift;
+  uint32_t P1 = (Hi - 1) >> guest::GuestMemory::WatchPageShift;
+  for (uint32_t P = P0; P <= P1; ++P)
+    F(P);
+}
+
+/// All per-run state of the engine: built fresh by every Engine::run.
 /// Implements TraceClock so every emitted event is stamped with the
 /// run's current modeled cycle count.
-struct ExecutionContext::Impl : public obs::TraceClock {
+class ExecutionContext : public obs::TraceClock {
 public:
-  Impl(const guest::GuestImage &Image, MdaPolicy &Policy,
-       const EngineConfig &Config)
+  ExecutionContext(const guest::GuestImage &Image, MdaPolicy &Policy,
+                   const EngineConfig &Config)
       : Policy(Policy), Config(Config), Cost(Config.Cost),
         Hard(Config.Hardening), Interp(Mem),
         Machine(Code, Mem, Hier, Cost), Trans(Code), Profiler(*this),
@@ -171,14 +217,14 @@ private:
   /// profile.
   class InterpProfiler : public guest::InterpObserver {
   public:
-    explicit InterpProfiler(Impl &S) : S(S) {}
+    explicit InterpProfiler(ExecutionContext &S) : S(S) {}
     void onMemAccess(uint32_t InstPc, uint32_t Addr, unsigned Size,
                      bool IsStore) override {
       ++S.InterpRefs;
       S.InterpCycles += S.Cost.InterpMemExtraCycles + S.Hier.data(Addr);
       S.Policy.onInterpMemAccess(InstPc, Addr, Size, IsStore);
     }
-    Impl &S;
+    ExecutionContext &S;
   };
 
   // -- verified code-cache patching --------------------------------------
@@ -190,20 +236,19 @@ private:
   /// restore cannot be made to stick the run aborts with PatchFailed.
   bool patchVerified(uint32_t Word, uint32_t Desired) {
     uint32_t Fallback = Code.word(Word);
-    ChaosPatchArmed = true;
-    bool Ok = false;
-    bool Repaired = false;
-    for (uint32_t A = 0; A <= Hard.PatchRepairLimit; ++A) {
-      Code.patch(Word, Desired);
-      if (Code.word(Word) == Desired) {
-        Ok = true;
-        break;
+    // Writes \p W until it reads back; the attempt that stuck, or 0.
+    auto Write = [&](uint32_t W) -> uint32_t {
+      for (uint32_t A = 1; A <= PatchRepairLimit + 1; ++A) {
+        Code.patch(Word, W);
+        if (Code.word(Word) == W)
+          return A;
       }
-      Repaired = true;
-    }
-    if (Ok) {
+      return 0;
+    };
+    ChaosPatchArmed = true;
+    if (uint32_t Attempt = Write(Desired)) {
       ChaosPatchArmed = false;
-      if (Repaired) {
+      if (Attempt > 1) {
         ++PatchRepairs;
         Trace.emit(obs::TraceEventKind::PatchRepaired, 0, 0, Word,
                    Desired);
@@ -215,14 +260,7 @@ private:
         PatchFailures > Hard.PatchFailureLimit)
       Abort = RunError::PatchFailed;
     // Roll back so execution never reaches a corrupt word.
-    bool Restored = false;
-    for (uint32_t A = 0; A <= Hard.PatchRepairLimit; ++A) {
-      Code.patch(Word, Fallback);
-      if (Code.word(Word) == Fallback) {
-        Restored = true;
-        break;
-      }
-    }
+    bool Restored = Write(Fallback) != 0;
     ChaosPatchArmed = false;
     Trace.emit(obs::TraceEventKind::PatchRolledBack, 0, 0, Word,
                Restored ? 1 : 0);
@@ -285,37 +323,117 @@ private:
                T.FusedSites.size(), Saved);
   }
 
-  Translation *installTranslation(uint32_t GuestPc, uint32_t Generation,
-                                  bool AllowFlush = false) {
-    if (InterpOnly.count(GuestPc))
-      return nullptr; // degradation rung 3: this block stays interpreted
-    // Never plan from stale verdicts: a supersede can reach here before
-    // the monitor loop's own re-analysis point.
-    maybeReanalyze();
-    if (Abort != RunError::None)
-      return nullptr;
-    // Capacity policy: flush before installing, and only from monitor
-    // context (translated code must not be running during a flush).
-    if (AllowFlush && Config.CodeCacheLimitWords != 0 &&
-        Code.size() > Config.CodeCacheLimitWords) {
+  /// The engine's plan chain as a translator callback.
+  Translator::PlanFn planChain() {
+    return [this](uint32_t Pc, const guest::GuestInst &I) {
+      return planMemOp(Pc, I);
+    };
+  }
+
+  /// True when the arena has outgrown EngineConfig::CodeCacheLimitWords.
+  bool overCapacity() const {
+    return Config.CodeCacheLimitWords != 0 &&
+           Code.size() > Config.CodeCacheLimitWords;
+  }
+
+  /// Capacity policy: flush an overgrown arena before installing, and
+  /// only from monitor context (translated code must not be running
+  /// during a flush).  False if the flush aborted the run.
+  bool makeRoom() {
+    if (overCapacity())
       flushAll();
-      if (Abort != RunError::None)
-        return nullptr;
+    return Abort == RunError::None;
+  }
+
+  /// Install a cached translation at this run's arena tail, rebasing
+  /// every piece of metadata onto the new entry word.  The private copy
+  /// is indistinguishable from a fresh local translation: chains, MDA
+  /// stubs and inline-cache fills mutate only this run's words, never
+  /// the shared entry.  (The emitted words are position-independent:
+  /// all translator-internal control flow is PC-relative and exits
+  /// materialize guest PCs as data, so a straight word copy is a
+  /// correct relocation.)
+  Translation instantiateCached(const CachedTranslation &C,
+                                uint32_t Generation) {
+    uint32_t Base = Code.size();
+    for (uint32_t W : C.Words)
+      Code.append(W);
+    Translation T;
+    T.GuestPc = C.GuestPc;
+    T.EntryWord = Base;
+    T.EndWord = Base + static_cast<uint32_t>(C.Words.size());
+    for (const CachedTranslation::RelExit &E : C.Exits) {
+      ExitSite X;
+      X.SrvWord = Base + E.Word;
+      X.TargetGuestPc = E.TargetGuestPc;
+      X.Direct = E.Direct != 0;
+      T.Exits.push_back(X);
     }
-    GuestBlock Block = discoverBlock(Mem, GuestPc);
+    for (const auto &MW : C.MemWordToGuestPc)
+      T.MemWordToGuestPc[Base + MW.first] = MW.second;
+    for (const CachedTranslation::RelResume &R : C.StoreResume)
+      T.StoreResume[Base + R.Word] = {Base + R.EndWord, R.ResumePc};
+    T.GuestInsts = C.GuestInsts;
+    T.Generation = Generation;
+    for (const CachedTranslation::RelIcSite &S : C.IcSites) {
+      IcSite Site;
+      Site.SrvWord = Base + S.SrvWord;
+      Site.Ways.reserve(S.WayBegins.size());
+      for (uint32_t W : S.WayBegins) {
+        IcWay Way;
+        Way.Begin = Base + W;
+        Site.Ways.push_back(Way);
+      }
+      T.IcSites.push_back(std::move(Site));
+    }
+    for (const auto &P : C.PlanByPc)
+      T.PlanByPc[P.first] = static_cast<MemPlan>(P.second);
+    T.IsTrace = C.IsTrace != 0;
+    T.Constituents = C.Constituents;
+    T.GuestRanges = C.GuestRanges;
+    for (const CachedTranslation::RelFusedSite &F : C.FusedSites) {
+      FusedSite S;
+      S.Rule = F.Rule;
+      S.GuestLen = F.GuestLen;
+      S.Begin = Base + F.Begin;
+      S.End = Base + F.End;
+      S.GuestPc = F.GuestPc;
+      S.SavedWords = F.SavedWords;
+      // The cached payload is the pristine translator output, so the
+      // fused core's reference words come straight from it.
+      S.Words.assign(C.Words.begin() + F.Begin, C.Words.begin() + F.End);
+      T.FusedSites.push_back(std::move(S));
+    }
+    return T;
+  }
+
+  /// Produce the translation of \p Blocks (one block, or a superblock's
+  /// constituents head first) at the arena tail under \p Plan.  With a
+  /// service attached, the content key decides: a hit instantiates the
+  /// cached words (\p FromCache set), a miss translates and publishes the
+  /// pristine result for other tenants.  Returns null, charging the
+  /// wasted work, when the translator fails (fault injection).
+  Translation *obtain(const std::vector<GuestBlock> &Blocks,
+                      const Translator::PlanFn &Plan, uint32_t Generation,
+                      bool &FromCache) {
+    uint32_t Pc = Blocks.front().StartPc;
+    bool IsTrace = Blocks.size() > 1; // a trace has >= 2 constituents
+    uint64_t Insts = 0;
+    for (const GuestBlock &B : Blocks)
+      Insts += B.size();
     if (Injector && Injector->translateFails()) {
-      // The translator failed: charge the wasted work, fall back to
-      // interpretation, and pin the block interp-only once failures at
-      // this PC persist.
       ++ChaosTranslateFails;
       ++TranslateFailures;
       if (!Policy.translationIsOffline())
-        TranslateCycles += static_cast<uint64_t>(Block.size()) *
-                           Cost.TranslateCyclesPerInst;
-      Trace.emit(obs::TraceEventKind::TranslationFailed, GuestPc, GuestPc,
-                 TranslateFailsAt[GuestPc] + 1, Generation);
-      if (++TranslateFailsAt[GuestPc] >= Hard.TranslateRetryLimit) {
-        InterpOnly.insert(GuestPc);
+        TranslateCycles += Insts * Cost.TranslateCyclesPerInst;
+      // A block falls back to interpretation and is pinned interp-only
+      // once failures at its PC persist; a failed trace just leaves its
+      // constituents in service.
+      uint32_t Attempt = IsTrace ? 0 : ++TranslateFailsAt[Pc];
+      Trace.emit(obs::TraceEventKind::TranslationFailed, Pc, Pc, Attempt,
+                 Generation);
+      if (Attempt >= TranslateRetryLimit) {
+        InterpOnly.insert(Pc);
         ++LadderInterpPins;
       }
       if (Hard.TranslationFailureLimit != 0 &&
@@ -323,72 +441,105 @@ private:
         Abort = RunError::TranslationFailed;
       return nullptr;
     }
-    TranslateFailsAt.erase(GuestPc);
-    Translator::PlanFn Plan = [this](uint32_t Pc,
-                                     const guest::GuestInst &I) {
-      return planMemOp(Pc, I);
-    };
-    bool FromCache = false;
-    if (Service) {
-      // Serving path: look the block up in the shared cache by content
-      // key (guest bytes + per-site plans + options).  A hit installs
-      // the cached words — no translation; a miss translates locally
-      // and publishes the pristine result for other tenants.
-      TranslationOpts Opts = translationOpts();
-      const GuestBlock *One[] = {&Block};
-      CacheKey Key = serviceKey(One, 1, Plan, Opts, /*IsTrace=*/false);
-      TranslationLease L = Service->acquire(Key);
-      if (L) {
-        Store.push_back(instantiateCached(L.get(), Generation));
-        FromCache = true;
-        ++CacheHits;
-        CacheHitInsts += Block.size();
-        Trace.emit(obs::TraceEventKind::CacheHit, GuestPc, GuestPc,
-                   Key.Lo, Generation);
-      } else {
-        Store.push_back(Trans.translate(Block, Plan, Generation, Opts));
-        uint64_t Evicted = 0;
-        L = Service->publish(Key, captureCached(Store.back()), &Evicted);
-        ++CacheMisses;
-        CacheEvictions += Evicted;
-        Trace.emit(obs::TraceEventKind::CacheMiss, GuestPc, GuestPc,
-                   Key.Lo, Generation);
-        if (Evicted)
-          Trace.emit(obs::TraceEventKind::CacheEvict, GuestPc, GuestPc,
-                     Evicted, 0);
-      }
-      Leases.emplace(&Store.back(), std::move(L));
-    } else {
+    TranslateFailsAt.erase(Pc);
+    TranslationOpts Opts = translationOpts();
+    auto Translate = [&]() -> const Translation & {
       Store.push_back(
-          Trans.translate(Block, Plan, Generation, translationOpts()));
+          IsTrace ? Trans.translateTrace(Blocks, Plan, Generation, Opts)
+                  : Trans.translate(Blocks.front(), Plan, Generation, Opts));
+      return Store.back();
+    };
+    FromCache = false;
+    if (!Service) {
+      Translate();
+      return &Store.back();
     }
-    Translation *T = &Store.back();
+    // Serving path (docs/SERVING.md): the key covers every constituent,
+    // unroll copies included, so a trace's exact shape is part of it.
+    CacheKey Key = translationContentKey(Mem, Blocks.data(), Blocks.size(),
+                                         Plan, Opts, IsTrace);
+    TranslationLease L;
+    uint64_t Evicted = 0;
+    FromCache = acquireOrPublish(*Service, Key, Code, Translate, L, &Evicted);
+    if (FromCache) {
+      Store.push_back(instantiateCached(L.get(), Generation));
+      ++CacheHits;
+      CacheHitInsts += Insts;
+    } else {
+      ++CacheMisses;
+      CacheEvictions += Evicted;
+    }
+    Trace.emit(FromCache ? obs::TraceEventKind::CacheHit
+                         : obs::TraceEventKind::CacheMiss,
+               Pc, Pc, Key.Lo, Generation);
+    if (Evicted)
+      Trace.emit(obs::TraceEventKind::CacheEvict, Pc, Pc, Evicted, 0);
+    Leases.emplace(&Store.back(), std::move(L));
+    return &Store.back();
+  }
+
+  /// Register a freshly produced translation: the one install path of
+  /// demand blocks, superblock traces and AOT units.  The caller has
+  /// already counted \p T, so the budget check sees it.  \p FromCache
+  /// prices the install at cache-install rather than translate cycles;
+  /// \p Kind, \p A and \p B are the producer's trace event.  A caller
+  /// whose translation serves its head at once points the block map at
+  /// \p T first (a trace waits until its head is retired).  A
+  /// translation bigger than the whole cache would flush-thrash on every
+  /// dispatch, so it is retired at once and false is returned; the
+  /// caller decides what stops retrying it.  Either way the caller runs
+  /// the verifier sweep afterwards.
+  bool install(Translation *T, bool FromCache, obs::TraceEventKind Kind,
+               uint64_t A, uint64_t B) {
     Regions[T->EntryWord] = {T->EndWord, T};
-    BlockMap[GuestPc] = T;
     trackTranslation(T);
     if (!Policy.translationIsOffline())
-      TranslateCycles += static_cast<uint64_t>(Block.size()) *
+      TranslateCycles += static_cast<uint64_t>(T->GuestInsts) *
                          (FromCache ? Cost.CacheInstallCyclesPerInst
                                     : Cost.TranslateCyclesPerInst);
-    ++Translations;
     chargeCodeGrowth();
     checkBudgets();
-    HTransInsts->record(Block.size());
-    Trace.emit(obs::TraceEventKind::BlockTranslated, GuestPc, GuestPc,
-               Block.size(), Generation);
+    HTransInsts->record(T->GuestInsts);
+    Trace.emit(Kind, T->GuestPc, T->GuestPc, A, B);
     recordFusion(*T);
-    // A single block bigger than the whole cache would flush-thrash on
-    // every dispatch: pin it interpret-only instead.
     if (Config.CodeCacheLimitWords != 0 &&
         T->EndWord - T->EntryWord > Config.CodeCacheLimitWords) {
+      invalidate(T);
+      return false;
+    }
+    return true;
+  }
+
+  /// The demand producer: translate the block at \p GuestPc (first
+  /// translation, or a supersede's retranslation at \p Generation) and
+  /// install it.  Null when the block stays interpreted.
+  Translation *translateBlock(uint32_t GuestPc, uint32_t Generation,
+                              bool AllowFlush = false) {
+    if (InterpOnly.count(GuestPc))
+      return nullptr; // degradation rung 3: this block stays interpreted
+    // Never plan from stale verdicts: a supersede can reach here before
+    // the monitor loop's own re-analysis point.
+    maybeReanalyze();
+    if (Abort != RunError::None)
+      return nullptr;
+    if (AllowFlush && !makeRoom())
+      return nullptr;
+    std::vector<GuestBlock> Blocks;
+    Blocks.push_back(discoverBlock(Mem, GuestPc));
+    bool FromCache = false;
+    Translation *T = obtain(Blocks, planChain(), Generation, FromCache);
+    if (!T)
+      return nullptr;
+    ++Translations;
+    BlockMap[T->GuestPc] = T;
+    bool Kept = install(T, FromCache, obs::TraceEventKind::BlockTranslated,
+                        T->GuestInsts, Generation);
+    if (!Kept) {
       InterpOnly.insert(GuestPc);
       ++OversizedPins;
-      invalidate(T);
-      runVerifier();
-      return nullptr;
     }
     runVerifier();
-    return T;
+    return Kept ? T : nullptr;
   }
 
   /// Take one inline-cache way out of service: disable its guard, then
@@ -489,12 +640,10 @@ private:
       // Dynamo-style: flush everything at the next safe point (we may
       // be inside the fault handler with the old code still running).
       PendingFlush = true;
-      ++Supersedes;
-      checkBudgets();
-      return;
+    } else {
+      invalidate(Old);
+      translateBlock(Old->GuestPc, Old->Generation + 1);
     }
-    invalidate(Old);
-    installTranslation(Old->GuestPc, Old->Generation + 1);
     ++Supersedes;
     checkBudgets();
   }
@@ -526,10 +675,6 @@ private:
     for (uint32_t W : StaleChainWords)
       assert(W < Code.size() && "quarantined word outlives the arena");
 #endif
-    for (Translation &T : Store) {
-      T.IncomingChains.clear();
-      T.IncomingIcWays.clear();
-    }
     // Write-barrier bookkeeping dies with the arena; invalid
     // translations were already untracked by invalidate().
     for (Translation &T : Store)
@@ -548,8 +693,6 @@ private:
     Leases.clear(); // release every shared-cache lease with the arena
     PatchedOriginals.clear();
     StaleChainWords.clear();
-    assert(StaleChainWords.empty() &&
-           "stale-chain quarantine must drain on flush");
     PendingFlush = false;
     LastCodeWords = 0; // emission accounting stays monotone
     ++Flushes;
@@ -568,13 +711,11 @@ private:
   template <typename Fn>
   void forEachWatchPage(const Translation *T, Fn F) {
     std::vector<uint32_t> Pages;
-    for (const auto &R : T->GuestRanges) {
-      uint32_t P0 = R.first >> guest::GuestMemory::WatchPageShift;
-      uint32_t P1 = (R.second - 1) >> guest::GuestMemory::WatchPageShift;
-      for (uint32_t P = P0; P <= P1; ++P)
+    for (const auto &R : T->GuestRanges)
+      forEachPage(R.first, R.second, [&](uint32_t P) {
         if (std::find(Pages.begin(), Pages.end(), P) == Pages.end())
           Pages.push_back(P);
-    }
+      });
     for (uint32_t P : Pages)
       F(P);
   }
@@ -616,23 +757,18 @@ private:
   void watchAotUnit(const AotTranslator::Unit &U) {
     for (const auto &R : U.Payload.GuestRanges) {
       Mem.watchRange(R.first, R.second);
-      uint32_t P0 = R.first >> guest::GuestMemory::WatchPageShift;
-      uint32_t P1 = (R.second - 1) >> guest::GuestMemory::WatchPageShift;
-      for (uint32_t P = P0; P <= P1; ++P)
-        ++AotWatchRef[P];
+      forEachPage(R.first, R.second, [&](uint32_t P) { ++AotWatchRef[P]; });
     }
   }
 
   void unwatchAotUnit(const AotTranslator::Unit &U) {
     for (const auto &R : U.Payload.GuestRanges) {
       Mem.unwatchRange(R.first, R.second);
-      uint32_t P0 = R.first >> guest::GuestMemory::WatchPageShift;
-      uint32_t P1 = (R.second - 1) >> guest::GuestMemory::WatchPageShift;
-      for (uint32_t P = P0; P <= P1; ++P) {
+      forEachPage(R.first, R.second, [&](uint32_t P) {
         auto It = AotWatchRef.find(P);
         if (It != AotWatchRef.end() && --It->second == 0)
           AotWatchRef.erase(It);
-      }
+      });
     }
   }
 
@@ -646,43 +782,27 @@ private:
       unwatchAotUnit(*Aot->find(Pc));
   }
 
-  /// Instantiate one pending AOT unit into the run's arena.  Mirrors
-  /// installTranslation's serving-hit path: install cycles, dispatch and
-  /// write-barrier tracking, budgets and oversized pinning all behave
-  /// identically.  \p Sweep runs the forced verifier sweep after the
+  /// The AOT producer: instantiate one pending unit into the run's
+  /// arena.  \p Sweep runs the forced verifier sweep after a kept
   /// install (the startup batch defers to one sweep over the whole
-  /// pre-populated cache instead).
+  /// pre-populated cache instead); an oversize retirement is always
+  /// swept.
   Translation *installAotUnit(AotTranslator::Unit &U, bool Sweep) {
     Store.push_back(instantiateCached(U.Payload, /*Generation=*/0));
     Translation *T = &Store.back();
     T->AotInstalled = true;
-    Regions[T->EntryWord] = {T->EndWord, T};
-    BlockMap[U.GuestPc] = T;
-    trackTranslation(T);
-    if (!Policy.translationIsOffline())
-      TranslateCycles += static_cast<uint64_t>(T->GuestInsts) *
-                         Cost.CacheInstallCyclesPerInst;
     ++Translations;
     ++AotInstalls;
-    chargeCodeGrowth();
-    checkBudgets();
-    HTransInsts->record(T->GuestInsts);
-    Trace.emit(obs::TraceEventKind::AotInstall, U.GuestPc, U.GuestPc,
-               T->GuestInsts, U.FromCache ? 1 : 0);
-    recordFusion(*T);
-    // Same containment as the demand path: a single block bigger than
-    // the whole cache would flush-thrash on every dispatch.
-    if (Config.CodeCacheLimitWords != 0 &&
-        T->EndWord - T->EntryWord > Config.CodeCacheLimitWords) {
+    BlockMap[T->GuestPc] = T;
+    bool Kept = install(T, /*FromCache=*/true, obs::TraceEventKind::AotInstall,
+                        T->GuestInsts, U.FromCache ? 1 : 0);
+    if (!Kept) {
       InterpOnly.insert(U.GuestPc);
       ++OversizedPins;
-      invalidate(T);
-      runVerifier(/*Force=*/true);
-      return nullptr;
     }
-    if (Sweep)
+    if (Sweep || !Kept)
       runVerifier(/*Force=*/true);
-    return T;
+    return Kept ? T : nullptr;
   }
 
   /// The AOT startup phase (run() calls this before the first guest
@@ -692,40 +812,28 @@ private:
   /// the pre-populated cache — even when EngineConfig::Verify is off.
   void aotStartup() {
     uint64_t Cycles0 = now();
-    Translator::PlanFn Plan = [this](uint32_t Pc,
-                                     const guest::GuestInst &I) {
-      return planMemOp(Pc, I);
-    };
-    Aot.emplace(Mem, *AotCfg, Plan, translationOpts(), Service, Cost);
+    Aot.emplace(Mem, *AotCfg, planChain(), translationOpts(), Service,
+                Cost);
     Aot->pretranslateAll();
     const AotTranslator::Stats &AS = Aot->stats();
     if (!Policy.translationIsOffline())
       TranslateCycles += AS.StartupTranslateCycles;
-    if (Trace.enabled())
-      for (const auto &KV : Aot->units())
-        Trace.emit(obs::TraceEventKind::AotTranslated, KV.first, KV.first,
-                   KV.second.Payload.GuestInsts,
-                   KV.second.FromCache ? 1 : 0);
-    for (const auto &KV : Aot->units())
+    for (const auto &KV : Aot->units()) {
+      Trace.emit(obs::TraceEventKind::AotTranslated, KV.first, KV.first,
+                 KV.second.Payload.GuestInsts, KV.second.FromCache ? 1 : 0);
       watchAotUnit(KV.second);
-    if (Config.Aot == AotMode::Full) {
-      std::vector<uint32_t> Pcs;
-      Pcs.reserve(Aot->units().size());
-      for (const auto &KV : Aot->units())
-        Pcs.push_back(KV.first);
-      for (uint32_t Pc : Pcs) {
-        if (Abort != RunError::None)
-          break;
-        // Capacity containment: leave the tail pending — it installs
-        // lazily at first dispatch, exactly the hybrid path.
-        if (Config.CodeCacheLimitWords != 0 &&
-            Code.size() > Config.CodeCacheLimitWords)
-          break;
-        AotTranslator::Unit *U = Aot->find(Pc);
-        if (U->Stale || InterpOnly.count(Pc))
-          continue;
+    }
+    // Full installs eagerly.  Installing only marks units stale, never
+    // adds or removes one, so walking the unit map meanwhile is safe.
+    for (const auto &KV : Aot->units()) {
+      // Hybrid installs lazily at first dispatch.  So does the tail Full
+      // leaves pending at capacity (capacity containment).
+      if (Config.Aot != AotMode::Full || Abort != RunError::None ||
+          overCapacity())
+        break;
+      AotTranslator::Unit *U = Aot->find(KV.first);
+      if (!U->Stale && !InterpOnly.count(KV.first))
         installAotUnit(*U, /*Sweep=*/false);
-      }
     }
     AotStartupCycles = now() - Cycles0;
     Trace.emit(obs::TraceEventKind::AotSummary,
@@ -766,12 +874,10 @@ private:
     // Victim collection first, mutation after: invalidation edits the
     // per-page index we are reading.
     std::vector<Translation *> Victims;
-    uint32_t P0 = Addr >> guest::GuestMemory::WatchPageShift;
-    uint32_t P1 = (Addr + Size - 1) >> guest::GuestMemory::WatchPageShift;
-    for (uint32_t P = P0; P <= P1; ++P) {
+    forEachPage(Addr, Addr + Size, [&](uint32_t P) {
       auto It = TrackedByPage.find(P);
       if (It == TrackedByPage.end())
-        continue;
+        return;
       for (Translation *T : It->second) {
         if (!T->Valid)
           continue;
@@ -786,7 +892,7 @@ private:
             std::find(Victims.begin(), Victims.end(), T) == Victims.end())
           Victims.push_back(T);
       }
-    }
+    });
     // Deterministic retirement order regardless of hash-map iteration:
     // entry words are unique between flushes.
     std::sort(Victims.begin(), Victims.end(),
@@ -1199,7 +1305,7 @@ private:
     LastTrapInsts = Machine.Instructions;
     if (Abort != RunError::None)
       return FaultAction::Halt;
-    if (ConsecutiveTraps > Hard.WatchdogTrapK)
+    if (ConsecutiveTraps > WatchdogTrapK)
       return engageLadder(F);
 
     if (Injector && Injector->lostTrap()) {
@@ -1282,14 +1388,9 @@ private:
       if (TIt == BlockMap.end() || !TIt->second->Valid)
         return;
       Translation *Target = TIt->second;
-      int64_t Disp = static_cast<int64_t>(Target->EntryWord) -
-                     (static_cast<int64_t>(X.SrvWord) + 1);
-      if (Disp < -(1 << 20) || Disp >= (1 << 20))
-        return; // out of branch range; keep going through the monitor
-      if (!patchVerified(X.SrvWord,
-                         encodeHost(brInst(HostOp::Br, RegZero,
-                                           static_cast<int32_t>(Disp)))))
-        return; // chain patch failed; keep exiting through the monitor
+      std::optional<uint32_t> Br = branchTo(X.SrvWord, Target->EntryWord);
+      if (!Br || !patchVerified(X.SrvWord, *Br))
+        return; // out of range or patch failed: keep exiting via monitor
       X.Chained = true;
       Target->IncomingChains.push_back(X.SrvWord);
       ChainCycles += Cost.ChainPatchCycles;
@@ -1363,9 +1464,8 @@ private:
         return; // every way quarantined; fall back to the monitor
     }
     uint32_t FinalBr = Way->Begin + IcWayWords - 1;
-    int64_t Disp = static_cast<int64_t>(Target->EntryWord) -
-                   (static_cast<int64_t>(FinalBr) + 1);
-    if (Disp < -(1 << 20) || Disp >= (1 << 20))
+    std::optional<uint32_t> Br = branchTo(FinalBr, Target->EntryWord);
+    if (!Br)
       return; // out of branch range; keep going through the monitor
     if (Evicting) {
       ++IcEvictions;
@@ -1392,8 +1492,7 @@ private:
          encodeHost(opInst(HostOp::Cmpeq, RegExitPc, RegScratch1,
                            RegScratch2))},
         {Way->Begin + 4, encodeHost(brInst(HostOp::Beq, RegScratch2, 1))},
-        {FinalBr, encodeHost(brInst(HostOp::Br, RegZero,
-                                    static_cast<int32_t>(Disp)))},
+        {FinalBr, *Br},
     };
     for (const auto &P : Interior) {
       if (!patchVerified(P.first, P.second)) {
@@ -1507,25 +1606,9 @@ private:
 
     ++TraceFormsAt[HeadPc];
     std::vector<GuestBlock> Blocks;
-    uint32_t TotalInsts = 0;
     Blocks.reserve(Pcs.size());
-    for (uint32_t P : Pcs) {
+    for (uint32_t P : Pcs)
       Blocks.push_back(discoverBlock(Mem, P));
-      TotalInsts += static_cast<uint32_t>(Blocks.back().size());
-    }
-    if (Injector && Injector->translateFails()) {
-      ++ChaosTranslateFails;
-      ++TranslateFailures;
-      if (!Policy.translationIsOffline())
-        TranslateCycles += static_cast<uint64_t>(TotalInsts) *
-                           Cost.TranslateCyclesPerInst;
-      Trace.emit(obs::TraceEventKind::TranslationFailed, HeadPc, HeadPc,
-                 0, Head->Generation + 1);
-      if (Hard.TranslationFailureLimit != 0 &&
-          TranslateFailures > Hard.TranslationFailureLimit)
-        Abort = RunError::TranslationFailed;
-      return; // constituents stay in service; no harm done
-    }
     // Each site gets the stronger of its recorded constituent plan and
     // the policy's current verdict: never weaker than the constituent
     // (the identity guarantee PlanByPc exists for), and never weaker
@@ -1542,65 +1625,16 @@ private:
       return It->second; // keep the constituent's MDA treatment
     };
     bool FromCache = false;
-    if (Service) {
-      // Same serving path as installTranslation, keyed over every
-      // constituent (including unroll copies) so the trace's exact
-      // shape is part of the key.
-      TranslationOpts Opts = translationOpts();
-      std::vector<const GuestBlock *> Ptrs;
-      Ptrs.reserve(Blocks.size());
-      for (const GuestBlock &B : Blocks)
-        Ptrs.push_back(&B);
-      CacheKey Key =
-          serviceKey(Ptrs.data(), Ptrs.size(), Plan, Opts, /*IsTrace=*/true);
-      TranslationLease L = Service->acquire(Key);
-      if (L) {
-        Store.push_back(instantiateCached(L.get(), Head->Generation + 1));
-        FromCache = true;
-        ++CacheHits;
-        CacheHitInsts += TotalInsts;
-        Trace.emit(obs::TraceEventKind::CacheHit, HeadPc, HeadPc, Key.Lo,
-                   Head->Generation + 1);
-      } else {
-        Store.push_back(Trans.translateTrace(Blocks, Plan,
-                                             Head->Generation + 1, Opts));
-        uint64_t Evicted = 0;
-        L = Service->publish(Key, captureCached(Store.back()), &Evicted);
-        ++CacheMisses;
-        CacheEvictions += Evicted;
-        Trace.emit(obs::TraceEventKind::CacheMiss, HeadPc, HeadPc, Key.Lo,
-                   Head->Generation + 1);
-        if (Evicted)
-          Trace.emit(obs::TraceEventKind::CacheEvict, HeadPc, HeadPc,
-                     Evicted, 0);
-      }
-      Leases.emplace(&Store.back(), std::move(L));
-    } else {
-      Store.push_back(Trans.translateTrace(Blocks, Plan,
-                                           Head->Generation + 1,
-                                           translationOpts()));
-    }
-    Translation *Tr = &Store.back();
-    Regions[Tr->EntryWord] = {Tr->EndWord, Tr};
-    trackTranslation(Tr);
-    if (!Policy.translationIsOffline())
-      TranslateCycles += static_cast<uint64_t>(TotalInsts) *
-                         (FromCache ? Cost.CacheInstallCyclesPerInst
-                                    : Cost.TranslateCyclesPerInst);
+    Translation *Tr = obtain(Blocks, Plan, Head->Generation + 1, FromCache);
+    if (!Tr)
+      return; // constituents stay in service; no harm done
     ++TracesFormed;
-    chargeCodeGrowth();
-    checkBudgets();
     TraceBlocksEmitted += Pcs.size();
-    HTransInsts->record(TotalInsts);
-    Trace.emit(obs::TraceEventKind::TraceFormed, HeadPc, HeadPc,
-               Pcs.size(), Tr->EntryWord);
-    recordFusion(*Tr);
-    if (Config.CodeCacheLimitWords != 0 &&
-        Tr->EndWord - Tr->EntryWord > Config.CodeCacheLimitWords) {
-      // The trace alone would thrash the cache: drop it and stop trying
-      // to form one at this head.
+    if (!install(Tr, FromCache, obs::TraceEventKind::TraceFormed, Pcs.size(),
+                 Tr->EntryWord)) {
+      // The trace alone would thrash the cache: stop trying to form one
+      // at this head.
       TraceFormsAt[HeadPc] = TraceFormsPerHead;
-      invalidate(Tr);
       runVerifier();
       return;
     }
@@ -1617,12 +1651,8 @@ private:
       Translation *Src = findOwner(W);
       if (!Src || !Src->Valid)
         continue; // the head's own backedge, or a dead caller
-      int64_t Disp = static_cast<int64_t>(Tr->EntryWord) -
-                     (static_cast<int64_t>(W) + 1);
-      if (Disp < -(1 << 20) || Disp >= (1 << 20))
-        continue;
-      if (!patchVerified(W, encodeHost(brInst(HostOp::Br, RegZero,
-                                              static_cast<int32_t>(Disp)))))
+      std::optional<uint32_t> Br = branchTo(W, Tr->EntryWord);
+      if (!Br || !patchVerified(W, *Br))
         continue; // keep exiting through the monitor (verified restore)
       Tr->IncomingChains.push_back(W);
       ChainCycles += Cost.ChainPatchCycles;
@@ -1631,93 +1661,6 @@ private:
                  W, Tr->EntryWord);
     }
     runVerifier();
-  }
-
-  // -- shared translation service (docs/SERVING.md) -----------------------
-
-  /// Serialize everything that determines the translator's emission for
-  /// this (multi-)block and hash it into the service cache key: cache
-  /// format version, trace-ness, the block-level options, every
-  /// constituent's start PC and raw guest bytes, and the MemPlan the
-  /// plan chain returns for every planned site (policy decision,
-  /// analysis verdict and ladder override all fold into that value).
-  /// Two runs arriving at the same key are therefore guaranteed the
-  /// same emitted host words — the byte-identity invariant the whole
-  /// serving layer rests on.
-  CacheKey serviceKey(const GuestBlock *const *Blocks, size_t NBlocks,
-                      const Translator::PlanFn &Plan,
-                      const TranslationOpts &Opts, bool IsTrace) {
-    return translationContentKey(Mem, Blocks, NBlocks, Plan, Opts, IsTrace);
-  }
-
-  /// Snapshot a freshly translated block's pristine words and install
-  /// metadata into the relocatable cached form.  Called before any
-  /// chaining/patching can touch the words; hash-map metadata is sorted
-  /// so the published payload is deterministic.
-  CachedTranslation captureCached(const Translation &T) {
-    return captureTranslation(T, Code);
-  }
-
-  /// Install a cached translation at this run's arena tail, rebasing
-  /// every piece of metadata onto the new entry word.  The private copy
-  /// is indistinguishable from a fresh local translation: chains, MDA
-  /// stubs and inline-cache fills mutate only this run's words, never
-  /// the shared entry.  (The emitted words are position-independent:
-  /// all translator-internal control flow is PC-relative and exits
-  /// materialize guest PCs as data, so a straight word copy is a
-  /// correct relocation.)
-  Translation instantiateCached(const CachedTranslation &C,
-                                uint32_t Generation) {
-    uint32_t Base = Code.size();
-    for (uint32_t W : C.Words)
-      Code.append(W);
-    Translation T;
-    T.GuestPc = C.GuestPc;
-    T.EntryWord = Base;
-    T.EndWord = Base + static_cast<uint32_t>(C.Words.size());
-    for (const CachedTranslation::RelExit &E : C.Exits) {
-      ExitSite X;
-      X.SrvWord = Base + E.Word;
-      X.TargetGuestPc = E.TargetGuestPc;
-      X.Direct = E.Direct != 0;
-      T.Exits.push_back(X);
-    }
-    for (const auto &MW : C.MemWordToGuestPc)
-      T.MemWordToGuestPc[Base + MW.first] = MW.second;
-    for (const CachedTranslation::RelResume &R : C.StoreResume)
-      T.StoreResume[Base + R.Word] = {Base + R.EndWord, R.ResumePc};
-    T.GuestInsts = C.GuestInsts;
-    T.Generation = Generation;
-    for (const CachedTranslation::RelIcSite &S : C.IcSites) {
-      IcSite Site;
-      Site.SrvWord = Base + S.SrvWord;
-      Site.Ways.reserve(S.WayBegins.size());
-      for (uint32_t W : S.WayBegins) {
-        IcWay Way;
-        Way.Begin = Base + W;
-        Site.Ways.push_back(Way);
-      }
-      T.IcSites.push_back(std::move(Site));
-    }
-    for (const auto &P : C.PlanByPc)
-      T.PlanByPc[P.first] = static_cast<MemPlan>(P.second);
-    T.IsTrace = C.IsTrace != 0;
-    T.Constituents = C.Constituents;
-    T.GuestRanges = C.GuestRanges;
-    for (const CachedTranslation::RelFusedSite &F : C.FusedSites) {
-      FusedSite S;
-      S.Rule = F.Rule;
-      S.GuestLen = F.GuestLen;
-      S.Begin = Base + F.Begin;
-      S.End = Base + F.End;
-      S.GuestPc = F.GuestPc;
-      S.SavedWords = F.SavedWords;
-      // The cached payload is the pristine translator output, so the
-      // fused core's reference words come straight from it.
-      S.Words.assign(C.Words.begin() + F.Begin, C.Words.begin() + F.End);
-      T.FusedSites.push_back(std::move(S));
-    }
-    return T;
   }
 
   // -- members ---------------------------------------------------------------
@@ -1932,7 +1875,7 @@ private:
   bool PendingFlush = false;
 };
 
-RunResult ExecutionContext::Impl::run() {
+RunResult ExecutionContext::run() {
   RunResult R;
   bool Guarded = false;
   Trace.emit(obs::TraceEventKind::RunBegin, Cpu.Pc, 0,
@@ -2020,12 +1963,8 @@ RunResult ExecutionContext::Impl::run() {
     if (!T && Aot) {
       AotTranslator::Unit *U = Aot->find(Cpu.Pc);
       if (U && !U->Stale && !InterpOnly.count(Cpu.Pc)) {
-        if (Config.CodeCacheLimitWords != 0 &&
-            Code.size() > Config.CodeCacheLimitWords) {
-          flushAll();
-          if (Abort != RunError::None)
-            break;
-        }
+        if (!makeRoom())
+          break;
         T = installAotUnit(*U, /*Sweep=*/true);
         if (Abort != RunError::None)
           break;
@@ -2070,8 +2009,7 @@ RunResult ExecutionContext::Impl::run() {
         // (interpretation) -> phase 2 (native execution) for this PC.
         Trace.emit(obs::TraceEventKind::PhaseTransition, Cpu.Pc, Cpu.Pc,
                    H, 0);
-        if (installTranslation(Cpu.Pc, /*Generation=*/0,
-                               /*AllowFlush=*/true))
+        if (translateBlock(Cpu.Pc, /*Generation=*/0, /*AllowFlush=*/true))
           continue; // dispatch natively on the next iteration
         if (Abort != RunError::None)
           break;
@@ -2107,8 +2045,7 @@ RunResult ExecutionContext::Impl::run() {
   if (NextCounterCell > guest::layout::RuntimeBase)
     Mem.zeroRange(guest::layout::RuntimeBase, NextCounterCell);
   R.MemoryHash = memoryHash(Mem);
-  R.Cycles = Machine.Cycles + InterpCycles + TranslateCycles +
-             MonitorCycles + ChainCycles;
+  R.Cycles = now();
   Trace.emit(obs::TraceEventKind::RunEnd, Cpu.Pc, 0,
              static_cast<uint64_t>(Err), R.Cycles);
   if (Config.Trace)
@@ -2242,22 +2179,18 @@ RunResult ExecutionContext::Impl::run() {
   return R;
 }
 
-ExecutionContext::ExecutionContext(const guest::GuestImage &Image,
-                                   MdaPolicy &Policy,
-                                   const EngineConfig &Config)
-    : Cfg(Config), I(new Impl(Image, Policy, Cfg)) {}
+} // namespace
 
-ExecutionContext::~ExecutionContext() = default;
-
-RunResult ExecutionContext::run() {
+RunResult Engine::run() {
   if (Used) {
     // A second run would silently reuse policy state already specialized
     // by the first; that has produced corrupt figures before.  Hard
     // error in every build mode, not just under assert.
-    std::fprintf(stderr, "mdabt fatal: ExecutionContext::run() called "
-                         "twice; one context performs exactly one run\n");
+    std::fprintf(stderr, "mdabt fatal: Engine::run() called twice; one "
+                         "Engine performs exactly one run\n");
     std::abort();
   }
   Used = true;
-  return I->run();
+  ExecutionContext Ctx(Image, Policy, Config);
+  return Ctx.run();
 }

@@ -15,9 +15,9 @@ using namespace mdabt;
 using namespace mdabt::dbt;
 
 CacheKey mdabt::dbt::translationContentKey(
-    const guest::GuestMemory &Mem, const GuestBlock *const *Blocks,
-    size_t NBlocks, const Translator::PlanFn &Plan,
-    const TranslationOpts &Opts, bool IsTrace) {
+    const guest::GuestMemory &Mem, const GuestBlock *Blocks, size_t NBlocks,
+    const Translator::PlanFn &Plan, const TranslationOpts &Opts,
+    bool IsTrace) {
   std::vector<uint8_t> M;
   auto Put8 = [&M](uint8_t V) { M.push_back(V); };
   auto Put32 = [&M](uint32_t V) {
@@ -37,7 +37,7 @@ CacheKey mdabt::dbt::translationContentKey(
   Put32(Opts.FusionMask);
   Put32(static_cast<uint32_t>(NBlocks));
   for (size_t BI = 0; BI != NBlocks; ++BI) {
-    const GuestBlock &B = *Blocks[BI];
+    const GuestBlock &B = Blocks[BI];
     uint32_t Len = B.endPc() - B.StartPc;
     Put32(B.StartPc);
     Put32(Len);
@@ -99,4 +99,16 @@ CachedTranslation mdabt::dbt::captureTranslation(const Translation &T,
     C.FusedSites.push_back({F.Rule, F.GuestLen, F.Begin - Base, F.End - Base,
                             F.GuestPc, F.SavedWords});
   return C;
+}
+
+bool mdabt::dbt::acquireOrPublish(
+    TranslationService &Service, const CacheKey &Key,
+    const host::CodeSpace &Code,
+    const std::function<const Translation &()> &Translate,
+    TranslationLease &Lease, uint64_t *Evicted) {
+  Lease = Service.acquire(Key);
+  if (Lease)
+    return true;
+  Lease = Service.publish(Key, captureTranslation(Translate(), Code), Evicted);
+  return false;
 }

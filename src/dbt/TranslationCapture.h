@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The two pure functions the serving layer's byte-identity contract
-/// rests on, shared by every producer of cached translations — the
-/// per-run install path (`ExecutionContext`) and the static AOT
-/// pre-translator (`AotTranslator`):
+/// The shared half of the translation pipeline, used by every producer
+/// of cached translations — the per-run install path
+/// (`ExecutionContext.cpp`) and the static AOT pre-translator
+/// (`AotTranslator`):
 ///
 ///  * `translationContentKey` serializes everything that determines the
 ///    translator's emission for one (multi-)block — format version,
@@ -19,11 +19,13 @@
 ///  * `captureTranslation` snapshots a freshly translated block's
 ///    pristine words and install metadata into the relocatable
 ///    `CachedTranslation` form (entry-relative, deterministically
-///    sorted).
+///    sorted);
+///  * `acquireOrPublish` is the one lookup sequence: lease the entry
+///    under a key, or translate and publish the capture.
 ///
-/// Keeping both in one place is what lets an AOT-published entry be
-/// byte-for-byte the entry a demand translation of the same bytes under
-/// the same plans would publish: warm start, disk persistence and
+/// Keeping all three in one place is what lets an AOT-published entry
+/// be byte-for-byte the entry a demand translation of the same bytes
+/// under the same plans would publish: warm start, disk persistence and
 /// multi-tenant sharing work unchanged whichever side produced it.
 ///
 //===----------------------------------------------------------------------===//
@@ -38,23 +40,35 @@
 #include "host/CodeSpace.h"
 
 #include <cstddef>
+#include <functional>
 
 namespace mdabt {
 namespace dbt {
 
-/// Content key of the translation of \p Blocks (NBlocks == 1 for a
-/// plain block, > 1 for a superblock trace) under \p Plan and \p Opts.
-/// Two callers arriving at the same key are guaranteed the same emitted
-/// host words.
+/// Content key of the translation of the \p NBlocks blocks at \p Blocks
+/// (one for a plain block, more for a superblock trace) under \p Plan
+/// and \p Opts.  Two callers arriving at the same key are guaranteed the
+/// same emitted host words.
 CacheKey translationContentKey(const guest::GuestMemory &Mem,
-                               const GuestBlock *const *Blocks,
-                               size_t NBlocks, const Translator::PlanFn &Plan,
+                               const GuestBlock *Blocks, size_t NBlocks,
+                               const Translator::PlanFn &Plan,
                                const TranslationOpts &Opts, bool IsTrace);
 
 /// Snapshot \p T's pristine words (still untouched by chaining or
 /// patching) from \p Code into the relocatable cached form.
 CachedTranslation captureTranslation(const Translation &T,
                                      const host::CodeSpace &Code);
+
+/// Lease the entry under \p Key from \p Service into \p Lease and
+/// return true.  On a miss, call \p Translate (which emits the
+/// translation into \p Code and returns it), publish its pristine
+/// capture under \p Key, lease the published entry and return false;
+/// \p Evicted, if given, receives the number of entries the publish
+/// evicted.
+bool acquireOrPublish(TranslationService &Service, const CacheKey &Key,
+                      const host::CodeSpace &Code,
+                      const std::function<const Translation &()> &Translate,
+                      TranslationLease &Lease, uint64_t *Evicted = nullptr);
 
 } // namespace dbt
 } // namespace mdabt

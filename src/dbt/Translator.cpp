@@ -969,7 +969,3 @@ uint32_t Translator::stubBranchWord(uint32_t FaultWord,
   return encodeHost(
       brInst(HostOp::Br, RegZero, static_cast<int32_t>(Disp)));
 }
-
-void Translator::patchToStub(uint32_t FaultWord, uint32_t StubEntry) {
-  Code.patch(FaultWord, stubBranchWord(FaultWord, StubEntry));
-}

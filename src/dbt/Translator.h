@@ -93,12 +93,10 @@ public:
                             uint32_t FaultWord, uint32_t CounterAddr,
                             uint32_t MailboxAddr, uint32_t Threshold);
 
-  /// The branch word patchToStub writes (exposed so the engine can
-  /// verify the patch actually landed before resuming execution).
+  /// The branch word that redirects the faulting word \p FaultWord to
+  /// the stub at \p StubEntry.  The engine writes it with a verified
+  /// patch, so it can check the patch landed before resuming execution.
   static uint32_t stubBranchWord(uint32_t FaultWord, uint32_t StubEntry);
-
-  /// Patch the faulting word into a branch to \p StubEntry.
-  void patchToStub(uint32_t FaultWord, uint32_t StubEntry);
 
 private:
   host::CodeSpace &Code;

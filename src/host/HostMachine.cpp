@@ -69,17 +69,9 @@ ExitInfo HostMachine::run(uint32_t EntryWord) {
     // Fetch the predecoded instruction.  Copied by value: the fault
     // handler below may emit stubs (growing the arena and relocating
     // its storage) or patch this very word while we still consult I.
-    HostInst I;
-    if (UsePredecode) {
-      const CodeSpace::DecodedWord &D = Code.decodedWord(Pc);
-      assert(D.Valid && "executing an undecodable host word");
-      I = D.Inst;
-    } else {
-      // Legacy decode-per-cycle path, kept selectable so
-      // bench/micro_components can measure what predecoding buys.
-      [[maybe_unused]] bool Ok = decodeHost(Code.word(Pc), I);
-      assert(Ok && "executing an undecodable host word");
-    }
+    const CodeSpace::DecodedWord &D = Code.decodedWord(Pc);
+    assert(D.Valid && "executing an undecodable host word");
+    HostInst I = D.Inst;
 
     if (isMemFormat(I.Op)) {
       uint64_t Addr = reg(I.Rb) + static_cast<int64_t>(I.Disp);

@@ -123,12 +123,6 @@ public:
   uint64_t Fixups = 0;
   /// Runaway guard: one run() may not exceed this many instructions.
   uint64_t MaxInstsPerRun = 1ULL << 33;
-  /// Fetch instructions from the CodeSpace's predecoded view (decode
-  /// once at install) instead of decoding the raw word every simulated
-  /// cycle.  Execution is bit-identical either way — decoding is not
-  /// cycle-charged — so this stays on everywhere; micro_components
-  /// turns it off to measure the host-simulator speedup it provides.
-  bool UsePredecode = true;
 
 private:
   uint64_t operandB(const HostInst &I) const {

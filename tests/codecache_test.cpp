@@ -15,6 +15,7 @@
 #include "RandomProgram.h"
 #include "TestUtil.h"
 
+#include "dbt/TranslationService.h"
 #include "host/CodeSpace.h"
 #include "host/HostAssembler.h"
 #include "host/HostMachine.h"
@@ -231,6 +232,54 @@ TEST(CodeCacheTest, FlushedFuzzProgramsStayCorrect) {
   }
 }
 
+namespace {
+
+/// One run under one producer of translations.
+struct ProducerRow {
+  const char *Name;
+  dbt::RunResult R;
+  bool Traces; ///< Superblocks on: the trace.* counters are registered
+};
+
+/// Run misalignedSumProgram(600) at cache limit \p LimitWords under
+/// every producer of translations: demand blocks, superblock traces
+/// (with inline caches), AOT units (Full and Hybrid), and the shared
+/// translation service cold then warm.  Verify is on throughout and
+/// every run must match the interpreter oracle.
+std::vector<ProducerRow> runEveryProducer(uint32_t LimitWords) {
+  guest::GuestImage Image = misalignedSumProgram(600);
+  Oracle O = interpretOracle(Image);
+  dbt::TranslationService Service;
+  std::vector<ProducerRow> Rows;
+  auto Run = [&](const char *Name, auto Configure) {
+    dbt::EngineConfig Config;
+    Config.CodeCacheLimitWords = LimitWords;
+    Config.Verify = true;
+    Configure(Config);
+    mda::DpehPolicy Policy(10);
+    dbt::Engine Engine(Image, Policy, Config);
+    Rows.push_back({Name, Engine.run(), Config.Superblocks});
+    expectMatchesOracle(Rows.back().R, O, Name);
+  };
+  auto Traces = [](dbt::EngineConfig &C) {
+    C.Superblocks = true;
+    C.InlineCaches = true;
+  };
+  Run("demand", [](dbt::EngineConfig &) {});
+  Run("superblocks+ic", Traces);
+  Run("aot full", [](dbt::EngineConfig &C) { C.Aot = dbt::AotMode::Full; });
+  Run("aot hybrid",
+      [](dbt::EngineConfig &C) { C.Aot = dbt::AotMode::Hybrid; });
+  for (const char *Name : {"service cold", "service warm"})
+    Run(Name, [&](dbt::EngineConfig &C) {
+      Traces(C);
+      C.Service = &Service;
+    });
+  return Rows;
+}
+
+} // namespace
+
 TEST(CodeCacheTest, CapacitySmallerThanOneBlock) {
   // A limit smaller than a translated block used to mean that block
   // flushed the cache on every install without ever fitting.  The
@@ -250,6 +299,26 @@ TEST(CodeCacheTest, CapacitySmallerThanOneBlock) {
   // the pinned set accounts for every pin the run recorded.
   EXPECT_EQ(R.Counters.get("harden.oversized_pins"),
             R.Counters.get("harden.interp_only_blocks"));
+
+  // Every producer contains its own oversized installs.  At 8 words
+  // every block is oversized: each producer retires the install and
+  // pins the block, exactly once.
+  for (const ProducerRow &Row : runEveryProducer(8)) {
+    const CounterBag &C = Row.R.Counters;
+    EXPECT_GT(C.get("harden.oversized_pins"), 0u) << Row.Name;
+    EXPECT_EQ(C.get("harden.oversized_pins"),
+              C.get("harden.interp_only_blocks"))
+        << Row.Name;
+  }
+  // At 40 words blocks fit but the loop's superblock does not: it is
+  // formed once, retired at once, and formation stops at its head.
+  for (const ProducerRow &Row : runEveryProducer(40)) {
+    if (!Row.Traces)
+      continue;
+    const CounterBag &C = Row.R.Counters;
+    EXPECT_EQ(C.get("trace.formed"), 1u) << Row.Name;
+    EXPECT_EQ(C.get("trace.deopts"), 1u) << Row.Name;
+  }
 }
 
 TEST(CodeCacheTest, FlushDuringSupersedeRetranslation) {
@@ -382,52 +451,45 @@ TEST(CodeCacheTest, PredecodeCoherentAcrossClear) {
   EXPECT_EQ(Code.decodedWord(0).Inst.Op, host::HostOp::Subq);
 }
 
-TEST(CodeCacheTest, PredecodeBitIdenticalUnderRetryPatching) {
+TEST(CodeCacheTest, PatchedWordExecutesOnRetry) {
   // The exception-handler path: a misaligned Ldl traps, the handler
   // patches the faulting word to the never-trapping LdqU and retries —
-  // the patched word must execute on the very next fetch.  Running the
-  // same program with and without predecode must agree on every
-  // architectural and accounting observable.
-  struct Outcome {
-    uint64_t R3 = 0, R4 = 0;
-    uint64_t Cycles = 0, Instructions = 0, Faults = 0;
-  };
-  Outcome Out[2];
-  for (int Predecode = 0; Predecode != 2; ++Predecode) {
-    host::CodeSpace Code;
-    {
-      host::HostAssembler Asm(Code);
-      Asm.materialize32(1, 64);   // loop counter
-      Asm.materialize32(2, 4097); // misaligned address
-      host::HostAssembler::Label Loop = Asm.newLabel();
-      Asm.bind(Loop);
-      Asm.mem(host::HostOp::Ldl, 3, 0, 2); // traps on first execution
-      Asm.op(host::HostOp::Addq, 4, 3, 4);
-      Asm.opl(host::HostOp::Subq, 1, 1, 1);
-      Asm.bne(1, Loop);
-      Asm.srv(host::SrvFunc::Halt);
-    }
-    guest::GuestMemory Mem;
-    MemoryHierarchy Hier;
-    host::CostModel Cost;
-    host::HostMachine Machine(Code, Mem, Hier, Cost);
-    Machine.UsePredecode = Predecode != 0;
-    Machine.setFaultHandler([&](const host::FaultInfo &FI) {
-      Code.patch(FI.HostPc,
-                 host::encodeHost(host::memInst(
-                     host::HostOp::LdqU, FI.Inst.Ra, FI.Inst.Disp,
-                     FI.Inst.Rb)));
-      return host::FaultAction::Retry;
-    });
-    host::ExitInfo E = Machine.run(0);
-    ASSERT_EQ(E.K, host::ExitInfo::Halt);
-    expectPredecodeCoherent(Code);
-    Out[Predecode] = {Machine.R[3], Machine.R[4], Machine.Cycles,
-                      Machine.Instructions, Machine.Faults};
+  // the patched word must execute on the very next fetch from the
+  // predecoded view, and every later iteration must run it too.
+  constexpr uint32_t Iters = 64;
+  constexpr uint64_t Quad = 0x0123456789abcdefULL;
+  host::CodeSpace Code;
+  {
+    host::HostAssembler Asm(Code);
+    Asm.materialize32(1, Iters); // loop counter
+    Asm.materialize32(2, 4097);  // misaligned address
+    host::HostAssembler::Label Loop = Asm.newLabel();
+    Asm.bind(Loop);
+    Asm.mem(host::HostOp::Ldl, 3, 0, 2); // traps on first execution
+    Asm.op(host::HostOp::Addq, 4, 3, 4);
+    Asm.opl(host::HostOp::Subq, 1, 1, 1);
+    Asm.bne(1, Loop);
+    Asm.srv(host::SrvFunc::Halt);
   }
-  EXPECT_EQ(Out[0].R3, Out[1].R3);
-  EXPECT_EQ(Out[0].R4, Out[1].R4);
-  EXPECT_EQ(Out[0].Cycles, Out[1].Cycles);
-  EXPECT_EQ(Out[0].Instructions, Out[1].Instructions);
-  EXPECT_EQ(Out[1].Faults, 1u); // patched after the first trap
+  guest::GuestMemory Mem;
+  Mem.store(4096, 8, Quad); // the aligned quad LdqU reads for 4097
+  MemoryHierarchy Hier;
+  host::CostModel Cost;
+  host::HostMachine Machine(Code, Mem, Hier, Cost);
+  Machine.setFaultHandler([&](const host::FaultInfo &FI) {
+    Code.patch(FI.HostPc,
+               host::encodeHost(host::memInst(
+                   host::HostOp::LdqU, FI.Inst.Ra, FI.Inst.Disp,
+                   FI.Inst.Rb)));
+    return host::FaultAction::Retry;
+  });
+  host::ExitInfo E = Machine.run(0);
+  ASSERT_EQ(E.K, host::ExitInfo::Halt);
+  expectPredecodeCoherent(Code);
+  EXPECT_EQ(Machine.Faults, 1u); // patched after the first trap
+  EXPECT_EQ(Machine.R[3], Quad);
+  uint64_t Sum = 0;
+  for (uint32_t I = 0; I != Iters; ++I)
+    Sum += Quad;
+  EXPECT_EQ(Machine.R[4], Sum);
 }

@@ -16,7 +16,6 @@
 
 #include "TestUtil.h"
 
-#include "dbt/ExecutionContext.h"
 #include "dbt/TranslationService.h"
 #include "mda/PolicyFactory.h"
 #include "workloads/Hostile.h"
@@ -351,7 +350,9 @@ std::vector<uint8_t> slurp(const char *Path) {
 void spit(const char *Path, const std::vector<uint8_t> &Bytes) {
   std::FILE *F = std::fopen(Path, "wb");
   ASSERT_NE(F, nullptr);
-  ASSERT_EQ(std::fwrite(Bytes.data(), 1, Bytes.size(), F), Bytes.size());
+  // An empty vector's data() may be null, which fwrite must not get.
+  if (!Bytes.empty())
+    ASSERT_EQ(std::fwrite(Bytes.data(), 1, Bytes.size(), F), Bytes.size());
   std::fclose(F);
 }
 

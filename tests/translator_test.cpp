@@ -360,7 +360,7 @@ TEST(TranslatorTest, StubEmissionAndPatching) {
   host::HostInst Faulting;
   ASSERT_TRUE(host::decodeHost(Code.word(FaultW), Faulting));
   Translator::StubInfo S = Trans.emitStub(Faulting, FaultW);
-  Trans.patchToStub(FaultW, S.Entry);
+  Code.patch(FaultW, Translator::stubBranchWord(FaultW, S.Entry));
 
   guest::GuestMemory Mem;
   Mem.store(0x1001, 4, 0xfeedf00d);

@@ -47,7 +47,7 @@ EXACT_FIELDS="hipgi_off hipgi_on
               aot_blocks aot_coverage_pct aot_startup_cycles
               aot_steady_mips aot_dbt_baseline_mips"
 
-WALL_FIELDS="predecode_mips legacy_mips interpreter_mips
+WALL_FIELDS="predecode_mips interpreter_mips
              baseline_mips hash_mips ic_mips superblock_mips all_on_mips
              serving_warm_mips off_guest_mips on_guest_mips"
 
