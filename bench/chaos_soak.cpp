@@ -650,7 +650,7 @@ int main(int argc, char **argv) {
   }
   uint64_t LeakedLeases = 0;
   for (const dbt::TranslationService &S : Services)
-    LeakedLeases += S.cache().liveLeases();
+    LeakedLeases += S.liveLeases();
   if (LeakedLeases != 0)
     std::fprintf(stderr,
                  "LEAK: %" PRIu64 " live leases remain after every "

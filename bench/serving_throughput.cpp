@@ -139,8 +139,8 @@ PhaseStats runPhase(const std::vector<Tenant> &Tenants,
                     const std::vector<size_t> &Requests,
                     dbt::TranslationService &Service, unsigned Jobs,
                     const char *PhaseName) {
-  uint64_t Hits0 = Service.cache().hits();
-  uint64_t Misses0 = Service.cache().misses();
+  uint64_t Hits0 = Service.hits();
+  uint64_t Misses0 = Service.misses();
   std::vector<double> LatencyMs(Requests.size());
   std::vector<uint64_t> HostInsts(Requests.size());
   std::vector<uint64_t> WorkInsts(Requests.size());
@@ -191,8 +191,8 @@ PhaseStats runPhase(const std::vector<Tenant> &Tenants,
   }
   if (S.Seconds > 0.0)
     S.Mips = static_cast<double>(Insts) / S.Seconds / 1e6;
-  uint64_t Hits = Service.cache().hits() - Hits0;
-  uint64_t Misses = Service.cache().misses() - Misses0;
+  uint64_t Hits = Service.hits() - Hits0;
+  uint64_t Misses = Service.misses() - Misses0;
   if (Hits + Misses)
     S.HitRate = static_cast<double>(Hits) /
                 static_cast<double>(Hits + Misses);
@@ -344,7 +344,7 @@ int main(int argc, char **argv) {
 
   std::string Artifact = CacheFile ? CacheFile : "serving_cache.tmp.bin";
   std::string Err;
-  if (!Service.cache().save(Artifact, &Err)) {
+  if (!Service.save(Artifact, &Err)) {
     std::fprintf(stderr, "FAIL: cache save failed: %s\n", Err.c_str());
     ++Failures;
   }
@@ -409,8 +409,7 @@ int main(int argc, char **argv) {
                 WarmModeled, ColdModeled,
                 signedPercent(WarmModeled / ColdModeled - 1.0).c_str());
   }
-  uint64_t Leaked = Service.cache().liveLeases() +
-                    DiskService.cache().liveLeases();
+  uint64_t Leaked = Service.liveLeases() + DiskService.liveLeases();
   if (Leaked) {
     std::printf("FAIL: %llu cache leases leaked at shutdown\n",
                 (unsigned long long)Leaked);

@@ -14,7 +14,7 @@
 using namespace mdabt;
 using namespace mdabt::dbt;
 
-AotTranslator::AotTranslator(const guest::GuestMemory &Mem,
+AotTranslator::AotTranslator(guest::GuestMemory &Mem,
                              const analysis::CfgResult &Cfg,
                              Translator::PlanFn Plan, TranslationOpts Opts,
                              TranslationService *Service,
@@ -55,6 +55,8 @@ void AotTranslator::pretranslateAll() {
       U.Payload = captureTranslation(Translate(), Scratch);
     }
     S.GuestInsts += GB.size();
+    for (const auto &R : U.Payload.GuestRanges)
+      Mem.watchRange(R.first, R.second);
     Units.emplace(B.StartPc, std::move(U));
   }
 }
@@ -64,47 +66,29 @@ AotTranslator::Unit *AotTranslator::find(uint32_t Pc) {
   return It == Units.end() ? nullptr : &It->second;
 }
 
-std::vector<uint32_t> AotTranslator::noteGuestStore(uint32_t Addr,
-                                                    uint32_t Size) {
-  std::vector<uint32_t> Staled;
-  uint32_t Lo = Addr, Hi = Addr + Size;
-  for (auto &KV : Units) {
-    Unit &U = KV.second;
-    if (U.Stale)
-      continue;
-    for (const auto &R : U.Payload.GuestRanges) {
-      if (R.first < Hi && Lo < R.second) {
-        U.Stale = true;
-        U.Lease.release();
-        ++S.StaleDropped;
-        Staled.push_back(U.GuestPc);
-        break;
-      }
-    }
-  }
-  return Staled;
-}
-
-bool AotTranslator::drop(uint32_t Pc) {
-  Unit *U = find(Pc);
-  if (!U || U->Stale)
-    return false;
-  U->Stale = true;
-  U->Lease.release();
+void AotTranslator::stale(Unit &U) {
+  U.Stale = true;
+  U.Lease.release();
   ++S.StaleDropped;
-  return true;
+  for (const auto &R : U.Payload.GuestRanges)
+    Mem.unwatchRange(R.first, R.second);
 }
 
-std::vector<uint32_t> AotTranslator::dropAll() {
-  std::vector<uint32_t> Staled;
-  for (auto &KV : Units) {
-    Unit &U = KV.second;
-    if (U.Stale)
-      continue;
-    U.Stale = true;
-    U.Lease.release();
-    ++S.StaleDropped;
-    Staled.push_back(U.GuestPc);
-  }
-  return Staled;
+void AotTranslator::noteGuestStore(uint32_t Addr, uint32_t Size) {
+  for (auto &KV : Units)
+    if (!KV.second.Stale &&
+        overlapsAny(KV.second.Payload.GuestRanges, Addr, Addr + Size))
+      stale(KV.second);
+}
+
+void AotTranslator::drop(uint32_t Pc) {
+  Unit *U = find(Pc);
+  if (U && !U->Stale)
+    stale(*U);
+}
+
+void AotTranslator::dropAll() {
+  for (auto &KV : Units)
+    if (!KV.second.Stale)
+      stale(KV.second);
 }

@@ -29,7 +29,9 @@
 /// pending unit's compiled bytes, a plan revision (supersede, ladder,
 /// verdict revocation), or an alignment re-analysis marks units stale,
 /// and a stale unit is never installed — the dynamic path re-discovers
-/// and re-translates from current bytes and current plans.
+/// and re-translates from current bytes and current plans.  Until it
+/// goes stale, a unit holds write-barrier watches on its source bytes,
+/// so a store into them reaches the engine before or after installation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,8 +86,9 @@ public:
     uint64_t StartupTranslateCycles = 0;
   };
 
-  /// \p Cfg must outlive this object (the ExecutionContext owns both).
-  AotTranslator(const guest::GuestMemory &Mem,
+  /// \p Mem and \p Cfg must outlive this object (the ExecutionContext
+  /// owns all three); \p Mem must have a write watcher installed.
+  AotTranslator(guest::GuestMemory &Mem,
                 const analysis::CfgResult &Cfg, Translator::PlanFn Plan,
                 TranslationOpts Opts, TranslationService *Service,
                 const host::CostModel &Cost);
@@ -98,23 +101,25 @@ public:
   const std::map<uint32_t, Unit> &units() const { return Units; }
 
   /// A guest store hit [Addr, Addr+Size): mark every overlapping
-  /// non-stale unit stale.  Returns the PCs staled by this store.
-  std::vector<uint32_t> noteGuestStore(uint32_t Addr, uint32_t Size);
+  /// non-stale unit stale.
+  void noteGuestStore(uint32_t Addr, uint32_t Size);
 
   /// A plan revision retired the translation at \p Pc (supersede,
   /// degradation ladder, verdict revocation): stale its unit so the
-  /// old plan can never be re-installed.  Returns true if a live unit
-  /// was staled.
-  bool drop(uint32_t Pc);
+  /// old plan can never be re-installed.
+  void drop(uint32_t Pc);
 
   /// Alignment re-analysis invalidated every statically computed plan:
-  /// stale all pending units.  Returns the PCs staled.
-  std::vector<uint32_t> dropAll();
+  /// stale all pending units.
+  void dropAll();
 
   const Stats &stats() const { return S; }
 
 private:
-  const guest::GuestMemory &Mem;
+  /// Mark \p U stale: release its lease and its watches.
+  void stale(Unit &U);
+
+  guest::GuestMemory &Mem;
   const analysis::CfgResult &Cfg;
   Translator::PlanFn Plan;
   TranslationOpts Opts;

@@ -1,0 +1,401 @@
+//===- dbt/CodeCache.cpp --------------------------------------------------==//
+//
+// Part of the MDABT project (CGO 2009 MDA-handling reproduction).
+//
+//===----------------------------------------------------------------------===//
+
+#include "dbt/CodeCache.h"
+
+#include "dbt/Translator.h"
+#include "host/HostAssembler.h"
+
+#include <algorithm>
+#include <cassert>
+#include <optional>
+
+using namespace mdabt;
+using namespace mdabt::dbt;
+using namespace mdabt::host;
+
+namespace {
+
+/// Re-write attempts for a dropped/torn code-cache patch before the
+/// previous content is restored and the patch abandoned.
+constexpr uint32_t PatchRepairLimit = 3;
+
+/// The disabled-guard word of an inline-cache way: skip the way's
+/// remaining IcWayWords - 1 words.
+uint32_t icDisabledGuardWord() {
+  return encodeHost(
+      brInst(HostOp::Br, RegZero, static_cast<int32_t>(IcWayWords) - 1));
+}
+
+/// Canonical host nop (bis r31, r31, r31), used to scrub retired
+/// inline-cache branch words.
+uint32_t hostNopWord() {
+  return encodeHost(opInst(HostOp::Bis, RegZero, RegZero, RegZero));
+}
+
+/// The `br` word that, placed at host word \p From, jumps to \p Entry
+/// (a chained exit, a redirected backedge, an inline-cache way's final
+/// branch); nullopt when \p Entry is out of branch range, and the
+/// caller keeps going through the monitor.
+std::optional<uint32_t> branchTo(uint32_t From, uint32_t Entry) {
+  int64_t Disp =
+      static_cast<int64_t>(Entry) - (static_cast<int64_t>(From) + 1);
+  if (Disp < -(1 << 20) || Disp >= (1 << 20))
+    return std::nullopt;
+  return Translator::stubBranchWord(From, Entry);
+}
+
+/// Visit every write-watch page of the guest bytes [Lo, Hi), Lo < Hi.
+template <typename Fn> void forEachPage(uint32_t Lo, uint32_t Hi, Fn F) {
+  uint32_t P0 = Lo >> guest::GuestMemory::WatchPageShift;
+  uint32_t P1 = (Hi - 1) >> guest::GuestMemory::WatchPageShift;
+  for (uint32_t P = P0; P <= P1; ++P)
+    F(P);
+}
+
+} // namespace
+
+CodeCache::CodeCache(host::CodeSpace &Code, guest::GuestMemory &Mem,
+                     obs::Tracer Trace, uint32_t PatchFailureLimit,
+                     std::function<void()> OnPatchFailed)
+    : Code(Code), Mem(Mem), Trace(Trace),
+      PatchFailureLimit(PatchFailureLimit),
+      OnPatchFailed(std::move(OnPatchFailed)) {}
+
+// -- producing entries -------------------------------------------------------
+
+// The emitted words are position-independent: all translator-internal
+// control flow is PC-relative and exits materialize guest PCs as data, so
+// a straight word copy is a correct relocation.  The private copy is
+// indistinguishable from a fresh local translation: chains, MDA stubs and
+// inline-cache fills mutate only this run's words, never the shared entry.
+Translation &CodeCache::instantiate(const CachedTranslation &C,
+                                    uint32_t Generation) {
+  uint32_t Base = Code.size();
+  for (uint32_t W : C.Words)
+    Code.append(W);
+  Translation T;
+  T.GuestPc = C.GuestPc;
+  T.EntryWord = Base;
+  T.EndWord = Base + static_cast<uint32_t>(C.Words.size());
+  for (const CachedTranslation::RelExit &E : C.Exits)
+    T.Exits.push_back({Base + E.Word, E.TargetGuestPc, E.Direct != 0});
+  for (const auto &MW : C.MemWordToGuestPc)
+    T.MemWordToGuestPc[Base + MW.first] = MW.second;
+  for (const CachedTranslation::RelResume &R : C.StoreResume)
+    T.StoreResume[Base + R.Word] = {Base + R.EndWord, R.ResumePc};
+  T.GuestInsts = C.GuestInsts;
+  T.Generation = Generation;
+  for (const CachedTranslation::RelIcSite &S : C.IcSites) {
+    T.IcSites.push_back({Base + S.SrvWord, {}});
+    for (uint32_t W : S.WayBegins)
+      T.IcSites.back().Ways.push_back({Base + W});
+  }
+  for (const auto &P : C.PlanByPc)
+    T.PlanByPc[P.first] = static_cast<MemPlan>(P.second);
+  T.IsTrace = C.IsTrace != 0;
+  T.Constituents = C.Constituents;
+  T.GuestRanges = C.GuestRanges;
+  // The cached payload is the pristine translator output, so each fused
+  // core's reference words come straight from it.
+  for (const CachedTranslation::RelFusedSite &F : C.FusedSites)
+    T.FusedSites.push_back(
+        {F.Rule, Base + F.Begin, Base + F.End, F.GuestPc, F.GuestLen,
+         F.SavedWords, {C.Words.begin() + F.Begin, C.Words.begin() + F.End}});
+  return add(std::move(T));
+}
+
+// -- registering -------------------------------------------------------------
+
+// A page two of T's ranges share (adjacent trace constituents) lists T
+// once per range; untrack removes one entry per range in turn, and the
+// overlap query reports each translation once.
+void CodeCache::install(Translation &T, uint64_t Epoch) {
+  Regions[T.EntryWord] = {T.EndWord, &T};
+  T.BornEpoch = Epoch;
+  for (const auto &R : T.GuestRanges) {
+    Mem.watchRange(R.first, R.second);
+    forEachPage(R.first, R.second,
+                [&](uint32_t P) { TrackedByPage[P].push_back(&T); });
+  }
+}
+
+void CodeCache::untrack(Translation &T) {
+  for (const auto &R : T.GuestRanges) {
+    Mem.unwatchRange(R.first, R.second);
+    forEachPage(R.first, R.second, [&](uint32_t P) {
+      std::vector<Translation *> &V = TrackedByPage[P];
+      auto It = std::find(V.begin(), V.end(), &T);
+      if (It != V.end())
+        V.erase(It);
+      if (V.empty())
+        TrackedByPage.erase(P);
+    });
+  }
+}
+
+// -- queries -----------------------------------------------------------------
+
+std::vector<Translation *> CodeCache::overlapping(uint32_t Addr,
+                                                  uint32_t Size) const {
+  std::vector<Translation *> Victims;
+  forEachPage(Addr, Addr + Size, [&](uint32_t P) {
+    auto It = TrackedByPage.find(P);
+    if (It == TrackedByPage.end())
+      return;
+    for (Translation *T : It->second)
+      if (T->Valid && overlapsAny(T->GuestRanges, Addr, Addr + Size) &&
+          std::find(Victims.begin(), Victims.end(), T) == Victims.end())
+        Victims.push_back(T);
+  });
+  sortByEntry(Victims);
+  return Victims;
+}
+
+analysis::VerifierInput CodeCache::verifierInput() const {
+  analysis::VerifierInput In;
+  std::unordered_map<const Translation *, size_t> Index;
+  for (const Translation &T : Store) {
+    if (!T.Valid)
+      continue;
+    analysis::VerifierBlock B;
+    B.EntryWord = T.EntryWord;
+    B.EndWord = T.EndWord;
+    B.BornEpoch = T.BornEpoch;
+    B.AotInstalled = T.AotInstalled;
+    for (const auto &R : T.GuestRanges)
+      B.GuestRanges.push_back({R.first, R.second});
+    for (const ExitSite &X : T.Exits)
+      B.ExitWords.push_back(X.SrvWord);
+    for (const IcSite &S : T.IcSites)
+      for (const IcWay &W : S.Ways)
+        if (!W.Stale) // quarantined ways are covered by ExemptWords
+          B.IcWays.push_back(
+              {W.Begin, W.Filled, W.TargetEntry, W.TargetGuestPc});
+    for (uint32_t W : T.PatchedWords)
+      B.Patches.push_back({W, T.MemWordToGuestPc.count(W) != 0});
+    for (const FusedSite &F : T.FusedSites)
+      B.FusedSites.push_back({F.Rule, F.Begin, F.End, F.Words});
+    Index[&T] = In.Blocks.size();
+    In.Blocks.push_back(std::move(B));
+  }
+  for (const auto &[Entry, Region] : Regions) {
+    Translation *T = Region.second;
+    if (!T->Valid || Entry == T->EntryWord)
+      continue; // dead, or the body region itself
+    auto It = Index.find(T);
+    if (It != Index.end())
+      In.Blocks[It->second].Stubs.push_back({Entry, Region.first});
+  }
+  In.ExemptWords = StaleChainWords;
+  In.IcWayWords = IcWayWords;
+  return In;
+}
+
+// -- mutations ---------------------------------------------------------------
+
+bool CodeCache::patchVerified(uint32_t Word, uint32_t Desired) {
+  uint32_t Fallback = Code.word(Word);
+  // Writes \p W until it reads back; the attempt that stuck, or 0.
+  auto Write = [&](uint32_t W) -> uint32_t {
+    for (uint32_t A = 1; A <= PatchRepairLimit + 1; ++A) {
+      Code.patch(Word, W);
+      if (Code.word(Word) == W)
+        return A;
+    }
+    return 0;
+  };
+  Armed = true;
+  if (uint32_t Attempt = Write(Desired)) {
+    Armed = false;
+    if (Attempt > 1) {
+      ++S.PatchRepairs;
+      Trace.emit(obs::TraceEventKind::PatchRepaired, 0, 0, Word, Desired);
+    }
+    return true;
+  }
+  ++S.PatchFailures;
+  if (PatchFailureLimit != 0 && S.PatchFailures > PatchFailureLimit)
+    OnPatchFailed();
+  // Roll back so execution never reaches a corrupt word.
+  bool Restored = Write(Fallback) != 0;
+  Armed = false;
+  Trace.emit(obs::TraceEventKind::PatchRolledBack, 0, 0, Word,
+             Restored ? 1 : 0);
+  if (!Restored)
+    OnPatchFailed();
+  return false;
+}
+
+void CodeCache::setPatchFault(host::CodeSpace::PatchHook Fault) {
+  Code.setPatchHook([this, Fault = std::move(Fault)](uint32_t I,
+                                                    uint32_t &W) {
+    return !Armed || Fault(I, W);
+  });
+}
+
+bool CodeCache::chain(uint32_t Word, Translation &Target) {
+  std::optional<uint32_t> Br = branchTo(Word, Target.EntryWord);
+  if (!Br || !patchVerified(Word, *Br))
+    return false;
+  Target.IncomingChains.push_back(Word);
+  return true;
+}
+
+bool CodeCache::evictIcWay(const Translation &Owner, IcWay &Way,
+                           bool Retired) {
+  ++S.IcEvictions;
+  Trace.emit(obs::TraceEventKind::DispatchIcEvict, Way.TargetGuestPc,
+             Owner.GuestPc, Way.Begin, Retired ? 1 : 0);
+  uint32_t FinalBr = Way.Begin + IcWayWords - 1;
+  // A way whose guard cannot be disabled may still reach the intact dead
+  // target: the same contained casualty as a stale chain.
+  if (!patchOrQuarantine(Way.Begin, icDisabledGuardWord(), FinalBr)) {
+    Way.Stale = true;
+    Way.Filled = false;
+    return false;
+  }
+  Way.Filled = false;
+  // Scrub the final branch so no branch into a dead entry survives in
+  // verified code.
+  patchOrQuarantine(FinalBr, hostNopWord(), FinalBr);
+  return true;
+}
+
+CodeCache::IcFill CodeCache::fillIc(Translation &Owner, uint32_t SiteIdx,
+                                    Translation &Target,
+                                    uint32_t &WayBegin) {
+  IcSite &Site = Owner.IcSites[SiteIdx];
+  // Victim selection: first empty way, else round-robin eviction.
+  // Quarantined (Stale) ways are out of service until the next flush.
+  IcWay *Way = nullptr;
+  uint32_t WayIdx = 0;
+  for (uint32_t I = 0; I != Site.Ways.size(); ++I) {
+    if (!Site.Ways[I].Filled && !Site.Ways[I].Stale) {
+      Way = &Site.Ways[I];
+      WayIdx = I;
+      break;
+    }
+  }
+  bool Evicting = false;
+  if (!Way) {
+    uint32_t N = static_cast<uint32_t>(Site.Ways.size());
+    for (uint32_t K = 0; K != N; ++K) {
+      uint32_t I = (Site.NextVictim + K) % N;
+      if (!Site.Ways[I].Stale) {
+        Way = &Site.Ways[I];
+        WayIdx = I;
+        Site.NextVictim = (I + 1) % N;
+        Evicting = true;
+        break;
+      }
+    }
+    if (!Way)
+      return IcFill::Skipped; // every way quarantined
+  }
+  uint32_t FinalBr = Way->Begin + IcWayWords - 1;
+  std::optional<uint32_t> Br = branchTo(FinalBr, Target.EntryWord);
+  if (!Br)
+    return IcFill::Skipped;
+  if (Evicting && !evictIcWay(Owner, *Way, /*Retired=*/false))
+    return IcFill::Failed; // the victim is quarantined
+  // Interiors first (tag compare, miss skip, target branch), guard
+  // last: the way only becomes executable once fully written.
+  uint32_t Tag = Target.GuestPc;
+  int32_t Lo = static_cast<int16_t>(Tag & 0xffff);
+  int32_t Hi = static_cast<int32_t>(Tag - static_cast<uint32_t>(Lo)) >> 16;
+  const std::pair<uint32_t, uint32_t> Interior[] = {
+      {Way->Begin + 1,
+       encodeHost(memInst(HostOp::Lda, RegScratch1, Lo, RegScratch1))},
+      {Way->Begin + 2,
+       encodeHost(opInst(HostOp::Zextl, RegZero, RegScratch1, RegScratch1))},
+      {Way->Begin + 3,
+       encodeHost(opInst(HostOp::Cmpeq, RegExitPc, RegScratch1,
+                         RegScratch2))},
+      {Way->Begin + 4, encodeHost(brInst(HostOp::Beq, RegScratch2, 1))},
+      {FinalBr, *Br},
+  };
+  // patchVerified restores a failed word, and the guard is still
+  // disabled, so an interior failure leaves the way safely inert.
+  for (const auto &P : Interior) {
+    if (!patchVerified(P.first, P.second)) {
+      ++S.IcFillFails;
+      return IcFill::Failed;
+    }
+  }
+  if (!patchVerified(Way->Begin, encodeHost(memInst(HostOp::Ldah,
+                                                    RegScratch1, Hi,
+                                                    RegZero)))) {
+    // Guard never armed, but FinalBr now holds a live branch the
+    // verifier cannot tie to a filled way: scrub it.
+    ++S.IcFillFails;
+    patchOrQuarantine(FinalBr, hostNopWord(), FinalBr);
+    return IcFill::Failed;
+  }
+  StaleChainWords.erase(FinalBr); // freshly verified content
+  Way->Filled = true;
+  Way->Stale = false;
+  Way->TargetEntry = Target.EntryWord;
+  Way->TargetGuestPc = Tag;
+  Target.IncomingIcWays.push_back({&Owner, SiteIdx, WayIdx});
+  WayBegin = Way->Begin;
+  ++S.IcFills;
+  return IcFill::Filled;
+}
+
+bool CodeCache::retire(Translation &Old) {
+  Old.Valid = false;
+  untrack(Old);
+  bool Stuck = true;
+  for (uint32_t W : Old.IncomingChains)
+    Stuck &= patchOrQuarantine(W, encodeHost(srvInst(SrvFunc::Exit)), W);
+  Old.IncomingChains.clear();
+  for (const IcWayRef &Ref : Old.IncomingIcWays) {
+    if (!Ref.Owner->Valid)
+      continue; // the caller died too; the flush will reap both
+    IcWay &Way = Ref.Owner->IcSites[Ref.Site].Ways[Ref.Way];
+    // Lazy staleness: the way may have been refilled toward another
+    // target since this back-reference was recorded (entry words are
+    // unique between flushes, so the comparison is exact).
+    if (!Way.Filled || Way.TargetEntry != Old.EntryWord)
+      continue;
+    Stuck &= evictIcWay(*Ref.Owner, Way, /*Retired=*/true);
+  }
+  Old.IncomingIcWays.clear();
+  // Purely local: another run's lease on the same shared entry is
+  // untouched, so a tenant retiring its own copies never retires ours.
+  Leases.erase(&Old);
+  return Stuck;
+}
+
+void CodeCache::flush() {
+#ifndef NDEBUG
+  // Chain/IC bookkeeping must be fully confined to the dying arena: a
+  // word at or past the arena end would be a link into code that
+  // survives the flush, resurrecting as a wild branch after a refill.
+  for (const Translation &T : Store) {
+    for (uint32_t W : T.IncomingChains)
+      assert(W < Code.size() && "incoming chain outlives the arena");
+    for (const IcWayRef &Ref : T.IncomingIcWays)
+      assert(Ref.Owner->IcSites[Ref.Site].Ways[Ref.Way].Begin <
+                 Code.size() &&
+             "incoming IC way outlives the arena");
+  }
+  for (uint32_t W : StaleChainWords)
+    assert(W < Code.size() && "quarantined word outlives the arena");
+#endif
+  // Retired translations were already untracked by retire().
+  for (Translation &T : Store)
+    if (T.Valid)
+      untrack(T);
+  TrackedByPage.clear();
+  Code.clear();
+  BlockMap.clear();
+  Regions.clear();
+  Store.clear();
+  Leases.clear();
+  StaleChainWords.clear();
+}

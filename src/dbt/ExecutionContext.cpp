@@ -19,6 +19,10 @@
 /// unit.  Either way the run installs a private copy in its own
 /// CodeSpace, so concurrent runs never share mutable code.
 ///
+/// The run's CodeCache owns the translations and every index over them;
+/// this file decides what to translate, retire, charge and verify, and
+/// reaches cache state only through it.
+///
 //===----------------------------------------------------------------------===//
 
 #include "dbt/Engine.h"
@@ -28,6 +32,7 @@
 #include "analysis/HostVerifier.h"
 #include "chaos/FaultInjector.h"
 #include "dbt/AotTranslator.h"
+#include "dbt/CodeCache.h"
 #include "dbt/FusionRules.h"
 #include "dbt/GuestBlock.h"
 #include "dbt/TranslationCapture.h"
@@ -36,7 +41,6 @@
 #include "guest/Encoding.h"
 #include "guest/Interpreter.h"
 #include "guest/MdaCensus.h"
-#include "host/HostAssembler.h"
 #include "host/HostMachine.h"
 #include "support/CacheModel.h"
 
@@ -44,8 +48,6 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
-#include <map>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -73,42 +75,6 @@ constexpr uint32_t WatchdogTrapK = 8;
 /// Failed translation attempts for one block before it is pinned
 /// interpret-only.
 constexpr uint32_t TranslateRetryLimit = 4;
-/// Re-write attempts for a dropped/torn code-cache patch before the
-/// previous content is restored and the patch abandoned.
-constexpr uint32_t PatchRepairLimit = 3;
-
-/// The disabled-guard word of an inline-cache way: skip the way's
-/// remaining IcWayWords - 1 words.
-uint32_t icDisabledGuardWord() {
-  return encodeHost(
-      brInst(HostOp::Br, RegZero, static_cast<int32_t>(IcWayWords) - 1));
-}
-
-/// Canonical host nop (bis r31, r31, r31), used to scrub retired
-/// inline-cache branch words.
-uint32_t hostNopWord() {
-  return encodeHost(opInst(HostOp::Bis, RegZero, RegZero, RegZero));
-}
-
-/// The `br` word that, placed at host word \p From, jumps to \p Entry
-/// (a chained exit, a redirected backedge, an inline-cache way's final
-/// branch); nullopt when \p Entry is out of branch range, and the
-/// caller keeps going through the monitor.
-std::optional<uint32_t> branchTo(uint32_t From, uint32_t Entry) {
-  int64_t Disp =
-      static_cast<int64_t>(Entry) - (static_cast<int64_t>(From) + 1);
-  if (Disp < -(1 << 20) || Disp >= (1 << 20))
-    return std::nullopt;
-  return Translator::stubBranchWord(From, Entry);
-}
-
-/// Visit every write-watch page of the guest bytes [Lo, Hi), Lo < Hi.
-template <typename Fn> void forEachPage(uint32_t Lo, uint32_t Hi, Fn F) {
-  uint32_t P0 = Lo >> guest::GuestMemory::WatchPageShift;
-  uint32_t P1 = (Hi - 1) >> guest::GuestMemory::WatchPageShift;
-  for (uint32_t P = P0; P <= P1; ++P)
-    F(P);
-}
 
 /// All per-run state of the engine: built fresh by every Engine::run.
 /// Implements TraceClock so every emitted event is stamped with the
@@ -123,7 +89,9 @@ public:
         Trace(Config.Trace, this),
         HTransInsts(&Reg.histogram("translate.block_insts")),
         HTrapBlock(&Reg.histogram("trap.block_faults")),
-        HInterpInsts(&Reg.histogram("interp.block_insts")) {
+        HInterpInsts(&Reg.histogram("interp.block_insts")),
+        Cache(Code, Mem, Trace, Hard.PatchFailureLimit,
+              [this] { Abort = RunError::PatchFailed; }) {
     Mem.loadImage(Image);
     Cpu.reset(Image);
     Service = Config.Service;
@@ -185,13 +153,9 @@ public:
           Trace.emit(obs::TraceEventKind::ChaosInjected, 0, 0,
                      static_cast<uint64_t>(K), Injector->injected());
         });
-      // Intercept only the engine's own patch writes (stub redirection,
-      // chaining, unchaining, reverts): translator-internal backpatches
-      // are never read back for verification, so injecting there would
-      // model a hazard the real trap/patch path does not have.
-      Code.setPatchHook([this](uint32_t, uint32_t &W) {
-        if (!ChaosPatchArmed)
-          return true;
+      // The cache applies this to its own verified patches only (stub
+      // redirection, chaining, unchaining, reverts).
+      Cache.setPatchFault([this](uint32_t, uint32_t &W) {
         switch (Injector->patchFault()) {
         case chaos::PatchFault::None:
           break;
@@ -226,48 +190,6 @@ private:
     }
     ExecutionContext &S;
   };
-
-  // -- verified code-cache patching --------------------------------------
-
-  /// Write \p Desired into code word \p Word and verify by read-back,
-  /// repairing a dropped or torn write up to PatchRepairLimit times.  On
-  /// persistent failure the previous content is restored (a torn word
-  /// must never become executable) and false is returned; if even the
-  /// restore cannot be made to stick the run aborts with PatchFailed.
-  bool patchVerified(uint32_t Word, uint32_t Desired) {
-    uint32_t Fallback = Code.word(Word);
-    // Writes \p W until it reads back; the attempt that stuck, or 0.
-    auto Write = [&](uint32_t W) -> uint32_t {
-      for (uint32_t A = 1; A <= PatchRepairLimit + 1; ++A) {
-        Code.patch(Word, W);
-        if (Code.word(Word) == W)
-          return A;
-      }
-      return 0;
-    };
-    ChaosPatchArmed = true;
-    if (uint32_t Attempt = Write(Desired)) {
-      ChaosPatchArmed = false;
-      if (Attempt > 1) {
-        ++PatchRepairs;
-        Trace.emit(obs::TraceEventKind::PatchRepaired, 0, 0, Word,
-                   Desired);
-      }
-      return true;
-    }
-    ++PatchFailures;
-    if (Hard.PatchFailureLimit != 0 &&
-        PatchFailures > Hard.PatchFailureLimit)
-      Abort = RunError::PatchFailed;
-    // Roll back so execution never reaches a corrupt word.
-    bool Restored = Write(Fallback) != 0;
-    ChaosPatchArmed = false;
-    Trace.emit(obs::TraceEventKind::PatchRolledBack, 0, 0, Word,
-               Restored ? 1 : 0);
-    if (!Restored)
-      Abort = RunError::PatchFailed;
-    return false;
-  }
 
   // -- translation -------------------------------------------------------
 
@@ -345,68 +267,6 @@ private:
     return Abort == RunError::None;
   }
 
-  /// Install a cached translation at this run's arena tail, rebasing
-  /// every piece of metadata onto the new entry word.  The private copy
-  /// is indistinguishable from a fresh local translation: chains, MDA
-  /// stubs and inline-cache fills mutate only this run's words, never
-  /// the shared entry.  (The emitted words are position-independent:
-  /// all translator-internal control flow is PC-relative and exits
-  /// materialize guest PCs as data, so a straight word copy is a
-  /// correct relocation.)
-  Translation instantiateCached(const CachedTranslation &C,
-                                uint32_t Generation) {
-    uint32_t Base = Code.size();
-    for (uint32_t W : C.Words)
-      Code.append(W);
-    Translation T;
-    T.GuestPc = C.GuestPc;
-    T.EntryWord = Base;
-    T.EndWord = Base + static_cast<uint32_t>(C.Words.size());
-    for (const CachedTranslation::RelExit &E : C.Exits) {
-      ExitSite X;
-      X.SrvWord = Base + E.Word;
-      X.TargetGuestPc = E.TargetGuestPc;
-      X.Direct = E.Direct != 0;
-      T.Exits.push_back(X);
-    }
-    for (const auto &MW : C.MemWordToGuestPc)
-      T.MemWordToGuestPc[Base + MW.first] = MW.second;
-    for (const CachedTranslation::RelResume &R : C.StoreResume)
-      T.StoreResume[Base + R.Word] = {Base + R.EndWord, R.ResumePc};
-    T.GuestInsts = C.GuestInsts;
-    T.Generation = Generation;
-    for (const CachedTranslation::RelIcSite &S : C.IcSites) {
-      IcSite Site;
-      Site.SrvWord = Base + S.SrvWord;
-      Site.Ways.reserve(S.WayBegins.size());
-      for (uint32_t W : S.WayBegins) {
-        IcWay Way;
-        Way.Begin = Base + W;
-        Site.Ways.push_back(Way);
-      }
-      T.IcSites.push_back(std::move(Site));
-    }
-    for (const auto &P : C.PlanByPc)
-      T.PlanByPc[P.first] = static_cast<MemPlan>(P.second);
-    T.IsTrace = C.IsTrace != 0;
-    T.Constituents = C.Constituents;
-    T.GuestRanges = C.GuestRanges;
-    for (const CachedTranslation::RelFusedSite &F : C.FusedSites) {
-      FusedSite S;
-      S.Rule = F.Rule;
-      S.GuestLen = F.GuestLen;
-      S.Begin = Base + F.Begin;
-      S.End = Base + F.End;
-      S.GuestPc = F.GuestPc;
-      S.SavedWords = F.SavedWords;
-      // The cached payload is the pristine translator output, so the
-      // fused core's reference words come straight from it.
-      S.Words.assign(C.Words.begin() + F.Begin, C.Words.begin() + F.End);
-      T.FusedSites.push_back(std::move(S));
-    }
-    return T;
-  }
-
   /// Produce the translation of \p Blocks (one block, or a superblock's
   /// constituents head first) at the arena tail under \p Plan.  With a
   /// service attached, the content key decides: a hit instantiates the
@@ -443,16 +303,17 @@ private:
     }
     TranslateFailsAt.erase(Pc);
     TranslationOpts Opts = translationOpts();
+    Translation *T = nullptr;
     auto Translate = [&]() -> const Translation & {
-      Store.push_back(
+      T = &Cache.add(
           IsTrace ? Trans.translateTrace(Blocks, Plan, Generation, Opts)
                   : Trans.translate(Blocks.front(), Plan, Generation, Opts));
-      return Store.back();
+      return *T;
     };
     FromCache = false;
     if (!Service) {
       Translate();
-      return &Store.back();
+      return T;
     }
     // Serving path (docs/SERVING.md): the key covers every constituent,
     // unroll copies included, so a trace's exact shape is part of it.
@@ -462,7 +323,7 @@ private:
     uint64_t Evicted = 0;
     FromCache = acquireOrPublish(*Service, Key, Code, Translate, L, &Evicted);
     if (FromCache) {
-      Store.push_back(instantiateCached(L.get(), Generation));
+      T = &Cache.instantiate(L.get(), Generation);
       ++CacheHits;
       CacheHitInsts += Insts;
     } else {
@@ -474,8 +335,8 @@ private:
                Pc, Pc, Key.Lo, Generation);
     if (Evicted)
       Trace.emit(obs::TraceEventKind::CacheEvict, Pc, Pc, Evicted, 0);
-    Leases.emplace(&Store.back(), std::move(L));
-    return &Store.back();
+    Cache.lease(*T, std::move(L));
+    return T;
   }
 
   /// Register a freshly produced translation: the one install path of
@@ -491,8 +352,7 @@ private:
   /// the verifier sweep afterwards.
   bool install(Translation *T, bool FromCache, obs::TraceEventKind Kind,
                uint64_t A, uint64_t B) {
-    Regions[T->EntryWord] = {T->EndWord, T};
-    trackTranslation(T);
+    Cache.install(*T, StoreEpoch);
     if (!Policy.translationIsOffline())
       TranslateCycles += static_cast<uint64_t>(T->GuestInsts) *
                          (FromCache ? Cost.CacheInstallCyclesPerInst
@@ -508,6 +368,21 @@ private:
       return false;
     }
     return true;
+  }
+
+  /// The install tail of the two producers whose translation serves its
+  /// block head at once (a demand block, an AOT unit): count it, map its
+  /// PC, install, and pin the head interpret-only if it is oversized.
+  /// \p B is the trace event's second payload.  Null when not kept.
+  Translation *installHead(Translation *T, bool FromCache,
+                           obs::TraceEventKind Kind, uint64_t B) {
+    ++Translations;
+    Cache.map(*T);
+    if (install(T, FromCache, Kind, T->GuestInsts, B))
+      return T;
+    InterpOnly.insert(T->GuestPc);
+    ++OversizedPins;
+    return nullptr;
   }
 
   /// The demand producer: translate the block at \p GuestPc (first
@@ -530,47 +405,21 @@ private:
     Translation *T = obtain(Blocks, planChain(), Generation, FromCache);
     if (!T)
       return nullptr;
-    ++Translations;
-    BlockMap[T->GuestPc] = T;
-    bool Kept = install(T, FromCache, obs::TraceEventKind::BlockTranslated,
-                        T->GuestInsts, Generation);
-    if (!Kept) {
-      InterpOnly.insert(GuestPc);
-      ++OversizedPins;
-    }
+    T = installHead(T, FromCache, obs::TraceEventKind::BlockTranslated,
+                    Generation);
     runVerifier();
-    return Kept ? T : nullptr;
+    return T;
   }
 
-  /// Take one inline-cache way out of service: disable its guard, then
-  /// scrub its final branch (so no branch into a dead entry survives in
-  /// verified code).  Returns false if the guard could not be disabled;
-  /// the way is then quarantined as Stale — the intact dead target code
-  /// it may still reach is the same contained casualty as a stale chain.
-  bool retireIcWay(IcWay &Way) {
-    uint32_t FinalBr = Way.Begin + IcWayWords - 1;
-    if (!patchVerified(Way.Begin, icDisabledGuardWord())) {
-      Way.Stale = true;
-      Way.Filled = false;
-      StaleChainWords.insert(FinalBr);
-      return false;
-    }
-    Way.Filled = false;
-    if (!patchVerified(FinalBr, hostNopWord()))
-      StaleChainWords.insert(FinalBr);
-    return true;
-  }
-
-  /// Take \p Old out of service: mark invalid, unchain every direct
-  /// branch into it, and retire every inline-cache way targeting it so
-  /// stale callers fall back to the monitor.
-  void invalidate(Translation *Old) {
-    Old->Valid = false;
-    untrackTranslation(Old);
+  /// Take \p Old out of service (CodeCache::retire) and record why.
+  /// False if an unlink patch did not stick, leaving a quarantined word
+  /// that may still branch into the dead body.
+  bool invalidate(Translation *Old) {
     // Whatever retired this translation (SMC, supersede, verdict
     // revocation, ladder) also invalidates the statically computed
     // plans of its pending AOT unit: never re-install those.
-    dropAotUnit(Old->GuestPc);
+    if (Aot)
+      Aot->drop(Old->GuestPc);
     HTrapBlock->record(Old->FaultCount);
     Trace.emit(obs::TraceEventKind::BlockInvalidated, 0, Old->GuestPc,
                Old->FaultCount, Old->Generation);
@@ -579,48 +428,7 @@ private:
       Trace.emit(obs::TraceEventKind::TraceDeopt, 0, Old->GuestPc,
                  Old->Constituents.size(), Old->Generation);
     }
-    for (uint32_t W : Old->IncomingChains) {
-      if (!patchVerified(W, encodeHost(srvInst(SrvFunc::Exit)))) {
-        // The unchain did not stick (fault injection): a live block now
-        // holds a stale branch to this dead entry.  Quarantine the word
-        // for the verifier — it is a known, contained casualty until
-        // the next flush, not a fresh corruption.  Exception: under
-        // SMC-triggered invalidation the dead code is *semantically*
-        // stale (the guest bytes it was compiled from were rewritten),
-        // so reaching it would compute old semantics with no trap to
-        // catch it — that must abort, not quarantine.
-        StaleChainWords.insert(W);
-        if (SmcStrict)
-          Abort = RunError::PatchFailed;
-      }
-    }
-    Old->IncomingChains.clear();
-    for (const IcWayRef &Ref : Old->IncomingIcWays) {
-      if (!Ref.Owner->Valid)
-        continue; // the caller died too; the flush will reap both
-      IcWay &Way = Ref.Owner->IcSites[Ref.Site].Ways[Ref.Way];
-      // Lazy staleness: the way may have been refilled toward another
-      // target since this back-reference was recorded (entry words are
-      // unique between flushes, so the comparison is exact).
-      if (!Way.Filled || Way.TargetEntry != Old->EntryWord)
-        continue;
-      ++IcEvictions;
-      Trace.emit(obs::TraceEventKind::DispatchIcEvict, Way.TargetGuestPc,
-                 Ref.Owner->GuestPc, Way.Begin, 1);
-      if (!retireIcWay(Way) && SmcStrict) {
-        // Same strictness as the unchain loop above: a quarantined way
-        // may still branch into semantically stale code.
-        Abort = RunError::PatchFailed;
-      }
-    }
-    Old->IncomingIcWays.clear();
-    // The run no longer depends on the shared-cache entry backing this
-    // translation (if any): drop the lease so the entry becomes
-    // evictable once every other tenant releases too.  Purely local —
-    // another run's lease on the same entry is untouched, which is the
-    // cross-tenant guarantee (a hostile tenant invalidating or flushing
-    // its own copies can never retire ours).
-    Leases.erase(Old);
+    return Cache.retire(*Old);
   }
 
   /// Invalidate \p Old and retranslate its guest block (rearrangement /
@@ -633,7 +441,8 @@ private:
     // stale even on the FlushOnSupersede path (which never reaches
     // invalidate()) — re-installing it after the flush would recreate
     // the very translation this supersede is retiring, forever.
-    dropAotUnit(Old->GuestPc);
+    if (Aot)
+      Aot->drop(Old->GuestPc);
     Trace.emit(obs::TraceEventKind::BlockRetranslated, 0, Old->GuestPc,
                Old->Generation + 1, Config.FlushOnSupersede ? 1 : 0);
     if (Config.FlushOnSupersede) {
@@ -653,46 +462,28 @@ private:
   void flushAll() {
     // Flushed translations leave service without invalidate(): record
     // their trap counts before the store is dropped.
-    for (Translation &T : Store)
-      if (T.Valid)
-        HTrapBlock->record(T.FaultCount);
+    Cache.forEachLive(
+        [&](const Translation &T) { HTrapBlock->record(T.FaultCount); });
     Trace.emit(obs::TraceEventKind::CacheFlush, 0, 0, Code.size(),
-               Store.size());
+               Cache.size());
+    Cache.flush();
 #ifndef NDEBUG
-    // Chain/IC bookkeeping must be fully confined to the dying arena:
-    // every incoming-chain word and quarantined word indexes code that
-    // is about to be dropped.  A word at or past the arena end would
-    // mean a link into code that survives the flush — a leak that would
-    // resurrect as a wild branch after the arena refills.
-    for (const Translation &T : Store) {
-      for (uint32_t W : T.IncomingChains)
-        assert(W < Code.size() && "incoming chain outlives the arena");
-      for (const IcWayRef &Ref : T.IncomingIcWays)
-        assert(Ref.Owner->IcSites[Ref.Site].Ways[Ref.Way].Begin <
-                   Code.size() &&
-               "incoming IC way outlives the arena");
-    }
-    for (uint32_t W : StaleChainWords)
-      assert(W < Code.size() && "quarantined word outlives the arena");
-#endif
-    // Write-barrier bookkeeping dies with the arena; invalid
-    // translations were already untracked by invalidate().
-    for (Translation &T : Store)
-      if (T.Valid)
-        untrackTranslation(&T);
-    TrackedByPage.clear();
     // Pending AOT units keep their write-barrier watches across the
     // flush (their payloads survive for lazy re-install), so the drain
-    // target is their mirrored page set, not zero.
-    assert(Mem.watchedPages() == AotWatchRef.size() &&
+    // target is the page set of the units not yet staled, not zero.
+    std::unordered_set<uint32_t> AotPages;
+    constexpr uint32_t Shift = guest::GuestMemory::WatchPageShift;
+    if (Aot)
+      for (const auto &KV : Aot->units())
+        if (!KV.second.Stale)
+          for (const auto &R : KV.second.Payload.GuestRanges)
+            for (uint32_t P = R.first >> Shift; P <= (R.second - 1) >> Shift;
+                 ++P)
+              AotPages.insert(P);
+    assert(Mem.watchedPages() == AotPages.size() &&
            "write-watch refcounts must drain on flush");
-    Code.clear();
-    BlockMap.clear();
-    Regions.clear();
-    Store.clear();
-    Leases.clear(); // release every shared-cache lease with the arena
+#endif
     PatchedOriginals.clear();
-    StaleChainWords.clear();
     PendingFlush = false;
     LastCodeWords = 0; // emission accounting stays monotone
     ++Flushes;
@@ -704,83 +495,7 @@ private:
     runVerifier();
   }
 
-  // -- guest-code coherence (self-modifying code) ---------------------------
-
-  /// Visit every watch page covered by \p T's guest ranges, once each
-  /// (adjacent trace constituents may share a page).
-  template <typename Fn>
-  void forEachWatchPage(const Translation *T, Fn F) {
-    std::vector<uint32_t> Pages;
-    for (const auto &R : T->GuestRanges)
-      forEachPage(R.first, R.second, [&](uint32_t P) {
-        if (std::find(Pages.begin(), Pages.end(), P) == Pages.end())
-          Pages.push_back(P);
-      });
-    for (uint32_t P : Pages)
-      F(P);
-  }
-
-  /// Register a freshly installed translation with the write barrier:
-  /// its guest ranges become watched, and the per-page victim index
-  /// learns about it.  Every install path must pair this with
-  /// untrackTranslation (via invalidate or flushAll).
-  void trackTranslation(Translation *T) {
-    T->BornEpoch = StoreEpoch;
-    for (const auto &R : T->GuestRanges)
-      Mem.watchRange(R.first, R.second);
-    forEachWatchPage(T, [&](uint32_t P) { TrackedByPage[P].push_back(T); });
-  }
-
-  /// Drop a translation from the barrier's bookkeeping (called as it
-  /// leaves service).
-  void untrackTranslation(Translation *T) {
-    for (const auto &R : T->GuestRanges)
-      Mem.unwatchRange(R.first, R.second);
-    forEachWatchPage(T, [&](uint32_t P) {
-      auto It = TrackedByPage.find(P);
-      if (It == TrackedByPage.end())
-        return;
-      auto VIt = std::find(It->second.begin(), It->second.end(), T);
-      if (VIt != It->second.end())
-        It->second.erase(VIt);
-      if (It->second.empty())
-        TrackedByPage.erase(It);
-    });
-  }
-
   // -- static AOT pre-translation (EngineConfig::Aot) -----------------------
-
-  /// Register a pending AOT unit's source bytes with the write barrier
-  /// and mirror the page refcounts: a guest store into a pending unit
-  /// must stale it even before (or after) installation, and flushAll's
-  /// drain assertion needs to know how many watched pages are AOT's.
-  void watchAotUnit(const AotTranslator::Unit &U) {
-    for (const auto &R : U.Payload.GuestRanges) {
-      Mem.watchRange(R.first, R.second);
-      forEachPage(R.first, R.second, [&](uint32_t P) { ++AotWatchRef[P]; });
-    }
-  }
-
-  void unwatchAotUnit(const AotTranslator::Unit &U) {
-    for (const auto &R : U.Payload.GuestRanges) {
-      Mem.unwatchRange(R.first, R.second);
-      forEachPage(R.first, R.second, [&](uint32_t P) {
-        auto It = AotWatchRef.find(P);
-        if (It != AotWatchRef.end() && --It->second == 0)
-          AotWatchRef.erase(It);
-      });
-    }
-  }
-
-  /// A plan revision retired the translation at \p Pc (supersede,
-  /// degradation ladder, SMC victim): its pending AOT unit, compiled
-  /// under the old plans, must never be re-installed.
-  void dropAotUnit(uint32_t Pc) {
-    if (!Aot)
-      return;
-    if (Aot->drop(Pc))
-      unwatchAotUnit(*Aot->find(Pc));
-  }
 
   /// The AOT producer: instantiate one pending unit into the run's
   /// arena.  \p Sweep runs the forced verifier sweep after a kept
@@ -788,28 +503,22 @@ private:
   /// pre-populated cache instead); an oversize retirement is always
   /// swept.
   Translation *installAotUnit(AotTranslator::Unit &U, bool Sweep) {
-    Store.push_back(instantiateCached(U.Payload, /*Generation=*/0));
-    Translation *T = &Store.back();
+    Translation *T = &Cache.instantiate(U.Payload, /*Generation=*/0);
     T->AotInstalled = true;
-    ++Translations;
     ++AotInstalls;
-    BlockMap[T->GuestPc] = T;
-    bool Kept = install(T, /*FromCache=*/true, obs::TraceEventKind::AotInstall,
-                        T->GuestInsts, U.FromCache ? 1 : 0);
-    if (!Kept) {
-      InterpOnly.insert(U.GuestPc);
-      ++OversizedPins;
-    }
-    if (Sweep || !Kept)
+    T = installHead(T, /*FromCache=*/true, obs::TraceEventKind::AotInstall,
+                    U.FromCache ? 1 : 0);
+    if (Sweep || !T)
       runVerifier(/*Force=*/true);
-    return Kept ? T : nullptr;
+    return T;
   }
 
   /// The AOT startup phase (run() calls this before the first guest
-  /// instruction): statically translate every proven-reachable block,
-  /// watch every unit's source bytes, eagerly install the lot under
-  /// AotMode::Full, and run the verifier as the AOT output checker over
-  /// the pre-populated cache — even when EngineConfig::Verify is off.
+  /// instruction): statically translate every proven-reachable block
+  /// (each pending unit watches its source bytes), eagerly install the
+  /// lot under AotMode::Full, and run the verifier as the AOT output
+  /// checker over the pre-populated cache — even when
+  /// EngineConfig::Verify is off.
   void aotStartup() {
     uint64_t Cycles0 = now();
     Aot.emplace(Mem, *AotCfg, planChain(), translationOpts(), Service,
@@ -818,11 +527,9 @@ private:
     const AotTranslator::Stats &AS = Aot->stats();
     if (!Policy.translationIsOffline())
       TranslateCycles += AS.StartupTranslateCycles;
-    for (const auto &KV : Aot->units()) {
+    for (const auto &KV : Aot->units())
       Trace.emit(obs::TraceEventKind::AotTranslated, KV.first, KV.first,
                  KV.second.Payload.GuestInsts, KV.second.FromCache ? 1 : 0);
-      watchAotUnit(KV.second);
-    }
     // Full installs eagerly.  Installing only marks units stale, never
     // adds or removes one, so walking the unit map meanwhile is safe.
     for (const auto &KV : Aot->units()) {
@@ -868,37 +575,11 @@ private:
     // Pending AOT units whose source bytes this store rewrote can never
     // be installed: the dynamic path re-discovers from the new bytes.
     if (Aot)
-      for (uint32_t Pc :
-           Aot->noteGuestStore(Addr, static_cast<uint32_t>(Size)))
-        unwatchAotUnit(*Aot->find(Pc));
+      Aot->noteGuestStore(Addr, static_cast<uint32_t>(Size));
     // Victim collection first, mutation after: invalidation edits the
-    // per-page index we are reading.
-    std::vector<Translation *> Victims;
-    forEachPage(Addr, Addr + Size, [&](uint32_t P) {
-      auto It = TrackedByPage.find(P);
-      if (It == TrackedByPage.end())
-        return;
-      for (Translation *T : It->second) {
-        if (!T->Valid)
-          continue;
-        bool Overlaps = false;
-        for (const auto &R : T->GuestRanges) {
-          if (R.first < Addr + Size && Addr < R.second) {
-            Overlaps = true;
-            break;
-          }
-        }
-        if (Overlaps &&
-            std::find(Victims.begin(), Victims.end(), T) == Victims.end())
-          Victims.push_back(T);
-      }
-    });
-    // Deterministic retirement order regardless of hash-map iteration:
-    // entry words are unique between flushes.
-    std::sort(Victims.begin(), Victims.end(),
-              [](const Translation *A, const Translation *B) {
-                return A->EntryWord < B->EntryWord;
-              });
+    // per-page index the query reads.
+    std::vector<Translation *> Victims =
+        Cache.overlapping(Addr, static_cast<uint32_t>(Size));
     // The store came from *inside* a victim (a superblock fused the
     // patcher with the code it patches, or a block rewrote its own
     // bytes): quarantining alone is not enough, because the episode
@@ -907,7 +588,7 @@ private:
     // resume via fresh dispatch — the rewrite takes effect at the next
     // guest instruction, exactly the interpreter's semantics.
     if (InNative) {
-      Translation *Running = findOwner(Machine.currentWord());
+      Translation *Running = Cache.owner(Machine.currentWord());
       if (Running && std::find(Victims.begin(), Victims.end(), Running) !=
                          Victims.end()) {
         auto It = Running->StoreResume.find(Machine.currentWord());
@@ -926,17 +607,16 @@ private:
         }
       }
     }
-    // Strict mode: a failed unchain or IC-retire during SMC
-    // invalidation must abort, not quarantine.  A stale branch into
-    // *superseded* code reaches architecturally equivalent
-    // instructions; a stale branch into *rewritten* code reaches old
-    // semantics with no trap to catch it.
-    SmcStrict = true;
     for (Translation *T : Victims) {
       ++SmcInvalidations;
       Trace.emit(obs::TraceEventKind::SmcInvalidate, Addr, T->GuestPc,
                  T->Generation, T->IsTrace ? 1 : 0);
-      invalidate(T);
+      // A failed unchain or IC-retire must abort here, not quarantine:
+      // a stale branch into *superseded* code reaches architecturally
+      // equivalent instructions, but one into *rewritten* code reaches
+      // old semantics with no trap to catch it.
+      if (!invalidate(T))
+        Abort = RunError::PatchFailed;
       uint32_t Pin = ++SmcInvalsAt[T->GuestPc];
       if (Config.Budget.SmcChurnPinLimit != 0 &&
           Pin >= Config.Budget.SmcChurnPinLimit &&
@@ -952,7 +632,6 @@ private:
                    0);
       }
     }
-    SmcStrict = false;
     // Any rewrite of watched code bytes may shift dataflow the static
     // analysis proved facts about; re-run it lazily at the next safe
     // point and revoke elides that no longer hold.
@@ -981,8 +660,7 @@ private:
     // would skip MDA handling without a current proof.  Drop them all;
     // covered code falls back to demand translation under fresh plans.
     if (Aot)
-      for (uint32_t Pc : Aot->dropAll())
-        unwatchAotUnit(*Aot->find(Pc));
+      Aot->dropAll();
     revokeStaleElides();
   }
 
@@ -994,9 +672,7 @@ private:
   /// MDA bookkeeping without a current proof.
   void revokeStaleElides() {
     std::vector<Translation *> Victims;
-    for (Translation &T : Store) {
-      if (!T.Valid)
-        continue;
+    Cache.forEachLive([&](Translation &T) {
       std::vector<uint32_t> ElidePcs;
       for (const auto &KV : T.PlanByPc)
         if (KV.second == MemPlan::Elide)
@@ -1013,11 +689,8 @@ private:
         Victims.push_back(&T);
         break; // one revoked site retires the whole translation
       }
-    }
-    std::sort(Victims.begin(), Victims.end(),
-              [](const Translation *A, const Translation *B) {
-                return A->EntryWord < B->EntryWord;
-              });
+    });
+    CodeCache::sortByEntry(Victims);
     for (Translation *T : Victims)
       if (T->Valid) // an earlier victim's unchaining cannot kill it,
         invalidate(T); // but stay defensive
@@ -1074,42 +747,7 @@ private:
   void runVerifier(bool Force = false) {
     if ((!Config.Verify && !Force) || Abort != RunError::None)
       return;
-    analysis::VerifierInput In;
-    std::unordered_map<const Translation *, size_t> Index;
-    for (Translation &T : Store) {
-      if (!T.Valid)
-        continue;
-      analysis::VerifierBlock B;
-      B.EntryWord = T.EntryWord;
-      B.EndWord = T.EndWord;
-      B.BornEpoch = T.BornEpoch;
-      B.AotInstalled = T.AotInstalled;
-      for (const auto &R : T.GuestRanges)
-        B.GuestRanges.push_back({R.first, R.second});
-      for (const ExitSite &X : T.Exits)
-        B.ExitWords.push_back(X.SrvWord);
-      for (const IcSite &S : T.IcSites)
-        for (const IcWay &W : S.Ways)
-          if (!W.Stale) // quarantined ways are covered by ExemptWords
-            B.IcWays.push_back(
-                {W.Begin, W.Filled, W.TargetEntry, W.TargetGuestPc});
-      for (uint32_t W : T.PatchedWords)
-        B.Patches.push_back({W, T.MemWordToGuestPc.count(W) != 0});
-      for (const FusedSite &F : T.FusedSites)
-        B.FusedSites.push_back({F.Rule, F.Begin, F.End, F.Words});
-      Index[&T] = In.Blocks.size();
-      In.Blocks.push_back(std::move(B));
-    }
-    for (const auto &[Entry, Region] : Regions) {
-      Translation *T = Region.second;
-      if (!T->Valid || Entry == T->EntryWord)
-        continue; // dead, or the body region itself
-      auto It = Index.find(T);
-      if (It != Index.end())
-        In.Blocks[It->second].Stubs.push_back({Entry, Region.first});
-    }
-    In.ExemptWords = StaleChainWords;
-    In.IcWayWords = IcWayWords;
+    analysis::VerifierInput In = Cache.verifierInput();
     In.GuestDirtyEpoch = &ByteDirtyEpoch;
     if (AotCfg)
       In.ReachableRanges = &AotReachable;
@@ -1130,16 +768,6 @@ private:
 
   // -- fault handling ------------------------------------------------------
 
-  Translation *findOwner(uint32_t Word) {
-    auto It = Regions.upper_bound(Word);
-    if (It == Regions.begin())
-      return nullptr;
-    --It;
-    if (Word >= It->second.first)
-      return nullptr;
-    return It->second.second;
-  }
-
   /// Handle one (possibly stale or injected) trap delivery.  Validates
   /// the delivery against the current cache contents before acting:
   /// duplicate and spurious deliveries for a word that has since been
@@ -1153,7 +781,7 @@ private:
       Trace.emit(obs::TraceEventKind::TrapSpurious, 0, 0, F.HostPc, 0);
       return FaultAction::Retry;
     }
-    Translation *T = findOwner(F.HostPc);
+    Translation *T = Cache.owner(F.HostPc);
     if (!T) {
       // The word matches but no live translation owns it (flushed and
       // not yet reused): emulate so the guest still makes progress.
@@ -1202,8 +830,8 @@ private:
     }
     Trace.emit(obs::TraceEventKind::StubEmitted, InstPc, T->GuestPc,
                S.Entry, Adaptive ? 1 : 0);
-    if (!patchVerified(F.HostPc,
-                       Translator::stubBranchWord(F.HostPc, S.Entry))) {
+    if (!Cache.patchVerified(F.HostPc,
+                             Translator::stubBranchWord(F.HostPc, S.Entry))) {
       // The redirect did not stick; the original instruction is still
       // in place.  Emulate this occurrence and let a later trap retry
       // the patch (or the watchdog escalate).
@@ -1214,7 +842,7 @@ private:
     }
     T->PatchedWords.push_back(F.HostPc);
     T->MemWordToGuestPc.erase(F.HostPc);
-    Regions[S.Entry] = {S.End, T};
+    Cache.addStub(S.Entry, S.End, *T);
     // A store executed out of the stub must stop the episode at the
     // same place as the body word it replaces: propagate the resume
     // metadata to every stub word.  (Loads were never recorded, so the
@@ -1255,7 +883,7 @@ private:
       Abort = RunError::TrapStorm;
       return FaultAction::Halt;
     }
-    Translation *T = findOwner(F.HostPc);
+    Translation *T = Cache.owner(F.HostPc);
     if (!T) {
       ++SpuriousTraps;
       Trace.emit(obs::TraceEventKind::TrapSpurious, 0, 0, F.HostPc, 3);
@@ -1340,9 +968,9 @@ private:
     auto It = PatchedOriginals.find(FaultWord);
     if (It == PatchedOriginals.end())
       return;
-    if (!patchVerified(FaultWord, It->second.first))
+    if (!Cache.patchVerified(FaultWord, It->second.first))
       return; // revert failed; the stub stays in place and stays correct
-    Translation *T = findOwner(FaultWord);
+    Translation *T = Cache.owner(FaultWord);
     if (T)
       T->MemWordToGuestPc[FaultWord] = It->second.second;
     Trace.emit(obs::TraceEventKind::StubReverted, It->second.second,
@@ -1373,10 +1001,23 @@ private:
 
   // -- chaining ------------------------------------------------------------
 
+  /// Chain the exit word \p Word of \p Src to \p Target's entry and
+  /// account for the patch.  False if the word keeps exiting through the
+  /// monitor.
+  bool chain(uint32_t Word, const Translation &Src, Translation &Target) {
+    if (!Cache.chain(Word, Target))
+      return false;
+    ChainCycles += Cost.ChainPatchCycles;
+    ++Chains;
+    Trace.emit(obs::TraceEventKind::BlockChained, Target.GuestPc,
+               Src.GuestPc, Word, Target.EntryWord);
+    return true;
+  }
+
   void maybeChain(const ExitInfo &E) {
     if (!Config.EnableChaining)
       return;
-    Translation *Owner = findOwner(E.SrvWord);
+    Translation *Owner = Cache.owner(E.SrvWord);
     if (!Owner || !Owner->Valid)
       return;
     for (ExitSite &X : Owner->Exits) {
@@ -1384,19 +1025,10 @@ private:
         continue;
       if (!X.Direct || X.Chained)
         return;
-      auto TIt = BlockMap.find(X.TargetGuestPc);
-      if (TIt == BlockMap.end() || !TIt->second->Valid)
-        return;
-      Translation *Target = TIt->second;
-      std::optional<uint32_t> Br = branchTo(X.SrvWord, Target->EntryWord);
-      if (!Br || !patchVerified(X.SrvWord, *Br))
-        return; // out of range or patch failed: keep exiting via monitor
+      Translation *Target = Cache.lookup(X.TargetGuestPc);
+      if (!Target || !chain(X.SrvWord, *Owner, *Target))
+        return; // keep exiting via the monitor
       X.Chained = true;
-      Target->IncomingChains.push_back(X.SrvWord);
-      ChainCycles += Cost.ChainPatchCycles;
-      ++Chains;
-      Trace.emit(obs::TraceEventKind::BlockChained, X.TargetGuestPc,
-                 Owner->GuestPc, X.SrvWord, Target->EntryWord);
       runVerifier();
       // A backward chain closes a native loop — the hotness signal for
       // superblock formation.  (Chain events, not dispatch counts: a
@@ -1412,13 +1044,11 @@ private:
 
   /// On an indirect-exit miss, fill (or refill) an inline-cache way
   /// with the observed target if it is translated (EngineConfig::
-  /// InlineCaches).  Interior words are written before the guard, so a
-  /// partially written way is never executable; any patch failure
-  /// leaves the way disabled.
+  /// InlineCaches).  Any patch failure leaves the way disabled.
   void maybeIcFill(const ExitInfo &E) {
     if (!Config.InlineCaches || Abort != RunError::None)
       return;
-    Translation *Owner = findOwner(E.SrvWord);
+    Translation *Owner = Cache.owner(E.SrvWord);
     if (!Owner || !Owner->Valid || Owner->IcSites.empty())
       return;
     uint32_t SiteIdx = ~0u;
@@ -1430,101 +1060,20 @@ private:
     }
     if (SiteIdx == ~0u)
       return; // a direct exit's Srv word, not an IC fallback
-    IcSite &Site = Owner->IcSites[SiteIdx];
     ++IcMisses;
-    auto TIt = BlockMap.find(E.GuestPc);
-    if (TIt == BlockMap.end() || !TIt->second->Valid)
+    Translation *Target = Cache.lookup(E.GuestPc);
+    if (!Target)
       return; // target not translated yet; a later miss can fill
-    Translation *Target = TIt->second;
-    // Victim selection: first empty way, else round-robin eviction.
-    // Quarantined (Stale) ways are out of service until the next flush.
-    IcWay *Way = nullptr;
-    uint32_t WayIdx = 0;
-    for (uint32_t I = 0; I != Site.Ways.size(); ++I) {
-      if (!Site.Ways[I].Filled && !Site.Ways[I].Stale) {
-        Way = &Site.Ways[I];
-        WayIdx = I;
-        break;
-      }
+    uint32_t WayBegin = 0;
+    CodeCache::IcFill R = Cache.fillIc(*Owner, SiteIdx, *Target, WayBegin);
+    if (R == CodeCache::IcFill::Skipped)
+      return; // keep going through the monitor
+    if (R == CodeCache::IcFill::Filled) {
+      ChainCycles +=
+          static_cast<uint64_t>(Cost.ChainPatchCycles) * IcWayWords;
+      Trace.emit(obs::TraceEventKind::DispatchIcFill, Target->GuestPc,
+                 Owner->GuestPc, WayBegin, Target->EntryWord);
     }
-    bool Evicting = false;
-    if (!Way) {
-      uint32_t N = static_cast<uint32_t>(Site.Ways.size());
-      for (uint32_t K = 0; K != N; ++K) {
-        uint32_t I = (Site.NextVictim + K) % N;
-        if (!Site.Ways[I].Stale) {
-          Way = &Site.Ways[I];
-          WayIdx = I;
-          Site.NextVictim = (I + 1) % N;
-          Evicting = true;
-          break;
-        }
-      }
-      if (!Way)
-        return; // every way quarantined; fall back to the monitor
-    }
-    uint32_t FinalBr = Way->Begin + IcWayWords - 1;
-    std::optional<uint32_t> Br = branchTo(FinalBr, Target->EntryWord);
-    if (!Br)
-      return; // out of branch range; keep going through the monitor
-    if (Evicting) {
-      ++IcEvictions;
-      Trace.emit(obs::TraceEventKind::DispatchIcEvict, Way->TargetGuestPc,
-                 Owner->GuestPc, Way->Begin, 0);
-      if (!retireIcWay(*Way)) {
-        runVerifier();
-        return; // victim quarantined; this fill attempt is abandoned
-      }
-    }
-    // Interiors first (tag compare, miss skip, target branch), guard
-    // last: the way only becomes executable once fully written.
-    uint32_t Tag = Target->GuestPc;
-    int32_t Lo = static_cast<int16_t>(Tag & 0xffff);
-    int32_t Hi =
-        static_cast<int32_t>(Tag - static_cast<uint32_t>(Lo)) >> 16;
-    const std::pair<uint32_t, uint32_t> Interior[] = {
-        {Way->Begin + 1,
-         encodeHost(memInst(HostOp::Lda, RegScratch1, Lo, RegScratch1))},
-        {Way->Begin + 2,
-         encodeHost(opInst(HostOp::Zextl, RegZero, RegScratch1,
-                           RegScratch1))},
-        {Way->Begin + 3,
-         encodeHost(opInst(HostOp::Cmpeq, RegExitPc, RegScratch1,
-                           RegScratch2))},
-        {Way->Begin + 4, encodeHost(brInst(HostOp::Beq, RegScratch2, 1))},
-        {FinalBr, *Br},
-    };
-    for (const auto &P : Interior) {
-      if (!patchVerified(P.first, P.second)) {
-        // patchVerified restored the word (or quarantined the run); the
-        // guard is still disabled, so the way stays safely inert.
-        ++IcFillFails;
-        runVerifier();
-        return;
-      }
-    }
-    if (!patchVerified(Way->Begin,
-                       encodeHost(memInst(HostOp::Ldah, RegScratch1, Hi,
-                                          RegZero)))) {
-      // Guard never armed, but FinalBr now holds a live branch the
-      // verifier cannot tie to a filled way: scrub it.
-      ++IcFillFails;
-      if (!patchVerified(FinalBr, hostNopWord()))
-        StaleChainWords.insert(FinalBr);
-      runVerifier();
-      return;
-    }
-    StaleChainWords.erase(FinalBr); // freshly verified content
-    Way->Filled = true;
-    Way->Stale = false;
-    Way->TargetEntry = Target->EntryWord;
-    Way->TargetGuestPc = Tag;
-    Target->IncomingIcWays.push_back({Owner, SiteIdx, WayIdx});
-    ChainCycles +=
-        static_cast<uint64_t>(Cost.ChainPatchCycles) * IcWayWords;
-    ++IcFills;
-    Trace.emit(obs::TraceEventKind::DispatchIcFill, Tag, Owner->GuestPc,
-               Way->Begin, Target->EntryWord);
     runVerifier();
   }
 
@@ -1546,11 +1095,9 @@ private:
       return;
     if (TraceFormsAt[HeadPc] >= TraceFormsPerHead)
       return;
-    auto HIt = BlockMap.find(HeadPc);
-    if (HIt == BlockMap.end() || !HIt->second->Valid ||
-        HIt->second->IsTrace)
+    Translation *Head = Cache.lookup(HeadPc);
+    if (!Head || Head->IsTrace)
       return;
-    Translation *Head = HIt->second;
 
     // Walk direct exits from the head, preferring chained (observed
     // hot) edges, to pick the trace's constituents.
@@ -1560,16 +1107,14 @@ private:
     uint32_t Pc = HeadPc;
     bool ClosedAtHead = false;
     while (Pcs.size() < TraceMaxBlocks) {
-      auto It = BlockMap.find(Pc);
-      if (It == BlockMap.end() || !It->second->Valid ||
-          It->second->IsTrace)
+      Translation *T = Cache.lookup(Pc);
+      if (!T || T->IsTrace)
         break;
       if (!Seen.insert(Pc).second) {
         ClosedAtHead = Pc == HeadPc;
         break; // closed the loop (or revisited): stop
       }
       Pcs.push_back(Pc);
-      Translation *T = It->second;
       for (const auto &KV : T->PlanByPc)
         Plans.insert(KV);
       const ExitSite *Next = nullptr;
@@ -1644,21 +1189,13 @@ private:
     // monitor forever — the opposite of what the trace is for.
     const std::vector<uint32_t> Incoming = Head->IncomingChains;
     invalidate(Head);
-    BlockMap[HeadPc] = Tr;
+    Cache.map(*Tr);
     for (uint32_t W : Incoming) {
-      if (StaleChainWords.count(W))
+      if (Cache.quarantined(W))
         continue; // the unchain did not stick; leave it quarantined
-      Translation *Src = findOwner(W);
-      if (!Src || !Src->Valid)
-        continue; // the head's own backedge, or a dead caller
-      std::optional<uint32_t> Br = branchTo(W, Tr->EntryWord);
-      if (!Br || !patchVerified(W, *Br))
-        continue; // keep exiting through the monitor (verified restore)
-      Tr->IncomingChains.push_back(W);
-      ChainCycles += Cost.ChainPatchCycles;
-      ++Chains;
-      Trace.emit(obs::TraceEventKind::BlockChained, HeadPc, Src->GuestPc,
-                 W, Tr->EntryWord);
+      Translation *Src = Cache.owner(W);
+      if (Src && Src->Valid) // not the head's own backedge or a dead caller
+        chain(W, *Src, *Tr);
     }
     runVerifier();
   }
@@ -1696,11 +1233,11 @@ private:
   obs::Histogram *HTrapBlock;
   obs::Histogram *HInterpInsts;
 
-  std::unordered_map<uint32_t, Translation *> BlockMap;
+  /// The live translations and every index over them.  Its shared-cache
+  /// leases are drained when the run ends, so the service's live-lease
+  /// count returns to its pre-run level no matter how the run ended.
+  CodeCache Cache;
   std::unordered_map<uint32_t, uint32_t> Heat;
-  std::deque<Translation> Store;
-  /// Host-word region -> owning translation (bodies and stubs).
-  std::map<uint32_t, std::pair<uint32_t, Translation *>> Regions;
 
   /// Backward-chain events per loop-head PC (superblock hotness).
   std::unordered_map<uint32_t, uint32_t> BackedgeHeat;
@@ -1716,7 +1253,6 @@ private:
 
   /// Fault injection (chaos campaigns); disengaged in normal runs.
   std::optional<chaos::FaultInjector> Injector;
-  bool ChaosPatchArmed = false;
   /// Most recent successfully patched fault, replayed by the spurious
   /// (stale re-delivery) injection point.
   FaultInfo LastPatch;
@@ -1736,9 +1272,6 @@ private:
   /// The pre-translator; emplaced by aotStartup() before the first
   /// guest instruction.
   std::optional<AotTranslator> Aot;
-  /// Mirror of the write-watch page refcounts held for pending AOT
-  /// units: flushAll()'s drain assertion and stale-unit unwatching.
-  std::unordered_map<uint32_t, uint32_t> AotWatchRef;
   /// First-touch dynamic block heads (coverage accounting: a head the
   /// monitor ever dispatches is either statically covered or a flagged
   /// fallback).
@@ -1748,16 +1281,8 @@ private:
   uint64_t AotFallbackBlocks = 0;
   uint64_t AotStartupCycles = 0;
 
-  /// Chain-exit words whose unchain patch failed under fault injection:
-  /// quarantined from the verifier's liveness checks until the next
-  /// flush (see invalidate()).
-  std::unordered_set<uint32_t> StaleChainWords;
-
   // -- guest-code coherence state ----------------------------------------
 
-  /// Live translations indexed by guest watch page (GuestMemory::
-  /// WatchPageShift granularity): the write barrier's victim lookup.
-  std::unordered_map<uint32_t, std::vector<Translation *>> TrackedByPage;
   /// Guest-store epoch: bumped once per barrier-visible store.  Dirty
   /// bytes and Translation::BornEpoch are stamped with it.
   uint64_t StoreEpoch = 0;
@@ -1769,9 +1294,6 @@ private:
   std::unordered_map<uint32_t, uint64_t> ByteDirtyEpoch;
   /// Re-entrancy guard for the write barrier.
   bool InSmcBarrier = false;
-  /// Inside SMC-triggered invalidation: failed unchain/IC-retire
-  /// patches abort instead of quarantining (see invalidate()).
-  bool SmcStrict = false;
   /// Guest code bytes changed since the last analysis pass; re-run
   /// lazily at the next safe point (maybeReanalyze).
   bool AnaStale = false;
@@ -1816,8 +1338,6 @@ private:
   uint64_t LadderInterpPins = 0;
   uint64_t OversizedPins = 0;
   uint64_t SpuriousTraps = 0;
-  uint64_t PatchRepairs = 0;
-  uint64_t PatchFailures = 0;
   uint64_t TranslateFailures = 0;
   uint64_t FlushesSuppressed = 0;
   uint64_t StubDowngrades = 0;
@@ -1832,10 +1352,7 @@ private:
   uint64_t PlanInlineForced = 0;
   uint64_t DispatchHits = 0;
   uint64_t DispatchMisses = 0;
-  uint64_t IcFills = 0;
   uint64_t IcMisses = 0;
-  uint64_t IcEvictions = 0;
-  uint64_t IcFillFails = 0;
   uint64_t TracesFormed = 0;
   uint64_t TraceBlocksEmitted = 0;
   uint64_t TraceDeopts = 0;
@@ -1855,11 +1372,6 @@ private:
 
   /// The process-wide translation service, or null for isolated runs.
   TranslationService *Service = nullptr;
-  /// Shared-cache leases held by this run, one per service-installed
-  /// translation.  Erased on invalidate/flush and drained wholesale at
-  /// end of run, so the cache's live-lease count returns to this run's
-  /// pre-existing level no matter how the run ended.
-  std::unordered_map<const Translation *, TranslationLease> Leases;
   uint64_t CacheHits = 0;
   uint64_t CacheMisses = 0;
   uint64_t CacheEvictions = 0;
@@ -1945,9 +1457,7 @@ RunResult ExecutionContext::run() {
     // One block-map lookup on every dispatch; HashDispatch only selects
     // the modeled price of a hit.  A miss is not priced on either path:
     // it is folded into the interpretation/translation episode it starts.
-    auto It = BlockMap.find(Cpu.Pc);
-    Translation *T =
-        (It != BlockMap.end() && It->second->Valid) ? It->second : nullptr;
+    Translation *T = Cache.lookup(Cpu.Pc);
     if (T) {
       ++DispatchHits;
       MonitorCycles += Config.HashDispatch ? Cost.DispatchTableHitCycles
@@ -2053,9 +1563,8 @@ RunResult ExecutionContext::run() {
 
   // Blocks still in service at end of run never pass through
   // invalidate(): fold their trap counts into the distribution here.
-  for (Translation &T : Store)
-    if (T.Valid)
-      HTrapBlock->record(T.FaultCount);
+  Cache.forEachLive(
+      [&](const Translation &T) { HTrapBlock->record(T.FaultCount); });
 
   // The registry is the authoritative record; the legacy CounterBag is
   // derived from it below so the two views agree by construction.
@@ -2096,8 +1605,8 @@ RunResult ExecutionContext::run() {
   Reg.addCounter("harden.oversized_pins", OversizedPins);
   Reg.setGauge("harden.interp_only_blocks", InterpOnly.size());
   Reg.addCounter("harden.spurious_traps", SpuriousTraps);
-  Reg.addCounter("harden.patch_repairs", PatchRepairs);
-  Reg.addCounter("harden.patch_failures", PatchFailures);
+  Reg.addCounter("harden.patch_repairs", Cache.stats().PatchRepairs);
+  Reg.addCounter("harden.patch_failures", Cache.stats().PatchFailures);
   Reg.addCounter("harden.translate_failures", TranslateFailures);
   Reg.addCounter("harden.flush_suppressed", FlushesSuppressed);
   Reg.addCounter("harden.stub_downgrades", StubDowngrades);
@@ -2119,10 +1628,10 @@ RunResult ExecutionContext::run() {
     Reg.addCounter("dispatch.table_misses", DispatchMisses);
   }
   if (Config.InlineCaches) {
-    Reg.addCounter("dispatch.ic_fills", IcFills);
+    Reg.addCounter("dispatch.ic_fills", Cache.stats().IcFills);
     Reg.addCounter("dispatch.ic_misses", IcMisses);
-    Reg.addCounter("dispatch.ic_evictions", IcEvictions);
-    Reg.addCounter("dispatch.ic_fill_fails", IcFillFails);
+    Reg.addCounter("dispatch.ic_evictions", Cache.stats().IcEvictions);
+    Reg.addCounter("dispatch.ic_fill_fails", Cache.stats().IcFillFails);
   }
   if (Config.Superblocks) {
     Reg.addCounter("trace.formed", TracesFormed);

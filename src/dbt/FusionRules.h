@@ -28,7 +28,7 @@
 ///    instruction outlives, and excludes guest ops whose lowering
 ///    clobbers it (Sar/SarI).
 ///
-/// The table carries a version number: SharedTranslationCache keys
+/// The table carries a version number: TranslationService content keys
 /// include it (plus the enabled-rule mask) so a rule change can never
 /// alias a differently-fused cached translation.
 ///

@@ -17,6 +17,7 @@
 #ifndef MDABT_DBT_TRANSLATION_H
 #define MDABT_DBT_TRANSLATION_H
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <utility>
@@ -41,6 +42,16 @@ enum class MemPlan {
 };
 
 struct Translation;
+
+/// True if a guest store to [Lo, Hi) rewrites a byte of the half-open
+/// guest byte ranges \p Ranges (Translation::GuestRanges).
+inline bool
+overlapsAny(const std::vector<std::pair<uint32_t, uint32_t>> &Ranges,
+            uint32_t Lo, uint32_t Hi) {
+  return std::any_of(Ranges.begin(), Ranges.end(), [&](const auto &R) {
+    return R.first < Hi && Lo < R.second;
+  });
+}
 
 /// Words per inline-cache way at an indirect block exit
 /// (EngineConfig::InlineCaches).  Layout, in code-cache words from the

@@ -24,7 +24,7 @@ CacheKey mdabt::dbt::translationContentKey(
     for (int S = 0; S != 32; S += 8)
       M.push_back(static_cast<uint8_t>(V >> S));
   };
-  Put8(static_cast<uint8_t>(SharedTranslationCache::FormatVersion));
+  Put8(static_cast<uint8_t>(TranslationService::FormatVersion));
   Put8(IsTrace ? 1 : 0);
   Put8(Opts.BlockMultiVersion ? 1 : 0);
   Put8(static_cast<uint8_t>(Opts.IcWays));

@@ -9,6 +9,7 @@
 #include "dbt/Engine.h"
 #include "dbt/FusionRules.h"
 #include "dbt/Translation.h"
+#include "guest/GuestImage.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -67,22 +68,21 @@ void TranslationLease::release() {
   E.reset();
 }
 
-// -- SharedTranslationCache --------------------------------------------------
+// -- TranslationService ------------------------------------------------------
 
-SharedTranslationCache::SharedTranslationCache(Config C) : Cfg(C) {
-  uint32_t N = std::min(64u, std::max(1u, Cfg.Shards));
+TranslationService::TranslationService(Config C) {
+  uint32_t N = std::min(64u, std::max(1u, C.Shards));
   Shards = std::vector<Shard>(N);
-  if (Cfg.MaxEntries != 0)
-    PerShardCap = (Cfg.MaxEntries + N - 1) / N;
+  if (C.MaxEntries != 0)
+    PerShardCap = (C.MaxEntries + N - 1) / N;
 }
 
-TranslationLease SharedTranslationCache::acquire(const CacheKey &Key) {
+TranslationLease TranslationService::acquire(const CacheKey &Key) {
   Shard &S = shardFor(Key);
   std::lock_guard<std::mutex> Lock(S.M);
   for (const std::shared_ptr<detail::CacheEntry> &E : S.Entries) {
     if (E->Key == Key) {
       E->Leases.fetch_add(1, std::memory_order_acq_rel);
-      E->Hits.fetch_add(1, std::memory_order_relaxed);
       StatHits.fetch_add(1, std::memory_order_relaxed);
       return TranslationLease(E);
     }
@@ -92,9 +92,8 @@ TranslationLease SharedTranslationCache::acquire(const CacheKey &Key) {
 }
 
 std::shared_ptr<detail::CacheEntry>
-SharedTranslationCache::insertLocked(Shard &S, const CacheKey &Key,
-                                     CachedTranslation &&T,
-                                     uint64_t &Evicted) {
+TranslationService::insertLocked(Shard &S, const CacheKey &Key,
+                                 CachedTranslation &&T, uint64_t &Evicted) {
   // First writer wins: a racing publisher of the same key leases the
   // resident entry (the payloads are byte-identical by key design).
   for (const std::shared_ptr<detail::CacheEntry> &E : S.Entries)
@@ -129,9 +128,9 @@ SharedTranslationCache::insertLocked(Shard &S, const CacheKey &Key,
   return E;
 }
 
-TranslationLease SharedTranslationCache::publish(const CacheKey &Key,
-                                                 CachedTranslation T,
-                                                 uint64_t *Evicted) {
+TranslationLease TranslationService::publish(const CacheKey &Key,
+                                             CachedTranslation T,
+                                             uint64_t *Evicted) {
   Shard &S = shardFor(Key);
   uint64_t Ev = 0;
   std::shared_ptr<detail::CacheEntry> E;
@@ -145,33 +144,29 @@ TranslationLease SharedTranslationCache::publish(const CacheKey &Key,
   return TranslationLease(E);
 }
 
-uint64_t SharedTranslationCache::entries() const {
-  uint64_t N = 0;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.M);
-    N += S.Entries.size();
-  }
-  return N;
-}
-
-uint64_t SharedTranslationCache::liveLeases() const {
+template <typename Fn> uint64_t TranslationService::sumEntries(Fn F) const {
   uint64_t N = 0;
   for (const Shard &S : Shards) {
     std::lock_guard<std::mutex> Lock(S.M);
     for (const std::shared_ptr<detail::CacheEntry> &E : S.Entries)
-      N += E->Leases.load(std::memory_order_acquire);
+      N += F(*E);
   }
   return N;
 }
 
-uint64_t SharedTranslationCache::footprintBytes() const {
-  uint64_t N = 0;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.M);
-    for (const std::shared_ptr<detail::CacheEntry> &E : S.Entries)
-      N += E->T.footprintBytes();
-  }
-  return N;
+uint64_t TranslationService::entries() const {
+  return sumEntries([](const detail::CacheEntry &) { return 1; });
+}
+
+uint64_t TranslationService::liveLeases() const {
+  return sumEntries([](const detail::CacheEntry &E) {
+    return E.Leases.load(std::memory_order_acquire);
+  });
+}
+
+uint64_t TranslationService::footprintBytes() const {
+  return sumEntries(
+      [](const detail::CacheEntry &E) { return E.T.footprintBytes(); });
 }
 
 // -- disk persistence --------------------------------------------------------
@@ -290,7 +285,8 @@ void serializeEntry(std::vector<uint8_t> &B, const CacheKey &Key,
 }
 
 /// Parse one entry; returns false on a structural defect (truncated
-/// stream, implausible counts, metadata outside the word range).
+/// stream, implausible counts, metadata outside the word range, guest
+/// ranges outside the guest address space).
 bool parseEntry(Cursor &C, CacheKey &Key, CachedTranslation &T) {
   Key.Lo = C.u64();
   Key.Hi = C.u64();
@@ -361,7 +357,9 @@ bool parseEntry(Cursor &C, CacheKey &Key, CachedTranslation &T) {
       return false;
     for (uint32_t W = 0; W != NWays; ++W) {
       uint32_t B = C.u32();
-      if (B + IcWayWords > NWords)
+      // Written so it cannot wrap: a way must lie inside the entry's
+      // words, or a fill would patch the translation before it.
+      if (B > NWords || NWords - B < IcWayWords)
         return false;
       S.WayBegins.push_back(B);
     }
@@ -378,7 +376,9 @@ bool parseEntry(Cursor &C, CacheKey &Key, CachedTranslation &T) {
   for (uint32_t I = 0; I != NRanges; ++I) {
     uint32_t Lo = C.u32();
     uint32_t HiB = C.u32();
-    if (Lo >= HiB)
+    // Install watches every range: an end past the guest address space
+    // would index past the write-watch page table.
+    if (Lo >= HiB || HiB > guest::layout::MemorySize)
       return false;
     T.GuestRanges.push_back({Lo, HiB});
   }
@@ -408,8 +408,8 @@ bool fail(std::string *Err, const char *Msg) {
 
 } // namespace
 
-bool SharedTranslationCache::save(const std::string &Path,
-                                  std::string *Err) const {
+bool TranslationService::save(const std::string &Path,
+                              std::string *Err) const {
   // Snapshot every shard in key order so the artifact is deterministic
   // regardless of insertion interleaving.
   std::vector<std::shared_ptr<detail::CacheEntry>> All;
@@ -443,10 +443,8 @@ bool SharedTranslationCache::save(const std::string &Path,
   return true;
 }
 
-bool SharedTranslationCache::load(const std::string &Path, uint64_t *Loaded,
-                                  std::string *Err) {
-  if (Loaded)
-    *Loaded = 0;
+bool TranslationService::load(const std::string &Path, obs::TraceSink *Sink,
+                              std::string *Err) {
   std::FILE *F = std::fopen(Path.c_str(), "rb");
   if (!F)
     return fail(Err, "cannot open artifact");
@@ -489,23 +487,11 @@ bool SharedTranslationCache::load(const std::string &Path, uint64_t *Loaded,
     std::lock_guard<std::mutex> Lock(S.M);
     insertLocked(S, KV.first, std::move(KV.second), Ev);
   }
-  if (Loaded)
-    *Loaded = Count;
-  return true;
-}
-
-// -- TranslationService ------------------------------------------------------
-
-bool TranslationService::load(const std::string &Path, obs::TraceSink *Sink,
-                              std::string *Err) {
-  uint64_t Loaded = 0;
-  if (!C.load(Path, &Loaded, Err))
-    return false;
   if (Sink) {
     obs::TraceEvent E;
     E.Kind = obs::TraceEventKind::CacheLoad;
-    E.A = Loaded;
-    E.B = C.footprintBytes();
+    E.A = Count;
+    E.B = footprintBytes();
     Sink->emit(E);
   }
   return true;

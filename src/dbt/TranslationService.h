@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The process-wide serving layer: a sharded, refcounted translation
-/// cache shared by concurrent ExecutionContexts, plus the thin
-/// TranslationService front-end engines talk to (docs/SERVING.md).
+/// The process-wide serving layer: TranslationService, the sharded,
+/// refcounted translation cache shared by concurrent ExecutionContexts
+/// (docs/SERVING.md).
 ///
 /// Entries are keyed by a content hash over everything that determines
 /// the translator's emission for one block or superblock: the guest
@@ -131,7 +131,6 @@ struct CacheEntry {
   CacheKey Key;
   CachedTranslation T;
   std::atomic<uint64_t> Leases{0};
-  std::atomic<uint64_t> Hits{0};
   uint64_t Seq = 0; ///< insertion order within the shard (FIFO evict)
 };
 } // namespace detail
@@ -155,17 +154,18 @@ public:
   void release();
 
 private:
-  friend class SharedTranslationCache;
+  friend class TranslationService;
   explicit TranslationLease(std::shared_ptr<detail::CacheEntry> E)
       : E(std::move(E)) {}
   std::shared_ptr<detail::CacheEntry> E;
 };
 
-/// The sharded, refcounted translation cache.  All methods are
+/// The sharded, refcounted translation cache: the single object an
+/// EngineConfig points at (EngineConfig::Service).  All methods are
 /// thread-safe; each shard has its own mutex and open-addressing is
 /// left to std::unordered_map keyed by CacheKey::Lo (full 128-bit key
-/// compared on probe).
-class SharedTranslationCache {
+/// compared on probe).  Must outlive every engine using it.
+class TranslationService {
 public:
   struct Config {
     /// Lock shards (clamped to 1..64).
@@ -177,8 +177,8 @@ public:
     uint64_t MaxEntries = 0;
   };
 
-  SharedTranslationCache() : SharedTranslationCache(Config{8, 0}) {}
-  explicit SharedTranslationCache(Config C);
+  TranslationService() : TranslationService(Config{8, 0}) {}
+  explicit TranslationService(Config C);
 
   /// Look up \p Key; on a hit returns a live lease (and counts a hit),
   /// on a miss returns an empty lease (and counts a miss).
@@ -215,9 +215,10 @@ public:
   /// validated first — magic, version, payload checksum, and per-entry
   /// structural bounds — and rejected atomically on any mismatch: a
   /// truncated or bit-flipped artifact changes nothing and returns
-  /// false with \p Err describing the defect.  \p Loaded, when
-  /// non-null, receives the number of entries merged.
-  bool load(const std::string &Path, uint64_t *Loaded = nullptr,
+  /// false with \p Err describing the defect.  On success emits one
+  /// `cache.load` event (A = entries merged, B = resident cache
+  /// footprint in bytes after the merge) into \p Sink when provided.
+  bool load(const std::string &Path, obs::TraceSink *Sink = nullptr,
             std::string *Err = nullptr);
 
   /// On-disk format version written by save().  Version 2 appended the
@@ -234,57 +235,21 @@ private:
   Shard &shardFor(const CacheKey &Key) {
     return Shards[Key.Lo % Shards.size()];
   }
-  const Shard &shardFor(const CacheKey &Key) const {
-    return Shards[Key.Lo % Shards.size()];
-  }
   /// Insert under the shard lock; returns the resident entry (existing
   /// one on a key race) and bumps \p Evicted per eviction.
   std::shared_ptr<detail::CacheEntry>
   insertLocked(Shard &S, const CacheKey &Key, CachedTranslation &&T,
                uint64_t &Evicted);
 
-  Config Cfg;
+  /// Sum \p F over every resident entry, each shard under its lock.
+  template <typename Fn> uint64_t sumEntries(Fn F) const;
+
   std::vector<Shard> Shards;
   uint64_t PerShardCap = 0; ///< ceil(MaxEntries / Shards), 0 = unbounded
   std::atomic<uint64_t> StatHits{0};
   std::atomic<uint64_t> StatMisses{0};
   std::atomic<uint64_t> StatInserts{0};
   std::atomic<uint64_t> StatEvictions{0};
-};
-
-/// The process-wide serving front-end: owns the shared cache and is the
-/// single object an EngineConfig points at (EngineConfig::Service).
-/// Thread-safe; must outlive every engine using it.
-class TranslationService {
-public:
-  struct Config {
-    SharedTranslationCache::Config Cache;
-  };
-
-  explicit TranslationService(Config C = Config()) : C(C.Cache) {}
-
-  TranslationLease acquire(const CacheKey &Key) { return C.acquire(Key); }
-  TranslationLease publish(const CacheKey &Key, CachedTranslation T,
-                           uint64_t *Evicted = nullptr) {
-    return C.publish(Key, std::move(T), Evicted);
-  }
-
-  /// Persist the cache to \p Path (see SharedTranslationCache::save).
-  bool save(const std::string &Path, std::string *Err = nullptr) const {
-    return C.save(Path, Err);
-  }
-  /// Warm the cache from \p Path.  On success emits one `cache.load`
-  /// event (A = entries merged, B = resident cache footprint in bytes
-  /// after the merge) into \p Sink when provided; a corrupt artifact is
-  /// rejected whole and nothing is emitted.
-  bool load(const std::string &Path, obs::TraceSink *Sink = nullptr,
-            std::string *Err = nullptr);
-
-  SharedTranslationCache &cache() { return C; }
-  const SharedTranslationCache &cache() const { return C; }
-
-private:
-  SharedTranslationCache C;
 };
 
 } // namespace dbt

@@ -30,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -334,6 +335,73 @@ TEST(ChaosEngineTest, FlushCeilingAbortsAsCacheThrash) {
   EXPECT_EQ(R.Error, dbt::RunError::CacheThrash);
 }
 
+namespace {
+
+/// Sees an unchain that did not stick while the write barrier retires a
+/// victim: a rolled-back patch after `smc.invalidate` and before the
+/// victim's inline-cache ways are retired (unchains come first) or any
+/// other event.  With the verifier on, the barrier ends in a
+/// `verify.pass`, so a later patch cannot be mistaken for one of its own.
+class SmcUnlinkFailureProbe final : public obs::TraceSink {
+public:
+  void emit(const obs::TraceEvent &E) override {
+    switch (E.Kind) {
+    case obs::TraceEventKind::SmcInvalidate:
+      InRetire = true;
+      break;
+    case obs::TraceEventKind::BlockInvalidated:
+    case obs::TraceEventKind::TraceDeopt:
+    case obs::TraceEventKind::PatchRepaired:
+    case obs::TraceEventKind::ChaosInjected:
+      break;
+    case obs::TraceEventKind::PatchRolledBack:
+      Seen |= InRetire;
+      break;
+    default:
+      InRetire = false;
+    }
+  }
+  bool Seen = false;
+
+private:
+  bool InRetire = false;
+};
+
+} // namespace
+
+TEST(ChaosEngineTest, FailedUnlinkDuringSmcInvalidationAborts) {
+  // A stale branch into superseded code reaches equivalent instructions
+  // and may stay quarantined, but one into code whose guest bytes were
+  // just rewritten reaches old semantics with no trap to catch it: the
+  // barrier must abort with PatchFailed.
+  const std::vector<workloads::HostileProgram> Catalog =
+      workloads::hostileCatalog();
+  auto Phase = std::find_if(Catalog.begin(), Catalog.end(),
+                            [](const workloads::HostileProgram &H) {
+                              return H.Name == "smc.phase";
+                            });
+  ASSERT_NE(Phase, Catalog.end());
+  unsigned Hits = 0;
+  for (uint64_t Seed = 1; Seed <= 64; ++Seed) {
+    chaos::FaultPlan Plan;
+    Plan.Seed = Seed;
+    Plan.PatchDropRate = 0.5;
+    Plan.MaxInjections = 0;
+    SmcUnlinkFailureProbe Probe;
+    dbt::EngineConfig Config;
+    Config.Verify = true;
+    Config.Trace = &Probe;
+    mda::DpehPolicy Policy(10);
+    dbt::RunResult R = runChaos(Phase->Image, Policy, Plan, Config);
+    if (!Probe.Seen)
+      continue;
+    ++Hits;
+    EXPECT_EQ(R.Error, dbt::RunError::PatchFailed) << "seed " << Seed;
+  }
+  EXPECT_GT(Hits, 0u) << "no campaign failed an unlink during SMC "
+                         "invalidation; widen the seed range";
+}
+
 // ---- determinism and randomized mini-soak ----------------------------------
 
 TEST(ChaosEngineTest, CampaignsReplayBitIdentically) {
@@ -582,7 +650,7 @@ TEST(ChaosEngineTest, DisabledPlanLeavesRunUntouched) {
 // into one tenant's run may degrade THAT tenant -- typed abort or
 // bit-identical completion, as above -- but can never retire, corrupt,
 // or leak into translations other tenants reach through the same
-// SharedTranslationCache, and can never strand a lease.
+// TranslationService, and can never strand a lease.
 
 namespace {
 
@@ -634,7 +702,7 @@ TEST(ChaosServingTest, ChaosTenantCannotRetireOtherTenantsEntries) {
   // A well-behaved tenant warms the shared cache.
   dbt::RunResult Warm0 = runServed(Clean, servedEh(), sharedConfig(&Service));
   expectMatchesOracle(Warm0, O, "clean tenant, cold");
-  uint64_t Entries = Service.cache().entries();
+  uint64_t Entries = Service.entries();
   ASSERT_GT(Entries, 0u);
 
   // A hostile tenant hammers the same service with torn patches, dropped
@@ -656,14 +724,14 @@ TEST(ChaosServingTest, ChaosTenantCannotRetireOtherTenantsEntries) {
 
   // The clean tenant's translations are still resident: a re-run is
   // all hits, and still bit-identical to the interpreter oracle.
-  EXPECT_GE(Service.cache().entries(), Entries)
+  EXPECT_GE(Service.entries(), Entries)
       << "chaos tenant retired shared entries";
   dbt::RunResult Warm1 = runServed(Clean, servedEh(), sharedConfig(&Service));
   expectMatchesOracle(Warm1, O, "clean tenant, after chaos neighbour");
   EXPECT_EQ(Warm1.Counters.get("cache.misses"), 0u)
       << "chaos tenant forced re-translation of a clean tenant";
   EXPECT_GT(Warm1.Counters.get("cache.hits"), 0u);
-  EXPECT_EQ(Service.cache().liveLeases(), 0u) << "lease leak";
+  EXPECT_EQ(Service.liveLeases(), 0u) << "lease leak";
 }
 
 TEST(ChaosServingTest, EntriesPublishedUnderChaosAreSafeToReuse) {
@@ -682,7 +750,7 @@ TEST(ChaosServingTest, EntriesPublishedUnderChaosAreSafeToReuse) {
   dbt::RunResult RChaos =
       runServedChaos(Image, servedEh(), Plan, sharedConfig(&Service));
   EXPECT_GT(RChaos.Counters.get("chaos.injected"), 0u);
-  EXPECT_EQ(Service.cache().liveLeases(), 0u) << "lease leak";
+  EXPECT_EQ(Service.liveLeases(), 0u) << "lease leak";
 
   dbt::EngineConfig Isolated = sharedConfig(nullptr);
   dbt::RunResult Expected = runServed(Image, servedEh(), Isolated);
@@ -693,7 +761,7 @@ TEST(ChaosServingTest, EntriesPublishedUnderChaosAreSafeToReuse) {
   // Reusing entries is cheaper than translating, never dearer: modeled
   // cycles may only drop relative to the isolated tenant.
   EXPECT_LE(RClean.Cycles, Expected.Cycles);
-  EXPECT_EQ(Service.cache().liveLeases(), 0u) << "lease leak";
+  EXPECT_EQ(Service.liveLeases(), 0u) << "lease leak";
 }
 
 TEST(ChaosServingTest, ConcurrentChaosAndCleanTenantsDoNotBleed) {
@@ -748,5 +816,5 @@ TEST(ChaosServingTest, ConcurrentChaosAndCleanTenantsDoNotBleed) {
       }
     }
   }
-  EXPECT_EQ(Service.cache().liveLeases(), 0u) << "lease leak";
+  EXPECT_EQ(Service.liveLeases(), 0u) << "lease leak";
 }

@@ -8,14 +8,19 @@
 /// Tests for code-cache capacity flushes and Dynamo-style
 /// flush-on-supersede (paper section IV-C contrasts DigitalBridge's
 /// block-granularity invalidation with Dynamo's whole-cache flush).
-/// Every configuration must preserve differential correctness.
+/// Every configuration must preserve differential correctness.  The
+/// CodeCacheUnitTest suite drives dbt::CodeCache directly, without an
+/// engine.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "RandomProgram.h"
 #include "TestUtil.h"
 
+#include "analysis/HostVerifier.h"
+#include "dbt/CodeCache.h"
 #include "dbt/TranslationService.h"
+#include "dbt/Translator.h"
 #include "host/CodeSpace.h"
 #include "host/HostAssembler.h"
 #include "host/HostMachine.h"
@@ -492,4 +497,212 @@ TEST(CodeCacheTest, PatchedWordExecutesOnRetry) {
   for (uint32_t I = 0; I != Iters; ++I)
     Sum += Quad;
   EXPECT_EQ(Machine.R[4], Sum);
+}
+
+//===----------------------------------------------------------------------===//
+// CodeCache without an engine: translations the Translator emits for a
+// four-block guest program, installed, chained and retired directly.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+const uint32_t SrvExitWord =
+    host::encodeHost(host::srvInst(host::SrvFunc::Exit));
+const uint32_t IcDisabledGuard = host::encodeHost(
+    host::brInst(host::HostOp::Br, host::RegZero,
+                 static_cast<int32_t>(dbt::IcWayWords) - 1));
+
+/// Four small blocks on one 64-byte watch page:
+///   0: ldl r3, [r4]; jmp 1   (a trapping-capable load, a direct exit)
+///   1: addi r1, 1; jmpr r2   (an indirect exit with inline-cache ways)
+///   2: addi r1, 2; jmpr r2   (the same)
+///   3: addi r1, 3; jmp 1     (a direct exit)
+struct CacheHarness {
+  CacheHarness()
+      : Cache(Code, Mem, obs::Tracer(), /*PatchFailureLimit=*/0,
+              [this] { ++PatchAborts; }) {
+    guest::ProgramBuilder B("codecache-unit");
+    guest::ProgramBuilder::Label One = B.newLabel();
+    Pc[0] = B.codeAddress();
+    B.ldl(3, guest::mem(4, 0));
+    B.jmp(One);
+    Pc[1] = B.codeAddress();
+    B.bind(One);
+    B.addi(1, 1);
+    B.jmpr(2);
+    Pc[2] = B.codeAddress();
+    B.addi(1, 2);
+    B.jmpr(2);
+    Pc[3] = B.codeAddress();
+    B.addi(1, 3);
+    B.jmp(One);
+    End = B.codeAddress();
+    Mem.loadImage(B.build());
+    Mem.setWriteWatcher([](uint32_t, unsigned) {});
+  }
+
+  /// Translate block \p I at the arena tail (every site Normal, two
+  /// inline-cache ways per indirect exit) without installing it.
+  dbt::Translation &translate(unsigned I) {
+    dbt::TranslationOpts Opts;
+    Opts.IcWays = 2;
+    return Cache.add(Trans.translate(
+        dbt::discoverBlock(Mem, Pc[I]),
+        [](uint32_t, const guest::GuestInst &) { return dbt::MemPlan::Normal; },
+        0, Opts));
+  }
+
+  dbt::Translation &place(dbt::Translation &T) {
+    Cache.install(T, 0);
+    Cache.map(T);
+    return T;
+  }
+
+  dbt::Translation &install(unsigned I) { return place(translate(I)); }
+
+  /// Chain \p Src's direct exit to \p Target; returns the exit word.
+  uint32_t chain(dbt::Translation &Src, dbt::Translation &Target) {
+    for (dbt::ExitSite &X : Src.Exits) {
+      if (X.Direct && X.TargetGuestPc == Target.GuestPc) {
+        EXPECT_TRUE(Cache.chain(X.SrvWord, Target));
+        X.Chained = true;
+        return X.SrvWord;
+      }
+    }
+    ADD_FAILURE() << "no direct exit to " << Target.GuestPc;
+    return 0;
+  }
+
+  guest::GuestMemory Mem;
+  host::CodeSpace Code;
+  dbt::Translator Trans{Code};
+  uint32_t PatchAborts = 0;
+  dbt::CodeCache Cache;
+  uint32_t Pc[4] = {};
+  uint32_t End = 0;
+};
+
+using Victims = std::vector<dbt::Translation *>;
+
+} // namespace
+
+TEST(CodeCacheUnitTest, RetireUnlinksChainsAndInlineCaches) {
+  CacheHarness H;
+  dbt::Translation &A = H.install(0);
+  dbt::Translation &B = H.install(1);
+  dbt::Translation &C = H.install(2);
+  dbt::Translation &D = H.install(3);
+  uint32_t FromA = H.chain(A, B);
+  uint32_t FromD = H.chain(D, B);
+  uint32_t Way = 0;
+  ASSERT_EQ(H.Cache.fillIc(C, 0, B, Way), dbt::CodeCache::IcFill::Filled);
+  ASSERT_NE(H.Code.word(FromA), SrvExitWord);
+  ASSERT_NE(H.Code.word(Way), IcDisabledGuard);
+  EXPECT_EQ(H.Cache.lookup(H.Pc[1]), &B);
+
+  EXPECT_TRUE(H.Cache.retire(B));
+  EXPECT_EQ(H.Code.word(FromA), SrvExitWord);
+  EXPECT_EQ(H.Code.word(FromD), SrvExitWord);
+  EXPECT_EQ(H.Code.word(Way), IcDisabledGuard);
+  EXPECT_FALSE(C.IcSites[0].Ways[0].Filled);
+  EXPECT_EQ(H.Cache.stats().IcEvictions, 1u);
+  EXPECT_EQ(H.Cache.lookup(H.Pc[1]), nullptr);
+  EXPECT_EQ(H.Cache.lookup(H.Pc[0]), &A);
+  // The dead body stays resolvable (a trap may still be in flight from
+  // it) until the arena is flushed.
+  uint32_t BEntry = B.EntryWord;
+  EXPECT_EQ(H.Cache.owner(BEntry), &B);
+  EXPECT_EQ(H.PatchAborts, 0u);
+  H.Cache.flush();
+  EXPECT_EQ(H.Cache.owner(BEntry), nullptr);
+}
+
+TEST(CodeCacheUnitTest, DroppedUnchainIsQuarantinedAndReported) {
+  CacheHarness H;
+  dbt::Translation &A = H.install(0);
+  dbt::Translation &B = H.install(1);
+  uint32_t FromA = H.chain(A, B);
+  uint32_t Chained = H.Code.word(FromA);
+  // Every write of `srv Exit` is dropped; the rollback write is not.
+  H.Code.setPatchHook(
+      [](uint32_t, uint32_t &W) { return W != SrvExitWord; });
+
+  EXPECT_FALSE(H.Cache.retire(B));
+  EXPECT_TRUE(H.Cache.quarantined(FromA));
+  EXPECT_EQ(H.Code.word(FromA), Chained); // rolled back, still intact
+  EXPECT_EQ(H.Cache.stats().PatchFailures, 1u);
+  EXPECT_EQ(H.PatchAborts, 0u); // the rollback stuck and no limit is set
+  // The verifier excuses the quarantined word until the next flush.
+  EXPECT_TRUE(analysis::verifyCodeSpace(H.Code, H.Cache.verifierInput()).ok());
+  H.Cache.flush();
+  EXPECT_FALSE(H.Cache.quarantined(FromA));
+}
+
+TEST(CodeCacheUnitTest, FlushEmptiesArenaAndWatches) {
+  CacheHarness H;
+  for (unsigned I = 0; I != 4; ++I)
+    H.install(I);
+  EXPECT_GT(H.Mem.watchedPages(), 0u);
+  // A retired translation was unwatched already; flush must not unwatch
+  // it twice.
+  H.Cache.retire(*H.Cache.lookup(H.Pc[2]));
+  H.Cache.flush();
+  EXPECT_EQ(H.Code.size(), 0u);
+  EXPECT_EQ(H.Cache.size(), 0u);
+  EXPECT_EQ(H.Mem.watchedPages(), 0u);
+  for (uint32_t Pc : H.Pc)
+    EXPECT_EQ(H.Cache.lookup(Pc), nullptr);
+}
+
+TEST(CodeCacheUnitTest, OverlapQueryIsByteExactAndOrderedByEntry) {
+  CacheHarness H;
+  constexpr uint32_t Shift = guest::GuestMemory::WatchPageShift;
+  ASSERT_EQ(H.Pc[0] >> Shift, (H.End - 1) >> Shift)
+      << "the four blocks must share one watch page";
+  dbt::Translation &B = H.translate(1);
+  dbt::Translation &C = H.translate(2);
+  dbt::Translation &A = H.translate(0);
+  // Installed out of entry order, so the page index lists them so too.
+  H.place(C);
+  H.place(A);
+  H.place(B);
+
+  // A store inside block 1 hits only its translation: the neighbours
+  // share the watch page but not the bytes.
+  EXPECT_EQ(H.Cache.overlapping(H.Pc[1], 1), Victims{&B});
+  // A store across the 1/2 boundary hits both, by entry word.
+  EXPECT_EQ(H.Cache.overlapping(H.Pc[2] - 2, 4), (Victims{&B, &C}));
+  EXPECT_TRUE(H.Cache.overlapping(H.End, 4).empty());
+  // Retired translations are no longer victims.
+  H.Cache.retire(B);
+  EXPECT_EQ(H.Cache.overlapping(H.Pc[2] - 2, 4), Victims{&C});
+}
+
+TEST(CodeCacheUnitTest, VerifierInputOfChainedPairAndStubPasses) {
+  CacheHarness H;
+  dbt::Translation &A = H.install(0);
+  dbt::Translation &B = H.install(1);
+  H.chain(A, B);
+  // Redirect block 0's load to an MDA stub, the way the exception
+  // handler does.
+  ASSERT_EQ(A.MemWordToGuestPc.size(), 1u);
+  uint32_t Fault = A.MemWordToGuestPc.begin()->first;
+  host::HostInst Load;
+  ASSERT_TRUE(host::decodeHost(H.Code.word(Fault), Load));
+  dbt::Translator::StubInfo S = H.Trans.emitStub(Load, Fault);
+  ASSERT_TRUE(H.Cache.patchVerified(
+      Fault, dbt::Translator::stubBranchWord(Fault, S.Entry)));
+  A.PatchedWords.push_back(Fault);
+  A.MemWordToGuestPc.erase(Fault);
+  H.Cache.addStub(S.Entry, S.End, A);
+  EXPECT_EQ(H.Cache.owner(S.Entry), &A);
+
+  analysis::VerifierInput In = H.Cache.verifierInput();
+  ASSERT_EQ(In.Blocks.size(), 2u);
+  ASSERT_EQ(In.Blocks[0].Stubs.size(), 1u);
+  analysis::VerifyReport R = analysis::verifyCodeSpace(H.Code, In);
+  EXPECT_TRUE(R.ok()) << analysis::verifyIssueToString(R.Issues.front());
+  // Without the stub region the patched branch lands nowhere live.
+  In.Blocks[0].Stubs.clear();
+  EXPECT_FALSE(analysis::verifyCodeSpace(H.Code, In).ok());
 }

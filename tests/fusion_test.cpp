@@ -478,14 +478,14 @@ TEST(FusionServingTest, RuleMaskIsPartOfTheContentKey) {
       runWith(Image, ehSpec(),
               servingFusionConfig(&Service, FusionMaskAll));
   EXPECT_EQ(On.Counters.get("cache.hits"), 0u);
-  uint64_t AfterOn = Service.cache().entries();
+  uint64_t AfterOn = Service.entries();
   ASSERT_GT(AfterOn, 0u);
   // A fusion-off tenant must never be served differently-fused words.
   dbt::RunResult Off =
       runWith(Image, ehSpec(), servingFusionConfig(&Service, 0));
   EXPECT_EQ(Off.Counters.get("cache.hits"), 0u)
       << "fusion-off run aliased a fused cache entry";
-  EXPECT_GT(Service.cache().entries(), AfterOn);
+  EXPECT_GT(Service.entries(), AfterOn);
   // Same mask again: full hits.
   dbt::RunResult On2 =
       runWith(Image, ehSpec(),
@@ -493,7 +493,7 @@ TEST(FusionServingTest, RuleMaskIsPartOfTheContentKey) {
   EXPECT_GT(On2.Counters.get("cache.hits"), 0u);
   EXPECT_EQ(On2.Counters.get("cache.misses"), 0u);
   expectSameArchState(On2, On, "warm fused serving");
-  EXPECT_EQ(Service.cache().liveLeases(), 0u) << "lease leak";
+  EXPECT_EQ(Service.liveLeases(), 0u) << "lease leak";
 }
 
 TEST(FusionServingTest, FusedTranslationsRoundTripThroughDisk) {

@@ -120,7 +120,7 @@ TEST(CacheKeyTest, ContentSensitivity) {
 // -- lease / refcount lifecycle ---------------------------------------------
 
 TEST(SharedCacheTest, LeaseRefcountLifecycle) {
-  dbt::SharedTranslationCache Cache;
+  dbt::TranslationService Cache;
   dbt::CachedTranslation T;
   T.GuestPc = 0x1000;
   T.Words = {1, 2, 3};
@@ -150,7 +150,7 @@ TEST(SharedCacheTest, LeaseRefcountLifecycle) {
 }
 
 TEST(SharedCacheTest, FirstWriterWinsOnKeyRace) {
-  dbt::SharedTranslationCache Cache;
+  dbt::TranslationService Cache;
   dbt::CacheKey Key = dbt::cacheKeyFromBytes(
       reinterpret_cast<const uint8_t *>("dup"), 3);
   dbt::CachedTranslation A;
@@ -167,10 +167,10 @@ TEST(SharedCacheTest, FirstWriterWinsOnKeyRace) {
 }
 
 TEST(SharedCacheTest, LeasedEntriesAreNeverEvicted) {
-  dbt::SharedTranslationCache::Config Cfg;
+  dbt::TranslationService::Config Cfg;
   Cfg.Shards = 1;
   Cfg.MaxEntries = 2;
-  dbt::SharedTranslationCache Cache(Cfg);
+  dbt::TranslationService Cache(Cfg);
   auto KeyOf = [](uint8_t I) {
     return dbt::cacheKeyFromBytes(&I, 1);
   };
@@ -208,8 +208,8 @@ TEST(ServingTest, ColdRunIdenticalToIsolatedEngine) {
   EXPECT_EQ(RIso.Cycles, RCold.Cycles);
   EXPECT_EQ(RCold.Counters.get("cache.hits"), 0u);
   EXPECT_EQ(RCold.Counters.get("cache.misses"),
-            Service.cache().inserts());
-  EXPECT_EQ(Service.cache().liveLeases(), 0u) << "lease leak";
+            Service.inserts());
+  EXPECT_EQ(Service.liveLeases(), 0u) << "lease leak";
 }
 
 TEST(ServingTest, WarmRunHitsEverythingAndSkipsTranslation) {
@@ -232,7 +232,7 @@ TEST(ServingTest, WarmRunHitsEverythingAndSkipsTranslation) {
   // translation cost: warm modeled translate-cycles must shrink.
   EXPECT_LT(RWarm.Counters.get("cycles.translate"),
             RCold.Counters.get("cycles.translate"));
-  EXPECT_EQ(Service.cache().liveLeases(), 0u) << "lease leak";
+  EXPECT_EQ(Service.liveLeases(), 0u) << "lease leak";
 }
 
 TEST(ServingTest, CapacityFlushReinstallsCachedCopiesAtNewBases) {
@@ -248,7 +248,7 @@ TEST(ServingTest, CapacityFlushReinstallsCachedCopiesAtNewBases) {
   expectMatchesOracle(R, O, "capacity-flush serving");
   EXPECT_GT(R.Counters.get("dbt.flushes"), 0u);
   EXPECT_GT(R.Counters.get("cache.hits"), 0u);
-  EXPECT_EQ(Service.cache().liveLeases(), 0u) << "lease leak";
+  EXPECT_EQ(Service.liveLeases(), 0u) << "lease leak";
 
   dbt::EngineConfig Isolated = Config;
   Isolated.Service = nullptr;
@@ -273,7 +273,7 @@ TEST(ServingTest, HostileSmcTenantsMatchOracleAndCannotPoison) {
   }
   dbt::RunResult R = runWith(Benign, dpehSpec(), servingConfig(&Service));
   expectMatchesOracle(R, BenignO, "benign tenant after hostile runs");
-  EXPECT_EQ(Service.cache().liveLeases(), 0u) << "lease leak";
+  EXPECT_EQ(Service.liveLeases(), 0u) << "lease leak";
 }
 
 TEST(ServingTest, ConcurrentMixedTenantsByteIdenticalToOracles) {
@@ -317,9 +317,9 @@ TEST(ServingTest, ConcurrentMixedTenantsByteIdenticalToOracles) {
     for (unsigned R = 0; R != RoundsPerThread; ++R)
       expectSameRun(Got[TI][R], Tenants[(TI + R) % Tenants.size()].Expected,
                     "concurrent tenant");
-  EXPECT_EQ(Service.cache().liveLeases(), 0u)
+  EXPECT_EQ(Service.liveLeases(), 0u)
       << "refcount leak at shutdown";
-  EXPECT_GT(Service.cache().hits(), 0u);
+  EXPECT_GT(Service.hits(), 0u);
 }
 
 // -- disk persistence --------------------------------------------------------
@@ -332,7 +332,7 @@ const char *ArtifactPath = "serving_test_cache.bin";
 void warmService(dbt::TranslationService &Service) {
   guest::GuestImage Image = misalignedSumProgram(4000);
   runWith(Image, ehSpec(), servingConfig(&Service));
-  ASSERT_GT(Service.cache().entries(), 0u);
+  ASSERT_GT(Service.entries(), 0u);
 }
 
 std::vector<uint8_t> slurp(const char *Path) {
@@ -365,10 +365,9 @@ TEST(ServingPersistTest, DiskWarmedStartPerformsNoRetranslation) {
   ASSERT_TRUE(Producer.save(ArtifactPath, &Err)) << Err;
 
   dbt::TranslationService Consumer;
-  uint64_t Before = Consumer.cache().entries();
+  uint64_t Before = Consumer.entries();
   ASSERT_TRUE(Consumer.load(ArtifactPath, nullptr, &Err)) << Err;
-  EXPECT_EQ(Consumer.cache().entries() - Before,
-            Producer.cache().entries());
+  EXPECT_EQ(Consumer.entries() - Before, Producer.entries());
 
   guest::GuestImage Image = misalignedSumProgram(4000);
   Oracle O = interpretOracle(Image);
@@ -409,7 +408,7 @@ TEST(ServingPersistTest, CorruptArtifactsAreRejectedWhole) {
     EXPECT_FALSE(Err.empty()) << What;
     // Atomic rejection: nothing was merged, so nothing corrupt can
     // ever be executed.
-    EXPECT_EQ(Victim.cache().entries(), 0u) << What;
+    EXPECT_EQ(Victim.entries(), 0u) << What;
   };
 
   // Truncation (header survives, payload short).
@@ -438,6 +437,47 @@ TEST(ServingPersistTest, CorruptArtifactsAreRejectedWhole) {
   spit(ArtifactPath, Good);
   dbt::TranslationService Ok;
   EXPECT_TRUE(Ok.load(ArtifactPath));
-  EXPECT_EQ(Ok.cache().entries(), Producer.cache().entries());
+  EXPECT_EQ(Ok.entries(), Producer.entries());
+  std::remove(ArtifactPath);
+}
+
+// A save() of a hand-built entry passes every checksum, so the per-entry
+// bounds are all that keeps metadata no translator emits away from the
+// install path.
+TEST(ServingPersistTest, OutOfRangeMetadataIsRejectedWhole) {
+  auto Load = [](const dbt::CachedTranslation &T, std::string &Err) {
+    dbt::TranslationService Producer;
+    Producer.publish(dbt::CacheKey{1, 2}, T);
+    EXPECT_TRUE(Producer.save(ArtifactPath));
+    dbt::TranslationService Victim;
+    bool Ok = Victim.load(ArtifactPath, nullptr, &Err);
+    EXPECT_EQ(Victim.entries(), Ok ? 1u : 0u);
+    return Ok;
+  };
+  dbt::CachedTranslation Base;
+  Base.GuestPc = 0x1000;
+  Base.Words.assign(16, 0);
+  std::string Err;
+
+  // An inline-cache way must fit inside the entry's words: a begin of
+  // 0xFFFFFFFF would wrap a naive end check and put the way at the word
+  // before the entry, inside the previous translation.
+  dbt::CachedTranslation WrappedWay = Base;
+  WrappedWay.IcSites.push_back({0, {0xFFFFFFFFu}});
+  EXPECT_FALSE(Load(WrappedWay, Err));
+  EXPECT_EQ(Err, "malformed entry");
+  // A guest range must end inside the guest address space, or installing
+  // the entry would watch pages past the write-watch table.
+  dbt::CachedTranslation FarRange = Base;
+  FarRange.GuestRanges.push_back({0x1000, 0xFFFFFFF0u});
+  EXPECT_FALSE(Load(FarRange, Err));
+  EXPECT_EQ(Err, "malformed entry");
+
+  // The boundaries themselves stay valid.
+  dbt::CachedTranslation Edge = Base;
+  Edge.IcSites.push_back({0, {16 - dbt::IcWayWords}});
+  Edge.GuestRanges.push_back({0x1000, guest::layout::MemorySize});
+  Err.clear();
+  EXPECT_TRUE(Load(Edge, Err)) << Err;
   std::remove(ArtifactPath);
 }

@@ -13,10 +13,15 @@
 # Anything else crossing the map upward or sideways is a back-edge and
 # fails the lint, so a new violation cannot land silently.
 #
+# Inside dbt, the per-run code cache (dbt/CodeCache.*) sits below the
+# engine: it may not include dbt/Engine.h, dbt/Policy.h,
+# dbt/AotTranslator.h, dbt/TranslationCapture.h, or any chaos/ or mda/
+# header.
+#
 # Usage: check_layering.sh [--self-test] [src-dir]
-#   --self-test: build a synthetic tree containing a back-edge and
-#   assert the lint demonstrably FAILS on it (the CI negative test),
-#   then exit 0.
+#   --self-test: build synthetic trees containing a back-edge and a
+#   forbidden code-cache edge, and assert the lint demonstrably FAILS on
+#   each (the CI negative test), then exit 0.
 set -u
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -51,6 +56,15 @@ allowed_exception() { # $1 = file relative to src dir, $2 = included header
   return 1
 }
 
+forbidden_edge() { # $1 = file relative to src dir, $2 = included header
+  case "$1:$2" in
+  dbt/CodeCache.*:dbt/Engine.h | dbt/CodeCache.*:dbt/Policy.h) return 0 ;;
+  dbt/CodeCache.*:dbt/AotTranslator.h | dbt/CodeCache.*:dbt/TranslationCapture.h) return 0 ;;
+  dbt/CodeCache.*:chaos/* | dbt/CodeCache.*:mda/*) return 0 ;;
+  esac
+  return 1
+}
+
 # Lint one src tree; prints violations, returns the violation count.
 lint_tree() { # $1 = src dir
   local src="$1" violations=0 checked=0
@@ -66,6 +80,11 @@ lint_tree() { # $1 = src dir
       to="${target%%/*}"
       [ -d "$src/$to" ] || continue # not a layer (e.g. gtest/ headers)
       checked=$((checked + 1))
+      if forbidden_edge "$rel" "$target"; then
+        echo "::error file=src/$rel,line=$lineno ::layering: $rel includes \"$target\"; the code cache may not depend on the engine, policies, AOT, capture, chaos or mda"
+        violations=$((violations + 1))
+        continue
+      fi
       [ "$to" = "$from" ] && continue
       if allowed_exception "$rel" "$target"; then
         continue
@@ -80,23 +99,29 @@ lint_tree() { # $1 = src dir
   return "$violations"
 }
 
+# Exit 1 unless the lint fails on a synthetic tree in which $2 (a path
+# under src/) includes "$3".
+expect_caught() { # $1 = scratch dir, $2 = planted file, $3 = its include
+  local src="$1/src"
+  rm -rf "$src"
+  mkdir -p "$src/guest" "$src/dbt" "$src/support"
+  echo '#include "support/Format.h"' > "$src/dbt/Engine.h"
+  echo "#include \"$3\"" > "$src/$2"
+  if lint_tree "$src" > /dev/null 2>&1; then
+    echo "check_layering: self-test FAILED ($2 -> $3 was not caught)" >&2
+    exit 1
+  fi
+}
+
 self_test() {
   local tmp
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT
-  mkdir -p "$tmp/src/guest" "$tmp/src/dbt" "$tmp/src/support"
-  cat > "$tmp/src/dbt/Engine.h" <<'EOF'
-#include "support/Format.h"
-EOF
-  # The synthetic back-edge: guest reaching up into the engine.
-  cat > "$tmp/src/guest/Bad.h" <<'EOF'
-#include "dbt/Engine.h"
-EOF
-  if lint_tree "$tmp/src" > /dev/null 2>&1; then
-    echo "check_layering: self-test FAILED (synthetic guest -> dbt back-edge was not caught)" >&2
-    exit 1
-  fi
-  echo "check_layering: self-test ok (synthetic back-edge caught)"
+  # A back-edge: guest reaching up into the engine.
+  expect_caught "$tmp" guest/Bad.h dbt/Engine.h
+  # A same-layer edge the code cache may not take.
+  expect_caught "$tmp" dbt/CodeCache.h dbt/Engine.h
+  echo "check_layering: self-test ok (synthetic back-edge and code-cache edge caught)"
   exit 0
 }
 
