@@ -180,8 +180,9 @@ void BM_MdaStubGeneration(benchmark::State &State) {
     host::CodeSpace Code;
     dbt::Translator Trans(Code);
     for (int I = 0; I != 64; ++I) {
-      dbt::Translator::StubInfo S = Trans.emitStub(Faulting, 0);
-      benchmark::DoNotOptimize(S.End);
+      std::optional<dbt::Translator::StubInfo> S =
+          Trans.emitStub(Faulting, 0);
+      benchmark::DoNotOptimize(S->End);
     }
     Count += 64;
   }

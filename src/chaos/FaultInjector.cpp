@@ -34,8 +34,7 @@ bool FaultInjector::fire(double Rate, InjectKind Kind) {
     return false;
   if (Rng.unit() >= Rate)
     return false;
-  ++Injected;
-  notify(Kind);
+  record(Kind);
   return true;
 }
 
@@ -45,13 +44,11 @@ PatchFault FaultInjector::patchFault() {
     return PatchFault::None;
   double U = Rng.unit();
   if (U < Plan.PatchDropRate) {
-    ++Injected;
-    notify(InjectKind::PatchDrop);
+    record(InjectKind::PatchDrop);
     return PatchFault::Drop;
   }
   if (U < Plan.PatchDropRate + Plan.PatchTornRate) {
-    ++Injected;
-    notify(InjectKind::PatchTorn);
+    record(InjectKind::PatchTorn);
     return PatchFault::Torn;
   }
   return PatchFault::None;
@@ -61,8 +58,7 @@ bool FaultInjector::translateFails() {
   ++TranslationAttempts;
   if (Plan.TranslateFailAt != 0 &&
       TranslationAttempts == Plan.TranslateFailAt && budgetLeft()) {
-    ++Injected;
-    notify(InjectKind::TranslateFail);
+    record(InjectKind::TranslateFail);
     return true;
   }
   return fire(Plan.TranslateFailRate, InjectKind::TranslateFail);

@@ -18,6 +18,7 @@
 #include "chaos/FaultPlan.h"
 #include "support/RNG.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 
@@ -84,13 +85,20 @@ public:
 
   /// Total events injected so far.
   uint64_t injected() const { return Injected; }
+  /// Events of kind \p Kind injected so far (the chaos.* counters).
+  uint64_t injected(InjectKind Kind) const {
+    return PerKind[static_cast<size_t>(Kind)];
+  }
 
 private:
   bool budgetLeft() const {
     return Plan.MaxInjections == 0 || Injected < Plan.MaxInjections;
   }
   bool fire(double Rate, InjectKind Kind);
-  void notify(InjectKind Kind) {
+  /// Count one fired injection and report it to the hook.
+  void record(InjectKind Kind) {
+    ++Injected;
+    ++PerKind[static_cast<size_t>(Kind)];
     if (Hook)
       Hook(Kind);
   }
@@ -99,6 +107,7 @@ private:
   RNG Rng;
   InjectionHook Hook;
   uint64_t Injected = 0;
+  uint64_t PerKind[static_cast<size_t>(InjectKind::FlushStorm) + 1] = {};
   uint64_t TranslationAttempts = 0;
 };
 

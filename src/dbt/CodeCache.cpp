@@ -6,7 +6,6 @@
 
 #include "dbt/CodeCache.h"
 
-#include "dbt/Translator.h"
 #include "host/HostAssembler.h"
 
 #include <algorithm>
@@ -34,18 +33,6 @@ uint32_t icDisabledGuardWord() {
 /// inline-cache branch words.
 uint32_t hostNopWord() {
   return encodeHost(opInst(HostOp::Bis, RegZero, RegZero, RegZero));
-}
-
-/// The `br` word that, placed at host word \p From, jumps to \p Entry
-/// (a chained exit, a redirected backedge, an inline-cache way's final
-/// branch); nullopt when \p Entry is out of branch range, and the
-/// caller keeps going through the monitor.
-std::optional<uint32_t> branchTo(uint32_t From, uint32_t Entry) {
-  int64_t Disp =
-      static_cast<int64_t>(Entry) - (static_cast<int64_t>(From) + 1);
-  if (Disp < -(1 << 20) || Disp >= (1 << 20))
-    return std::nullopt;
-  return Translator::stubBranchWord(From, Entry);
 }
 
 /// Visit every write-watch page of the guest bytes [Lo, Hi), Lo < Hi.

@@ -111,8 +111,9 @@ const char *aotModeName(AotMode M);
 /// operator can bound how much misbehaviour a run may absorb before it
 /// is reported as a typed failure instead.
 ///
-/// The watchdog's trap count, the per-block translate retries and the
-/// per-patch repair attempts are constants in ExecutionContext.cpp.
+/// The watchdog's trap count and the per-block translate retries are
+/// constants of the trap path (FaultPath.h); the per-patch repair
+/// attempts are a constant in CodeCache.cpp.
 struct HardeningConfig {
   /// Watchdog escalations tolerated before the run aborts (TrapStorm).
   uint32_t MaxWatchdogTrips = 256;

@@ -8,8 +8,8 @@
 /// The per-run layer of the serving architecture (docs/SERVING.md):
 /// Engine::run builds one ExecutionContext, which owns ALL mutable state
 /// of one guest run — guest memory and registers, the host code arena,
-/// trap/patch bookkeeping, SMC epochs, budgets, degradation-ladder
-/// state — and performs the run's monitor loop.
+/// the code cache, the trap path, SMC epochs, budgets — and performs the
+/// run's monitor loop.
 ///
 /// Every translation enters the arena through one pipeline.  obtain()
 /// produces it — translated locally by the stateless Translator or, when
@@ -19,9 +19,10 @@
 /// unit.  Either way the run installs a private copy in its own
 /// CodeSpace, so concurrent runs never share mutable code.
 ///
-/// The run's CodeCache owns the translations and every index over them;
-/// this file decides what to translate, retire, charge and verify, and
-/// reaches cache state only through it.
+/// The run's CodeCache owns the translations and every index over them,
+/// and its FaultPath owns the trap path and the degradation ledger; this
+/// file decides what to translate, retire, charge and verify, and
+/// reaches cache and trap state only through them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +34,7 @@
 #include "chaos/FaultInjector.h"
 #include "dbt/AotTranslator.h"
 #include "dbt/CodeCache.h"
+#include "dbt/FaultPath.h"
 #include "dbt/FusionRules.h"
 #include "dbt/GuestBlock.h"
 #include "dbt/TranslationCapture.h"
@@ -40,7 +42,6 @@
 #include "dbt/Translator.h"
 #include "guest/Encoding.h"
 #include "guest/Interpreter.h"
-#include "guest/MdaCensus.h"
 #include "host/HostMachine.h"
 #include "support/CacheModel.h"
 
@@ -68,14 +69,6 @@ constexpr uint32_t TraceMaxBlocks = 8;
 /// Formation attempts per head PC (bounds retry after de-opt).
 constexpr uint32_t TraceFormsPerHead = 8;
 
-// Degradation tolerances.
-/// Consecutive no-progress traps at one host word before the
-/// degradation ladder engages (the trap-storm watchdog).
-constexpr uint32_t WatchdogTrapK = 8;
-/// Failed translation attempts for one block before it is pinned
-/// interpret-only.
-constexpr uint32_t TranslateRetryLimit = 4;
-
 /// All per-run state of the engine: built fresh by every Engine::run.
 /// Implements TraceClock so every emitted event is stamped with the
 /// run's current modeled cycle count.
@@ -91,10 +84,10 @@ public:
         HTrapBlock(&Reg.histogram("trap.block_faults")),
         HInterpInsts(&Reg.histogram("interp.block_insts")),
         Cache(Code, Mem, Trace, Hard.PatchFailureLimit,
-              [this] { Abort = RunError::PatchFailed; }) {
+              [this] { Abort = RunError::PatchFailed; }),
+        Faults(Code, Mem, Cache, Policy, Trace, Hard.MaxWatchdogTrips) {
     Mem.loadImage(Image);
     Cpu.reset(Image);
-    Service = Config.Service;
     // Guest-code write barrier (self-modifying-code coherence): the
     // callback only fires for stores into pages backing live
     // translations, so runs that never execute natively never pay.
@@ -103,38 +96,31 @@ public:
     Mem.setWriteWatcher([this](uint32_t Addr, unsigned Size) {
       onGuestCodeStore(Addr, Size);
     });
-    if (Config.Analysis) {
-      // Static alignment inference over this run's own image copy (one
-      // run = one isolated world, so --jobs fan-out stays bit-exact).
-      // Like static profiling, the pass is modeled as offline work and
-      // its cycles are not charged to the run.
-      Ana.emplace(
-          analysis::analyzeAlignment(Mem, Image.Entry, Image.StackTop));
-      if (Trace.enabled()) {
-        std::vector<uint32_t> Pcs;
-        Pcs.reserve(Ana->Sites.size());
-        for (const auto &Entry : Ana->Sites)
-          Pcs.push_back(Entry.first);
-        std::sort(Pcs.begin(), Pcs.end());
-        for (uint32_t Pc : Pcs) {
-          const analysis::SiteInfo &Site = Ana->Sites.at(Pc);
-          Trace.emit(obs::TraceEventKind::AnalysisVerdict, Pc, 0,
-                     static_cast<uint64_t>(Site.Verdict),
-                     Site.Size | (Site.IsStore ? 0x100u : 0u));
-        }
-        Trace.emit(obs::TraceEventKind::AnalysisSummary,
-                   static_cast<uint32_t>(Ana->Sites.size()),
-                   Ana->Poisoned ? 1 : 0, Ana->NumAligned,
-                   Ana->NumMisaligned);
+    // Static alignment inference over this run's own image copy (one run
+    // = one isolated world, so --jobs fan-out stays bit-exact).  Like
+    // static profiling, the pass is modeled as offline work and its
+    // cycles are not charged to the run.  AOT MemPlans come from
+    // congruence verdicts, so AOT implies it even with Analysis off.
+    if (Config.Analysis || Config.Aot != AotMode::Off)
+      Ana.emplace(analysis::analyzeAlignment(Mem, EntryPc, StackTopAddr));
+    if (Config.Analysis && Trace.enabled()) {
+      std::vector<uint32_t> Pcs;
+      Pcs.reserve(Ana->Sites.size());
+      for (const auto &Entry : Ana->Sites)
+        Pcs.push_back(Entry.first);
+      std::sort(Pcs.begin(), Pcs.end());
+      for (uint32_t Pc : Pcs) {
+        const analysis::SiteInfo &Site = Ana->Sites.at(Pc);
+        Trace.emit(obs::TraceEventKind::AnalysisVerdict, Pc, 0,
+                   static_cast<uint64_t>(Site.Verdict),
+                   Site.Size | (Site.IsStore ? 0x100u : 0u));
       }
+      Trace.emit(obs::TraceEventKind::AnalysisSummary,
+                 static_cast<uint32_t>(Ana->Sites.size()),
+                 Ana->Poisoned ? 1 : 0, Ana->NumAligned,
+                 Ana->NumMisaligned);
     }
     if (Config.Aot != AotMode::Off) {
-      // AOT MemPlans come from congruence verdicts, so the alignment
-      // analysis is implied even when EngineConfig::Analysis is off.
-      // Like the recovery pass below it is modeled as offline work.
-      if (!Ana)
-        Ana.emplace(
-            analysis::analyzeAlignment(Mem, Image.Entry, Image.StackTop));
       // Deterministic whole-image CFG recovery over the pristine bytes:
       // the statically proven reachable set the pre-translator covers
       // and the verifier's reachability invariant checks against.
@@ -156,18 +142,10 @@ public:
       // The cache applies this to its own verified patches only (stub
       // redirection, chaining, unchaining, reverts).
       Cache.setPatchFault([this](uint32_t, uint32_t &W) {
-        switch (Injector->patchFault()) {
-        case chaos::PatchFault::None:
-          break;
-        case chaos::PatchFault::Drop:
-          ++ChaosPatchDrops;
-          return false;
-        case chaos::PatchFault::Torn:
-          ++ChaosPatchTears;
+        chaos::PatchFault Fate = Injector->patchFault();
+        if (Fate == chaos::PatchFault::Torn)
           W = Injector->tearWord(W);
-          break;
-        }
-        return true;
+        return Fate != chaos::PatchFault::Drop;
       });
     }
   }
@@ -197,7 +175,7 @@ private:
   /// and superblock re-emission fallback.
   MemPlan planMemOp(uint32_t Pc, const guest::GuestInst &I) {
     // Watchdog overrides (degradation rungs 1-2) win over the policy.
-    if (ForceInline.count(Pc))
+    if (Faults.forcedInline(Pc))
       return MemPlan::Inline;
     // Static verdicts next: a proof beats any policy heuristic, and
     // only Unknown sites fall through to the policy's machinery.
@@ -282,26 +260,21 @@ private:
     for (const GuestBlock &B : Blocks)
       Insts += B.size();
     if (Injector && Injector->translateFails()) {
-      ++ChaosTranslateFails;
       ++TranslateFailures;
       if (!Policy.translationIsOffline())
         TranslateCycles += Insts * Cost.TranslateCyclesPerInst;
       // A block falls back to interpretation and is pinned interp-only
       // once failures at its PC persist; a failed trace just leaves its
       // constituents in service.
-      uint32_t Attempt = IsTrace ? 0 : ++TranslateFailsAt[Pc];
+      uint32_t Attempt = IsTrace ? 0 : Faults.translateFailed(Pc);
       Trace.emit(obs::TraceEventKind::TranslationFailed, Pc, Pc, Attempt,
                  Generation);
-      if (Attempt >= TranslateRetryLimit) {
-        InterpOnly.insert(Pc);
-        ++LadderInterpPins;
-      }
       if (Hard.TranslationFailureLimit != 0 &&
           TranslateFailures > Hard.TranslationFailureLimit)
         Abort = RunError::TranslationFailed;
       return nullptr;
     }
-    TranslateFailsAt.erase(Pc);
+    Faults.translated(Pc);
     TranslationOpts Opts = translationOpts();
     Translation *T = nullptr;
     auto Translate = [&]() -> const Translation & {
@@ -311,7 +284,7 @@ private:
       return *T;
     };
     FromCache = false;
-    if (!Service) {
+    if (!Config.Service) {
       Translate();
       return T;
     }
@@ -321,7 +294,8 @@ private:
                                          Plan, Opts, IsTrace);
     TranslationLease L;
     uint64_t Evicted = 0;
-    FromCache = acquireOrPublish(*Service, Key, Code, Translate, L, &Evicted);
+    FromCache =
+        acquireOrPublish(*Config.Service, Key, Code, Translate, L, &Evicted);
     if (FromCache) {
       T = &Cache.instantiate(L.get(), Generation);
       ++CacheHits;
@@ -380,8 +354,7 @@ private:
     Cache.map(*T);
     if (install(T, FromCache, Kind, T->GuestInsts, B))
       return T;
-    InterpOnly.insert(T->GuestPc);
-    ++OversizedPins;
+    Faults.pin(T->GuestPc, FaultPath::Pin::Oversize);
     return nullptr;
   }
 
@@ -390,7 +363,7 @@ private:
   /// install it.  Null when the block stays interpreted.
   Translation *translateBlock(uint32_t GuestPc, uint32_t Generation,
                               bool AllowFlush = false) {
-    if (InterpOnly.count(GuestPc))
+    if (Faults.pinned(GuestPc))
       return nullptr; // degradation rung 3: this block stays interpreted
     // Never plan from stale verdicts: a supersede can reach here before
     // the monitor loop's own re-analysis point.
@@ -483,7 +456,7 @@ private:
     assert(Mem.watchedPages() == AotPages.size() &&
            "write-watch refcounts must drain on flush");
 #endif
-    PatchedOriginals.clear();
+    Faults.flush();
     PendingFlush = false;
     LastCodeWords = 0; // emission accounting stays monotone
     ++Flushes;
@@ -521,7 +494,7 @@ private:
   /// EngineConfig::Verify is off.
   void aotStartup() {
     uint64_t Cycles0 = now();
-    Aot.emplace(Mem, *AotCfg, planChain(), translationOpts(), Service,
+    Aot.emplace(Mem, *AotCfg, planChain(), translationOpts(), Config.Service,
                 Cost);
     Aot->pretranslateAll();
     const AotTranslator::Stats &AS = Aot->stats();
@@ -539,7 +512,7 @@ private:
           overCapacity())
         break;
       AotTranslator::Unit *U = Aot->find(KV.first);
-      if (!U->Stale && !InterpOnly.count(KV.first))
+      if (!U->Stale && !Faults.pinned(KV.first))
         installAotUnit(*U, /*Sweep=*/false);
     }
     AotStartupCycles = now() - Cycles0;
@@ -620,14 +593,12 @@ private:
       uint32_t Pin = ++SmcInvalsAt[T->GuestPc];
       if (Config.Budget.SmcChurnPinLimit != 0 &&
           Pin >= Config.Budget.SmcChurnPinLimit &&
-          !InterpOnly.count(T->GuestPc)) {
+          !Faults.pinned(T->GuestPc)) {
         // Per-block churn containment: a block rewritten this often is
         // cheaper to interpret (rung 3 of the degradation ladder) —
         // the interpreter fetches fresh bytes every instruction, so
         // SMC is free there.
-        InterpOnly.insert(T->GuestPc);
-        ++SmcChurnPins;
-        ++LadderInterpPins;
+        Faults.pin(T->GuestPc, FaultPath::Pin::SmcChurn);
         Trace.emit(obs::TraceEventKind::SmcChurnPin, 0, T->GuestPc, Pin,
                    0);
       }
@@ -768,217 +739,54 @@ private:
 
   // -- fault handling ------------------------------------------------------
 
-  /// Handle one (possibly stale or injected) trap delivery.  Validates
-  /// the delivery against the current cache contents before acting:
-  /// duplicate and spurious deliveries for a word that has since been
-  /// patched, flushed, or reused must not patch the wrong instruction.
+  /// Deliver one (possibly stale or injected) trap through the fault
+  /// path, and account for the stub it patched in: the patch's cycles,
+  /// the emitted code, the verifier sweep and the supersede the policy
+  /// may have asked for.
   FaultAction deliver(const FaultInfo &F) {
-    if (F.HostPc >= Code.size() ||
-        Code.word(F.HostPc) != encodeHost(F.Inst)) {
-      // Stale delivery: the word no longer holds the faulting
-      // instruction (already patched, flushed, or reused).
-      ++SpuriousTraps;
-      Trace.emit(obs::TraceEventKind::TrapSpurious, 0, 0, F.HostPc, 0);
-      return FaultAction::Retry;
-    }
-    Translation *T = Cache.owner(F.HostPc);
-    if (!T) {
-      // The word matches but no live translation owns it (flushed and
-      // not yet reused): emulate so the guest still makes progress.
-      ++SpuriousTraps;
-      Trace.emit(obs::TraceEventKind::TrapSpurious, 0, 0, F.HostPc, 1);
-      return FaultAction::Fixup;
-    }
-    auto It = T->MemWordToGuestPc.find(F.HostPc);
-    if (It == T->MemWordToGuestPc.end()) {
-      ++SpuriousTraps;
-      Trace.emit(obs::TraceEventKind::TrapSpurious, 0, T->GuestPc,
-                 F.HostPc, 2);
-      return FaultAction::Retry;
-    }
-    uint32_t InstPc = It->second;
-    ++T->FaultCount;
-    Trace.emit(obs::TraceEventKind::TrapTaken, InstPc, T->GuestPc,
-               F.HostPc, T->FaultCount);
-
-    FaultDecision D = Policy.onFault(InstPc, T->GuestPc, T->FaultCount);
-    if (!D.PatchStub)
-      return FaultAction::Fixup;
-
-    // Exception-handling method (paper Fig. 5): generate the MDA code
-    // sequence in the code cache and patch the offending instruction.
-    Translator::StubInfo S;
-    bool Adaptive = D.AdaptiveStub;
-    if (Adaptive && NextCounterCell + 4 > Mem.size()) {
-      // Runtime counter cells exhausted: degrade to a plain stub rather
-      // than corrupting guest memory.
-      Adaptive = false;
-      ++StubDowngrades;
-    }
-    if (Adaptive) {
-      // The revertible stub of paper Fig. 8 (right): remember the
-      // original word so the monitor can patch it back when the stub
-      // reports a run of aligned executions.
-      uint32_t CounterAddr = NextCounterCell;
-      NextCounterCell += 4;
-      Mem.store(CounterAddr, 4, 0);
-      PatchedOriginals[F.HostPc] = {Code.word(F.HostPc), InstPc};
-      S = Trans.emitAdaptiveStub(F.Inst, F.HostPc, CounterAddr,
-                                 MailboxAddr, D.RevertThreshold);
-    } else {
-      S = Trans.emitStub(F.Inst, F.HostPc);
-    }
-    Trace.emit(obs::TraceEventKind::StubEmitted, InstPc, T->GuestPc,
-               S.Entry, Adaptive ? 1 : 0);
-    if (!Cache.patchVerified(F.HostPc,
-                             Translator::stubBranchWord(F.HostPc, S.Entry))) {
-      // The redirect did not stick; the original instruction is still
-      // in place.  Emulate this occurrence and let a later trap retry
-      // the patch (or the watchdog escalate).
-      if (Adaptive)
-        PatchedOriginals.erase(F.HostPc);
-      return Abort != RunError::None ? FaultAction::Halt
-                                     : FaultAction::Fixup;
-    }
-    T->PatchedWords.push_back(F.HostPc);
-    T->MemWordToGuestPc.erase(F.HostPc);
-    Cache.addStub(S.Entry, S.End, *T);
-    // A store executed out of the stub must stop the episode at the
-    // same place as the body word it replaces: propagate the resume
-    // metadata to every stub word.  (Loads were never recorded, so the
-    // lookup fails for them and nothing is registered.)
-    auto RIt = T->StoreResume.find(F.HostPc);
-    if (RIt != T->StoreResume.end()) {
-      SmcResume V = RIt->second; // copy: the inserts below may rehash
-      for (uint32_t W = S.Entry; W != S.End; ++W)
-        T->StoreResume[W] = V;
-    }
+    FaultPath::Delivery D = Faults.deliver(F);
+    if (!D.Patched)
+      return D.Action;
     Machine.addCycles(Cost.PatchExtraCycles);
     chargeCodeGrowth(); // the stub is emitted code too
     checkBudgets();
-    ++Patches;
-    Trace.emit(obs::TraceEventKind::PatchApplied, InstPc, T->GuestPc,
-               F.HostPc, S.Entry);
-    LastPatch = F;
-    HaveLastPatch = true;
+    Trace.emit(obs::TraceEventKind::PatchApplied, D.InstPc,
+               D.Patched->GuestPc, F.HostPc, D.StubEntry);
     runVerifier();
-    if (Abort != RunError::None)
-      return FaultAction::Halt;
-
-    if (D.Supersede)
-      supersede(T);
-    return FaultAction::Retry;
+    if (Abort == RunError::None && D.Supersede)
+      supersede(D.Patched);
+    return Abort != RunError::None ? FaultAction::Halt : FaultAction::Retry;
   }
 
-  /// Trap-storm watchdog escalation: force progress at a site the
-  /// normal policy machinery has failed to fix.  Climbs a three-rung
-  /// degradation ladder per block — (1) rearrangement with the storming
-  /// site force-inlined, (2) retranslation with every memory site
-  /// force-inlined, (3) interpret-only pin — and always emulates the
-  /// current access so the guest advances regardless.
-  FaultAction engageLadder(const FaultInfo &F) {
-    ++WatchdogTrips;
-    ConsecutiveTraps = 0;
-    if (WatchdogTrips > Hard.MaxWatchdogTrips) {
-      Abort = RunError::TrapStorm;
+  /// The machine's fault handler.  The watchdog sees every trap; a storm
+  /// climbs the degradation ladder and emulates the access, so the guest
+  /// advances regardless.
+  FaultAction onFault(const FaultInfo &F) {
+    bool Storm = Faults.storming(F.HostPc, Machine.Instructions);
+    if (Abort != RunError::None)
       return FaultAction::Halt;
-    }
-    Translation *T = Cache.owner(F.HostPc);
-    if (!T) {
-      ++SpuriousTraps;
-      Trace.emit(obs::TraceEventKind::TrapSpurious, 0, 0, F.HostPc, 3);
+    if (Storm) {
+      FaultPath::Escalation E = Faults.escalate(F);
+      if (E.Storm) {
+        Abort = RunError::TrapStorm;
+        return FaultAction::Halt;
+      }
+      if (E.Block && E.Rung < 3)
+        supersede(E.Block);
+      else if (E.Block && E.Block->Valid)
+        invalidate(E.Block);
       return FaultAction::Fixup;
     }
-    uint32_t BlockPc = T->GuestPc;
-    auto It = T->MemWordToGuestPc.find(F.HostPc);
-    uint32_t InstPc =
-        It != T->MemWordToGuestPc.end() ? It->second : 0;
-    uint32_t Rung = ++LadderRungOf[BlockPc];
-    Trace.emit(obs::TraceEventKind::LadderRung, InstPc, BlockPc,
-               Rung > 3 ? 3 : Rung, WatchdogTrips);
-    if (Rung == 1 && InstPc != 0) {
-      ForceInline.insert(InstPc);
-      Policy.onWatchdogEscalation(BlockPc, InstPc, 1);
-      if (T->Valid)
-        supersede(T);
-      ++LadderRearranges;
-    } else if (Rung <= 2) {
-      for (const auto &Entry : T->MemWordToGuestPc)
-        ForceInline.insert(Entry.second);
-      Policy.onWatchdogEscalation(BlockPc, InstPc, 2);
-      if (T->Valid)
-        supersede(T);
-      ++LadderRetranslations;
-    } else {
-      InterpOnly.insert(BlockPc);
-      Policy.onWatchdogEscalation(BlockPc, 0, 3);
-      if (T->Valid)
-        invalidate(T);
-      ++LadderInterpPins;
-    }
-    return FaultAction::Fixup;
-  }
-
-  FaultAction onFault(const FaultInfo &F) {
-    // Watchdog: consecutive traps at one host word with no intervening
-    // progress (Fixup always advances Pc, so delta > 1 means the guest
-    // is moving) indicate a livelock the policy cannot break.
-    if (F.HostPc == LastTrapWord &&
-        Machine.Instructions - LastTrapInsts <= 1) {
-      ++ConsecutiveTraps;
-    } else {
-      ConsecutiveTraps = 1;
-      LastTrapWord = F.HostPc;
-    }
-    LastTrapInsts = Machine.Instructions;
-    if (Abort != RunError::None)
-      return FaultAction::Halt;
-    if (ConsecutiveTraps > WatchdogTrapK)
-      return engageLadder(F);
-
-    if (Injector && Injector->lostTrap()) {
-      // The delivery is lost: the handler never runs and the faulting
-      // instruction restarts — the retry storm the watchdog contains.
-      ++ChaosLostTraps;
+    // A lost delivery: the handler never runs and the faulting
+    // instruction restarts — the retry storm the watchdog contains.
+    if (Injector && Injector->lostTrap())
       return FaultAction::Retry;
-    }
     FaultAction A = deliver(F);
-    if (Abort != RunError::None)
-      return FaultAction::Halt;
-    if (Injector && Injector->duplicateTrap()) {
-      // The same exception is delivered twice: the second delivery must
-      // be recognized as stale and stay harmless.
-      ++ChaosDupTraps;
+    // The same exception delivered twice: the second delivery must be
+    // recognized as stale and stay harmless.
+    if (Abort == RunError::None && Injector && Injector->duplicateTrap())
       deliver(F);
-      if (Abort != RunError::None)
-        return FaultAction::Halt;
-    }
-    return A;
-  }
-
-  /// Apply a revert request posted by an adaptive stub: restore the
-  /// original memory instruction.  It may trap (and be re-patched)
-  /// later — that is the adaptivity loop of paper Fig. 8.
-  void pollRevertMailbox() {
-    uint32_t Posted = static_cast<uint32_t>(Mem.load(MailboxAddr, 4));
-    if (Posted == 0)
-      return;
-    Mem.store(MailboxAddr, 4, 0);
-    uint32_t FaultWord = Posted - 1;
-    auto It = PatchedOriginals.find(FaultWord);
-    if (It == PatchedOriginals.end())
-      return;
-    if (!Cache.patchVerified(FaultWord, It->second.first))
-      return; // revert failed; the stub stays in place and stays correct
-    Translation *T = Cache.owner(FaultWord);
-    if (T)
-      T->MemWordToGuestPc[FaultWord] = It->second.second;
-    Trace.emit(obs::TraceEventKind::StubReverted, It->second.second,
-               T ? T->GuestPc : 0, FaultWord, 0);
-    PatchedOriginals.erase(It);
-    MonitorCycles += Cost.ChainPatchCycles; // one store into the cache
-    ++Reverts;
-    runVerifier();
+    return Abort != RunError::None ? FaultAction::Halt : A;
   }
 
   // -- state sync ----------------------------------------------------------
@@ -1086,7 +894,7 @@ private:
   /// treatment.  De-optimization is ordinary invalidation: the trace
   /// falls back to the still-installed constituent blocks.
   void tryFormSuperblock(uint32_t HeadPc) {
-    if (Abort != RunError::None || InterpOnly.count(HeadPc))
+    if (Abort != RunError::None || Faults.pinned(HeadPc))
       return;
     // Trace planning replays constituent MemPlans and consults the
     // analysis for fresh sites: both must be current.
@@ -1237,6 +1045,8 @@ private:
   /// leases are drained when the run ends, so the service's live-lease
   /// count returns to its pre-run level no matter how the run ended.
   CodeCache Cache;
+  /// The trap path and the degradation ledger.
+  FaultPath Faults;
   std::unordered_map<uint32_t, uint32_t> Heat;
 
   /// Backward-chain events per loop-head PC (superblock hotness).
@@ -1244,19 +1054,8 @@ private:
   /// Formation attempts per head PC (bounds retry after de-opt).
   std::unordered_map<uint32_t, uint32_t> TraceFormsAt;
 
-  /// Adaptive-revert runtime state (paper Fig. 8, right).
-  static constexpr uint32_t MailboxAddr = guest::layout::RuntimeBase;
-  uint32_t NextCounterCell = guest::layout::RuntimeBase + 8;
-  /// Adaptively patched word -> (original word, guest inst PC).
-  std::unordered_map<uint32_t, std::pair<uint32_t, uint32_t>>
-      PatchedOriginals;
-
   /// Fault injection (chaos campaigns); disengaged in normal runs.
   std::optional<chaos::FaultInjector> Injector;
-  /// Most recent successfully patched fault, replayed by the spurious
-  /// (stale re-delivery) injection point.
-  FaultInfo LastPatch;
-  bool HaveLastPatch = false;
 
   /// Static alignment analysis (EngineConfig::Analysis); empty when
   /// disabled.  Also implied by EngineConfig::Aot != Off.
@@ -1303,17 +1102,7 @@ private:
   uint32_t EntryPc = 0;
   uint32_t StackTopAddr = 0;
 
-  /// Degradation-ladder state.
-  std::unordered_set<uint32_t> ForceInline; ///< inst PCs forced Inline
-  std::unordered_set<uint32_t> InterpOnly;  ///< block PCs never translated
-  std::unordered_map<uint32_t, uint32_t> LadderRungOf; ///< block -> rung
-  std::unordered_map<uint32_t, uint32_t> TranslateFailsAt;
   RunError Abort = RunError::None;
-
-  /// Trap-storm watchdog state.
-  uint32_t LastTrapWord = ~0u;
-  uint64_t LastTrapInsts = 0;
-  uint32_t ConsecutiveTraps = 0;
 
   uint64_t StepIndex = 0;
   uint64_t LastFlushStep = 0;
@@ -1327,27 +1116,11 @@ private:
   uint64_t InterpBlocks = 0;
   uint64_t Translations = 0;
   uint64_t Supersedes = 0;
-  uint64_t Patches = 0;
   uint64_t Chains = 0;
-  uint64_t Reverts = 0;
   uint64_t Flushes = 0;
   uint64_t NativeEntries = 0;
-  uint64_t WatchdogTrips = 0;
-  uint64_t LadderRearranges = 0;
-  uint64_t LadderRetranslations = 0;
-  uint64_t LadderInterpPins = 0;
-  uint64_t OversizedPins = 0;
-  uint64_t SpuriousTraps = 0;
   uint64_t TranslateFailures = 0;
   uint64_t FlushesSuppressed = 0;
-  uint64_t StubDowngrades = 0;
-  uint64_t ChaosLostTraps = 0;
-  uint64_t ChaosDupTraps = 0;
-  uint64_t ChaosSpurious = 0;
-  uint64_t ChaosPatchDrops = 0;
-  uint64_t ChaosPatchTears = 0;
-  uint64_t ChaosTranslateFails = 0;
-  uint64_t ChaosFlushStorms = 0;
   uint64_t PlanAlignedElides = 0;
   uint64_t PlanInlineForced = 0;
   uint64_t DispatchHits = 0;
@@ -1366,12 +1139,9 @@ private:
   uint64_t SmcInvalidations = 0;
   uint64_t SmcReanalyses = 0;
   uint64_t SmcVerdictsRevoked = 0;
-  uint64_t SmcChurnPins = 0;
   uint64_t SmcEpisodeStops = 0;
   // -- serving state (EngineConfig::Service) -----------------------------
 
-  /// The process-wide translation service, or null for isolated runs.
-  TranslationService *Service = nullptr;
   uint64_t CacheHits = 0;
   uint64_t CacheMisses = 0;
   uint64_t CacheEvictions = 0;
@@ -1408,7 +1178,6 @@ RunResult ExecutionContext::run() {
 
     if (Injector) {
       if (Injector->flushStorm()) {
-        ++ChaosFlushStorms;
         // Flush-storm backoff: absorb requests arriving faster than
         // the cache can usefully refill.
         if (StepIndex - LastFlushStep >= Hard.FlushStormBackoffSteps)
@@ -1416,12 +1185,11 @@ RunResult ExecutionContext::run() {
         else
           ++FlushesSuppressed;
       }
-      if (HaveLastPatch && Injector->spuriousTrap()) {
+      if (Faults.lastPatch() && Injector->spuriousTrap()) {
         // Stale re-delivery of an already-handled exception: it must be
         // recognized as such and rejected.
-        ++ChaosSpurious;
         Machine.addCycles(Cost.TrapCycles);
-        deliver(LastPatch);
+        deliver(*Faults.lastPatch());
         if (Abort != RunError::None)
           break;
       }
@@ -1472,7 +1240,7 @@ RunResult ExecutionContext::run() {
     // only for units a capacity flush spilled back to pending).
     if (!T && Aot) {
       AotTranslator::Unit *U = Aot->find(Cpu.Pc);
-      if (U && !U->Stale && !InterpOnly.count(Cpu.Pc)) {
+      if (U && !U->Stale && !Faults.pinned(Cpu.Pc)) {
         if (!makeRoom())
           break;
         T = installAotUnit(*U, /*Sweep=*/true);
@@ -1506,13 +1274,16 @@ RunResult ExecutionContext::run() {
         break;
       }
       Cpu.Pc = E.GuestPc;
-      pollRevertMailbox();
+      if (Faults.pollRevert()) {
+        MonitorCycles += Cost.ChainPatchCycles; // one store into the cache
+        runVerifier();
+      }
       maybeChain(E);
       maybeIcFill(E);
       continue;
     }
 
-    if (!InterpOnly.count(Cpu.Pc)) {
+    if (!Faults.pinned(Cpu.Pc)) {
       uint32_t H = ++Heat[Cpu.Pc];
       if (H > Policy.hotThreshold()) {
         // The block crossed the heating threshold: phase 1
@@ -1549,11 +1320,7 @@ RunResult ExecutionContext::run() {
   R.Error = Err;
   R.FinalCpu = Cpu;
   R.Checksum = Cpu.Checksum;
-  // The BT-runtime scratch cells (revert counters) are not part of the
-  // guest-visible state: zero them so the memory hash is comparable
-  // with a pure-interpreter run.
-  if (NextCounterCell > guest::layout::RuntimeBase)
-    Mem.zeroRange(guest::layout::RuntimeBase, NextCounterCell);
+  Faults.scrubRuntime();
   R.MemoryHash = memoryHash(Mem);
   R.Cycles = now();
   Trace.emit(obs::TraceEventKind::RunEnd, Cpu.Pc, 0,
@@ -1574,10 +1341,11 @@ RunResult ExecutionContext::run() {
   Reg.addCounter("cycles.translate", TranslateCycles);
   Reg.addCounter("cycles.monitor", MonitorCycles);
   Reg.addCounter("cycles.chain", ChainCycles);
+  const FaultPath::Stats &FS = Faults.stats();
   Reg.addCounter("cycles.traps",
                  Machine.Faults * Cost.TrapCycles +
                      Machine.Fixups * Cost.FixupExtraCycles +
-                     Patches * Cost.PatchExtraCycles);
+                     FS.Patches * Cost.PatchExtraCycles);
   Reg.addCounter("interp.insts", InterpInsts);
   Reg.addCounter("interp.refs", InterpRefs);
   Reg.addCounter("interp.blocks", InterpBlocks);
@@ -1589,35 +1357,35 @@ RunResult ExecutionContext::run() {
   Reg.addCounter("host.l2_misses", Hier.L2.misses());
   Reg.addCounter("dbt.translations", Translations);
   Reg.addCounter("dbt.supersedes", Supersedes);
-  Reg.addCounter("dbt.patches", Patches);
+  Reg.addCounter("dbt.patches", FS.Patches);
   Reg.addCounter("dbt.chains", Chains);
-  Reg.addCounter("dbt.reverts", Reverts);
+  Reg.addCounter("dbt.reverts", FS.Reverts);
   Reg.addCounter("dbt.flushes", Flushes);
   Reg.addCounter("dbt.native_entries", NativeEntries);
   Reg.addCounter("dbt.fault_traps", Machine.Faults);
   Reg.addCounter("dbt.fixups", Machine.Fixups);
   Reg.setGauge("dbt.code_words", Code.size());
   Reg.setGauge("run.error", static_cast<uint64_t>(Err));
-  Reg.addCounter("harden.watchdog_trips", WatchdogTrips);
-  Reg.addCounter("harden.ladder_rearrange", LadderRearranges);
-  Reg.addCounter("harden.ladder_retranslate", LadderRetranslations);
-  Reg.addCounter("harden.ladder_interp_only", LadderInterpPins);
-  Reg.addCounter("harden.oversized_pins", OversizedPins);
-  Reg.setGauge("harden.interp_only_blocks", InterpOnly.size());
-  Reg.addCounter("harden.spurious_traps", SpuriousTraps);
+  Reg.addCounter("harden.watchdog_trips", FS.WatchdogTrips);
+  Reg.addCounter("harden.ladder_rearrange", FS.LadderRearranges);
+  Reg.addCounter("harden.ladder_retranslate", FS.LadderRetranslations);
+  Reg.addCounter("harden.ladder_interp_only", FS.LadderInterpPins);
+  Reg.addCounter("harden.oversized_pins", FS.OversizedPins);
+  Reg.setGauge("harden.interp_only_blocks", Faults.pinnedBlocks());
+  Reg.addCounter("harden.spurious_traps", FS.SpuriousTraps);
   Reg.addCounter("harden.patch_repairs", Cache.stats().PatchRepairs);
   Reg.addCounter("harden.patch_failures", Cache.stats().PatchFailures);
   Reg.addCounter("harden.translate_failures", TranslateFailures);
   Reg.addCounter("harden.flush_suppressed", FlushesSuppressed);
-  Reg.addCounter("harden.stub_downgrades", StubDowngrades);
+  Reg.addCounter("harden.stub_downgrades", FS.StubDowngrades);
   Reg.addCounter("smc.stores", SmcStores);
   Reg.addCounter("smc.invalidations", SmcInvalidations);
   Reg.addCounter("smc.reanalyses", SmcReanalyses);
   Reg.addCounter("smc.verdicts_revoked", SmcVerdictsRevoked);
-  Reg.addCounter("smc.churn_pins", SmcChurnPins);
+  Reg.addCounter("smc.churn_pins", FS.SmcChurnPins);
   Reg.addCounter("smc.episode_stops", SmcEpisodeStops);
   Reg.addCounter("budget.code_bytes_emitted", CodeBytesEmitted);
-  if (Service) {
+  if (Config.Service) {
     Reg.addCounter("cache.hits", CacheHits);
     Reg.addCounter("cache.misses", CacheMisses);
     Reg.addCounter("cache.evictions", CacheEvictions);
@@ -1675,13 +1443,14 @@ RunResult ExecutionContext::run() {
   }
   if (Injector) {
     Reg.addCounter("chaos.injected", Injector->injected());
-    Reg.addCounter("chaos.lost_traps", ChaosLostTraps);
-    Reg.addCounter("chaos.dup_traps", ChaosDupTraps);
-    Reg.addCounter("chaos.spurious_traps", ChaosSpurious);
-    Reg.addCounter("chaos.patch_drops", ChaosPatchDrops);
-    Reg.addCounter("chaos.patch_tears", ChaosPatchTears);
-    Reg.addCounter("chaos.translate_fail", ChaosTranslateFails);
-    Reg.addCounter("chaos.flush_storms", ChaosFlushStorms);
+    // One counter per InjectKind, in enumerator order.
+    static const char *const PerKind[] = {
+        "chaos.lost_traps",   "chaos.dup_traps",      "chaos.spurious_traps",
+        "chaos.patch_drops",  "chaos.patch_tears",    "chaos.translate_fail",
+        "chaos.flush_storms"};
+    for (size_t K = 0; K != std::size(PerKind); ++K)
+      Reg.addCounter(PerKind[K],
+                     Injector->injected(static_cast<chaos::InjectKind>(K)));
   }
   Reg.fillCounterBag(R.Counters);
   R.Metrics = std::move(Reg);

@@ -162,9 +162,10 @@ private:
 
 /// The sharded, refcounted translation cache: the single object an
 /// EngineConfig points at (EngineConfig::Service).  All methods are
-/// thread-safe; each shard has its own mutex and open-addressing is
-/// left to std::unordered_map keyed by CacheKey::Lo (full 128-bit key
-/// compared on probe).  Must outlive every engine using it.
+/// thread-safe; each shard has its own mutex.  A key picks its shard by
+/// CacheKey::Lo, and a lookup is a linear scan of that shard's entry
+/// vector comparing the full 128-bit key.  Must outlive every engine
+/// using it.
 class TranslationService {
 public:
   struct Config {

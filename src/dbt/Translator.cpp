@@ -120,6 +120,20 @@ AddrOperand computeAddress(HostAssembler &Asm, const guest::GuestInst &I) {
   return {Base, Disp};
 }
 
+/// The multi-version alignment check (paper Fig. 8, left): leave the
+/// low bits of the access address of \p A in RegMvT1.  When the
+/// displacement is a multiple of the access size it cannot change
+/// alignment, so the check tests the base register directly (the
+/// paper's "and Raddr, #3, Rtemp" form).
+void emitAlignCheck(HostAssembler &Asm, const AddrOperand &A, unsigned Size) {
+  uint8_t CheckReg = A.Base;
+  if (A.Disp % static_cast<int32_t>(Size) != 0) {
+    Asm.lda(RegMvT0, A.Disp, A.Base);
+    CheckReg = RegMvT0;
+  }
+  Asm.opl(HostOp::And, CheckReg, static_cast<uint8_t>(Size - 1), RegMvT1);
+}
+
 /// How multi-version plans are rendered in the range being emitted:
 /// per-instruction (Fig. 8 left), or one of the two block-granularity
 /// copies (plain ops in the aligned copy — still exception-handler
@@ -262,10 +276,10 @@ struct BodyEmitter {
     T.FusedSites.push_back(std::move(F));
   }
 
-  /// Baseline lowering of the simple GPR ALU ops a fused window may
-  /// contain (the FusionRules slot sets; excludes the
-  /// RegScratch0-clobbering Sar/SarI, since a fused shared address
-  /// lives there).
+  /// Baseline lowering of the simple GPR ALU ops: the block body's, and
+  /// the ones a fused window may contain (the FusionRules slot sets;
+  /// they exclude the RegScratch0-clobbering Sar/SarI, since a fused
+  /// shared address lives there).
   void emitSimpleAlu(const guest::GuestInst &I) {
     switch (I.Op) {
     case guest::Opcode::Add:
@@ -320,7 +334,7 @@ struct BodyEmitter {
               static_cast<uint8_t>(I.Imm & 31), hostGpr(I.Reg1));
       break;
     default:
-      assert(false && "op not in a fusable slot set");
+      assert(false && "not a simple ALU op");
       break;
     }
   }
@@ -519,6 +533,16 @@ struct BodyEmitter {
                       I.Op == guest::Opcode::Stq)
                          ? hostQ(I.Reg1)
                          : hostGpr(I.Reg1);
+      // The inline MDA sequence, recording a store's SMC resume point.
+      auto EmitSequence = [&] {
+        if (IsStore) {
+          uint32_t S = Asm.pos();
+          emitMdaStore(Asm, Size, Data, A.Base, A.Disp);
+          recordStoreResume(S, I.nextPc(Pc));
+        } else {
+          emitMdaLoad(Asm, Size, Data, A.Base, A.Disp);
+        }
+      };
       MemPlan P = planFor(Idx, Mode);
       if (P == MemPlan::Normal || P == MemPlan::Elide) {
         uint32_t W = Asm.mem(hostMemOp(I.Op), Data, A.Disp, A.Base);
@@ -530,26 +554,11 @@ struct BodyEmitter {
         if (IsStore)
           recordStoreResume(W, I.nextPc(Pc));
       } else if (P == MemPlan::Inline) {
-        if (IsStore) {
-          uint32_t S = Asm.pos();
-          emitMdaStore(Asm, Size, Data, A.Base, A.Disp);
-          recordStoreResume(S, I.nextPc(Pc));
-        } else {
-          emitMdaLoad(Asm, Size, Data, A.Base, A.Disp);
-        }
+        EmitSequence();
       } else {
         // Multi-version code (paper Fig. 8, left): an alignment check
-        // selecting between the plain op and the MDA sequence.  When the
-        // displacement is a multiple of the access size it cannot change
-        // alignment, so the check tests the base register directly (the
-        // paper's "and Raddr, #3, Rtemp" form).
-        uint8_t CheckReg = A.Base;
-        if (A.Disp % static_cast<int32_t>(Size) != 0) {
-          Asm.lda(RegMvT0, A.Disp, A.Base);
-          CheckReg = RegMvT0;
-        }
-        Asm.opl(HostOp::And, CheckReg, static_cast<uint8_t>(Size - 1),
-                RegMvT1);
+        // selecting between the plain op and the MDA sequence.
+        emitAlignCheck(Asm, A, Size);
         HostAssembler::Label Mda = Asm.newLabel();
         HostAssembler::Label End = Asm.newLabel();
         Asm.bne(RegMvT1, Mda);
@@ -559,13 +568,7 @@ struct BodyEmitter {
           recordStoreResume(PW, I.nextPc(Pc)); // stop at the br below
         Asm.br(End);
         Asm.bind(Mda);
-        if (IsStore) {
-          uint32_t S = Asm.pos();
-          emitMdaStore(Asm, Size, Data, A.Base, A.Disp);
-          recordStoreResume(S, I.nextPc(Pc));
-        } else {
-          emitMdaLoad(Asm, Size, Data, A.Base, A.Disp);
-        }
+        EmitSequence();
         Asm.bind(End);
       }
       break;
@@ -582,24 +585,20 @@ struct BodyEmitter {
       Asm.mov(hostGpr(I.Reg2), hostGpr(I.Reg1));
       break;
     case guest::Opcode::Add:
-      Asm.op(HostOp::Addl, hostGpr(I.Reg1), hostGpr(I.Reg2),
-             hostGpr(I.Reg1));
-      break;
     case guest::Opcode::Sub:
-      Asm.op(HostOp::Subl, hostGpr(I.Reg1), hostGpr(I.Reg2),
-             hostGpr(I.Reg1));
-      break;
     case guest::Opcode::And:
-      Asm.op(HostOp::And, hostGpr(I.Reg1), hostGpr(I.Reg2),
-             hostGpr(I.Reg1));
-      break;
     case guest::Opcode::Or:
-      Asm.op(HostOp::Bis, hostGpr(I.Reg1), hostGpr(I.Reg2),
-             hostGpr(I.Reg1));
-      break;
     case guest::Opcode::Xor:
-      Asm.op(HostOp::Xor, hostGpr(I.Reg1), hostGpr(I.Reg2),
-             hostGpr(I.Reg1));
+    case guest::Opcode::Mul:
+    case guest::Opcode::AddI:
+    case guest::Opcode::SubI:
+    case guest::Opcode::AndI:
+    case guest::Opcode::OrI:
+    case guest::Opcode::XorI:
+    case guest::Opcode::MulI:
+    case guest::Opcode::ShlI:
+    case guest::Opcode::ShrI:
+      emitSimpleAlu(I);
       break;
     case guest::Opcode::Shl:
       Asm.opl(HostOp::And, hostGpr(I.Reg2), 31, RegScratch1);
@@ -616,46 +615,15 @@ struct BodyEmitter {
       Asm.op(HostOp::Sra, RegScratch0, RegScratch1, hostGpr(I.Reg1));
       Asm.op(HostOp::Zextl, RegZero, hostGpr(I.Reg1), hostGpr(I.Reg1));
       break;
-    case guest::Opcode::Mul:
-      Asm.op(HostOp::Mull, hostGpr(I.Reg1), hostGpr(I.Reg2),
-             hostGpr(I.Reg1));
-      break;
 
     case guest::Opcode::MovRI:
       Asm.materialize32(hostGpr(I.Reg1), static_cast<uint32_t>(I.Imm));
-      break;
-    case guest::Opcode::AddI:
-      emitAluImm(Asm, HostOp::Addl, hostGpr(I.Reg1), I.Imm);
-      break;
-    case guest::Opcode::SubI:
-      emitAluImm(Asm, HostOp::Subl, hostGpr(I.Reg1), I.Imm);
-      break;
-    case guest::Opcode::AndI:
-      emitAluImm(Asm, HostOp::And, hostGpr(I.Reg1), I.Imm);
-      break;
-    case guest::Opcode::OrI:
-      emitAluImm(Asm, HostOp::Bis, hostGpr(I.Reg1), I.Imm);
-      break;
-    case guest::Opcode::XorI:
-      emitAluImm(Asm, HostOp::Xor, hostGpr(I.Reg1), I.Imm);
-      break;
-    case guest::Opcode::ShlI:
-      Asm.opl(HostOp::Sll, hostGpr(I.Reg1),
-              static_cast<uint8_t>(I.Imm & 31), hostGpr(I.Reg1));
-      Asm.op(HostOp::Zextl, RegZero, hostGpr(I.Reg1), hostGpr(I.Reg1));
-      break;
-    case guest::Opcode::ShrI:
-      Asm.opl(HostOp::Srl, hostGpr(I.Reg1),
-              static_cast<uint8_t>(I.Imm & 31), hostGpr(I.Reg1));
       break;
     case guest::Opcode::SarI:
       Asm.op(HostOp::Sextl, RegZero, hostGpr(I.Reg1), RegScratch0);
       Asm.opl(HostOp::Sra, RegScratch0, static_cast<uint8_t>(I.Imm & 31),
               hostGpr(I.Reg1));
       Asm.op(HostOp::Zextl, RegZero, hostGpr(I.Reg1), hostGpr(I.Reg1));
-      break;
-    case guest::Opcode::MulI:
-      emitAluImm(Asm, HostOp::Mull, hostGpr(I.Reg1), I.Imm);
       break;
 
     case guest::Opcode::Cmp:
@@ -821,15 +789,7 @@ Translation Translator::translate(const GuestBlock &Block,
     E.emitRange(0, Split, MvMode::PerInst);
     // The version check on the split site's address.
     const guest::GuestInst &I = Block.Insts[Split];
-    AddrOperand A = computeAddress(Asm, I);
-    unsigned Size = guest::accessSize(I.Op);
-    uint8_t CheckReg = A.Base;
-    if (A.Disp % static_cast<int32_t>(Size) != 0) {
-      Asm.lda(RegMvT0, A.Disp, A.Base);
-      CheckReg = RegMvT0;
-    }
-    Asm.opl(HostOp::And, CheckReg, static_cast<uint8_t>(Size - 1),
-            RegMvT1);
+    emitAlignCheck(Asm, computeAddress(Asm, I), guest::accessSize(I.Op));
     HostAssembler::Label MisCopy = Asm.newLabel();
     Asm.bne(RegMvT1, MisCopy);
     E.emitRange(Split, Block.size(), MvMode::Plain);
@@ -902,70 +862,65 @@ Translation Translator::translateTrace(const std::vector<GuestBlock> &Blocks,
   return T;
 }
 
-Translator::StubInfo Translator::emitStub(const HostInst &Faulting,
-                                          uint32_t FaultWord) {
-  assert(accessesMemory(Faulting.Op) && alignmentOf(Faulting.Op) > 1 &&
-         "stub requested for a non-trapping instruction");
-  HostAssembler Asm(Code);
-  StubInfo S;
-  S.Entry = Asm.pos();
-  unsigned Size = hostAccessSize(Faulting.Op);
-  if (isHostLoad(Faulting.Op))
-    emitMdaLoad(Asm, Size, Faulting.Ra, Faulting.Rb, Faulting.Disp);
-  else
-    emitMdaStore(Asm, Size, Faulting.Ra, Faulting.Rb, Faulting.Disp);
-  Asm.brTo(FaultWord + 1);
-  Asm.finish();
-  S.End = Asm.pos();
-  return S;
-}
+namespace {
 
-Translator::StubInfo Translator::emitAdaptiveStub(
-    const HostInst &Faulting, uint32_t FaultWord, uint32_t CounterAddr,
-    uint32_t MailboxAddr, uint32_t Threshold) {
-  assert(accessesMemory(Faulting.Op) && alignmentOf(Faulting.Op) > 1 &&
-         "stub requested for a non-trapping instruction");
-  assert(Threshold >= 1 && Threshold <= 255 &&
+/// The revert probe of the adaptive stub (paper Fig. 8, right side:
+/// "instructions to collect runtime information"): count consecutive
+/// aligned executions in the probe's counter cell and, at the threshold,
+/// post FaultWord + 1 into the runtime mailbox.  Falls through to the MDA
+/// sequence either way.
+void emitRevertProbe(HostAssembler &Asm, const HostInst &Faulting,
+                     unsigned Size, uint32_t FaultWord,
+                     const Translator::AdaptiveProbe &P) {
+  assert(P.Threshold >= 1 && P.Threshold <= 255 &&
          "threshold must fit an operate literal");
-  HostAssembler Asm(Code);
-  StubInfo S;
-  S.Entry = Asm.pos();
-  unsigned Size = hostAccessSize(Faulting.Op);
-
-  // Alignment check on the current address (paper Fig. 8, right side:
-  // "instructions to collect runtime information").
+  // Alignment check on the current address.
   Asm.lda(RegMdaT2, Faulting.Disp, Faulting.Rb);
   Asm.opl(HostOp::And, RegMdaT2, static_cast<uint8_t>(Size - 1),
           RegMdaT0);
   HostAssembler::Label RunSeq = Asm.newLabel();
   Asm.bne(RegMdaT0, RunSeq);
   // Aligned occurrence: bump the counter cell.
-  Asm.materialize32(RegMdaT1, CounterAddr);
+  Asm.materialize32(RegMdaT1, P.CounterAddr);
   Asm.mem(HostOp::Ldl, RegMdaT0, 0, RegMdaT1);
   Asm.opl(HostOp::Addl, RegMdaT0, 1, RegMdaT0);
   Asm.mem(HostOp::Stl, RegMdaT0, 0, RegMdaT1);
-  Asm.opl(HostOp::Cmpult, RegMdaT0, static_cast<uint8_t>(Threshold),
+  Asm.opl(HostOp::Cmpult, RegMdaT0, static_cast<uint8_t>(P.Threshold),
           RegMdaT1);
   Asm.bne(RegMdaT1, RunSeq); // still warming up
   // Ask the monitor to revert this patch.
-  Asm.materialize32(RegMdaT1, MailboxAddr);
+  Asm.materialize32(RegMdaT1, P.MailboxAddr);
   Asm.materialize32(RegMdaT0, FaultWord + 1);
   Asm.mem(HostOp::Stl, RegMdaT0, 0, RegMdaT1);
   Asm.bind(RunSeq);
+}
+
+} // namespace
+
+std::optional<Translator::StubInfo>
+Translator::emitStub(const HostInst &Faulting, uint32_t FaultWord,
+                     const AdaptiveProbe *Probe) {
+  assert(accessesMemory(Faulting.Op) && alignmentOf(Faulting.Op) > 1 &&
+         "stub requested for a non-trapping instruction");
+  HostAssembler Asm(Code);
+  StubInfo S;
+  S.Entry = Asm.pos();
+  unsigned Size = hostAccessSize(Faulting.Op);
+  if (Probe)
+    emitRevertProbe(Asm, Faulting, Size, FaultWord, *Probe);
   if (isHostLoad(Faulting.Op))
     emitMdaLoad(Asm, Size, Faulting.Ra, Faulting.Rb, Faulting.Disp);
   else
     emitMdaStore(Asm, Size, Faulting.Ra, Faulting.Rb, Faulting.Disp);
-  Asm.brTo(FaultWord + 1);
   Asm.finish();
+  // The return is the stub's farthest branch from the fault word: when
+  // it fits, so does the redirect into the stub.
+  std::optional<uint32_t> Ret = branchTo(Asm.pos(), FaultWord + 1);
+  if (!Ret) {
+    Code.truncate(S.Entry);
+    return std::nullopt;
+  }
+  Code.append(*Ret);
   S.End = Asm.pos();
   return S;
-}
-
-uint32_t Translator::stubBranchWord(uint32_t FaultWord,
-                                    uint32_t StubEntry) {
-  int64_t Disp = static_cast<int64_t>(StubEntry) -
-                 (static_cast<int64_t>(FaultWord) + 1);
-  return encodeHost(
-      brInst(HostOp::Br, RegZero, static_cast<int32_t>(Disp)));
 }

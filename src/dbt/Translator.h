@@ -13,7 +13,8 @@
 /// Also emits the out-of-line MDA stubs the misalignment exception
 /// handler patches in (paper Fig. 5): the stub re-performs the faulting
 /// access with the unaligned-access toolkit and branches back to the
-/// instruction after the patch site.
+/// instruction after the patch site.  The adaptive stub of Fig. 8
+/// (right) is the same stub behind a revert probe.
 ///
 /// Register conventions are documented in host/HostISA.h.  Guest state
 /// lives in host registers across blocks; compare-and-branch pairs are
@@ -30,6 +31,7 @@
 #include "host/HostEncoding.h"
 
 #include <functional>
+#include <optional>
 
 namespace mdabt {
 namespace dbt {
@@ -76,27 +78,29 @@ public:
     uint32_t End = 0;
   };
 
+  /// The instrumented prologue of the *adaptive* MDA stub (paper Fig. 8,
+  /// right side): it counts consecutive executions at an aligned address
+  /// in the runtime cell \p CounterAddr and, once the count reaches
+  /// \p Threshold (1..255), posts FaultWord + 1 into the runtime mailbox
+  /// at \p MailboxAddr, asking the monitor to patch the original memory
+  /// instruction back in.  This is the "truly adaptive" method the paper
+  /// analyzes (and concludes is rarely worth its ~10 instructions of
+  /// bookkeeping — reproduced by the ablation bench).
+  struct AdaptiveProbe {
+    uint32_t CounterAddr = 0;
+    uint32_t MailboxAddr = 0;
+    uint32_t Threshold = 0;
+  };
+
   /// Emit the MDA stub for the faulting memory instruction \p Faulting
   /// located at \p FaultWord, ending with a branch back to
-  /// FaultWord + 1.  Does not patch the fault site itself.
-  StubInfo emitStub(const host::HostInst &Faulting, uint32_t FaultWord);
-
-  /// Emit the *adaptive* MDA stub of paper Fig. 8 (right side): before
-  /// the MDA sequence, instructions count consecutive executions at an
-  /// aligned address (in the runtime cell \p CounterAddr); once the
-  /// count reaches \p Threshold the stub posts FaultWord + 1 into the
-  /// runtime mailbox at \p MailboxAddr, asking the monitor to patch the
-  /// original memory instruction back in.  This is the "truly adaptive"
-  /// method the paper analyzes (and concludes is rarely worth its ~10
-  /// instructions of bookkeeping — reproduced by the ablation bench).
-  StubInfo emitAdaptiveStub(const host::HostInst &Faulting,
-                            uint32_t FaultWord, uint32_t CounterAddr,
-                            uint32_t MailboxAddr, uint32_t Threshold);
-
-  /// The branch word that redirects the faulting word \p FaultWord to
-  /// the stub at \p StubEntry.  The engine writes it with a verified
-  /// patch, so it can check the patch landed before resuming execution.
-  static uint32_t stubBranchWord(uint32_t FaultWord, uint32_t StubEntry);
+  /// FaultWord + 1; with \p Probe, the adaptive prologue runs first.
+  /// Does not patch the fault site itself.  Nullopt, with nothing left
+  /// in the arena, when the return branch would be out of branch range
+  /// (host::branchTo): the caller emulates the access instead.
+  std::optional<StubInfo> emitStub(const host::HostInst &Faulting,
+                                   uint32_t FaultWord,
+                                   const AdaptiveProbe *Probe = nullptr);
 
 private:
   host::CodeSpace &Code;

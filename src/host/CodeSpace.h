@@ -112,6 +112,14 @@ public:
     Decoded.clear();
   }
 
+  /// Drop every word from \p Size on: an emission abandoned before
+  /// anything refers to its words.
+  void truncate(uint32_t Size) {
+    assert(Size <= Words.size() && "truncate past the arena tail");
+    Words.resize(Size);
+    Decoded.resize(Size);
+  }
+
   const uint32_t *data() const { return Words.data(); }
 
 private:

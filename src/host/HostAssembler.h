@@ -70,12 +70,6 @@ public:
   uint32_t bne(uint8_t Ra, Label L) { return emitBranch(HostOp::Bne, Ra, L); }
   uint32_t blt(uint8_t Ra, Label L) { return emitBranch(HostOp::Blt, Ra, L); }
   uint32_t bge(uint8_t Ra, Label L) { return emitBranch(HostOp::Bge, Ra, L); }
-  /// Branch to an absolute word index (for stub returns and chaining).
-  uint32_t brTo(uint32_t TargetWord) {
-    int64_t Disp = static_cast<int64_t>(TargetWord) -
-                   (static_cast<int64_t>(pos()) + 1);
-    return emit(brInst(HostOp::Br, RegZero, static_cast<int32_t>(Disp)));
-  }
 
   uint32_t srv(SrvFunc Func) { return emit(srvInst(Func)); }
 

@@ -132,6 +132,13 @@ HostInst mdabt::host::brInst(HostOp Op, uint8_t Ra, int32_t DispWords) {
   return I;
 }
 
+std::optional<uint32_t> mdabt::host::branchTo(uint32_t From, uint32_t To) {
+  int64_t Disp = static_cast<int64_t>(To) - (static_cast<int64_t>(From) + 1);
+  if (Disp < -(1 << 20) || Disp >= (1 << 20))
+    return std::nullopt;
+  return encodeHost(brInst(HostOp::Br, RegZero, static_cast<int32_t>(Disp)));
+}
+
 HostInst mdabt::host::srvInst(SrvFunc Func) {
   HostInst I;
   I.Op = HostOp::Srv;

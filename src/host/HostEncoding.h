@@ -26,6 +26,7 @@
 #include "host/HostISA.h"
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace mdabt {
@@ -54,6 +55,13 @@ HostInst opInst(HostOp Op, uint8_t Ra, uint8_t Rb, uint8_t Rc);
 HostInst opInstLit(HostOp Op, uint8_t Ra, uint8_t Lit, uint8_t Rc);
 HostInst brInst(HostOp Op, uint8_t Ra, int32_t DispWords);
 HostInst srvInst(SrvFunc Func);
+
+/// The `br` word that, placed at word \p From, jumps to word \p To: a
+/// chained exit, an inline-cache way's final branch, an MDA stub
+/// redirect or its return.  Nullopt when the displacement does not fit
+/// the 21-bit branch field; every such patch then falls back to a path
+/// that needs no branch (the monitor, or emulating the access).
+std::optional<uint32_t> branchTo(uint32_t From, uint32_t To);
 
 /// Disassemble for diagnostics; \p WordIndex renders branch targets.
 std::string disassembleHost(const HostInst &Inst, uint32_t WordIndex);

@@ -344,7 +344,7 @@ TEST(HostVerifier, CleanRegionPasses) {
 TEST(HostVerifier, BranchOutsideLiveRegionsFlagged) {
   host::CodeSpace Code;
   host::HostAssembler Asm(Code);
-  Asm.brTo(100); // way past the end of the arena
+  Code.append(*host::branchTo(Asm.pos(), 100)); // way past the arena end
   uint32_t Exit = Asm.emit(host::srvInst(host::SrvFunc::Exit));
   Asm.finish();
 

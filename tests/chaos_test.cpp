@@ -507,7 +507,7 @@ struct FakeTranslation {
     uint32_t BodyEnd = Asm.pos();
     uint32_t StubBegin = Asm.pos();
     host::emitMdaLoad(Asm, 4, 3, 4, 2);
-    Asm.brTo(FaultWord + 1);
+    Code.append(*host::branchTo(Asm.pos(), FaultWord + 1));
     uint32_t StubEnd = Asm.pos();
     Asm.finish();
     Input.Blocks.push_back({Entry,

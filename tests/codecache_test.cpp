@@ -689,13 +689,14 @@ TEST(CodeCacheUnitTest, VerifierInputOfChainedPairAndStubPasses) {
   uint32_t Fault = A.MemWordToGuestPc.begin()->first;
   host::HostInst Load;
   ASSERT_TRUE(host::decodeHost(H.Code.word(Fault), Load));
-  dbt::Translator::StubInfo S = H.Trans.emitStub(Load, Fault);
-  ASSERT_TRUE(H.Cache.patchVerified(
-      Fault, dbt::Translator::stubBranchWord(Fault, S.Entry)));
+  std::optional<dbt::Translator::StubInfo> S = H.Trans.emitStub(Load, Fault);
+  ASSERT_TRUE(S);
+  ASSERT_TRUE(
+      H.Cache.patchVerified(Fault, *host::branchTo(Fault, S->Entry)));
   A.PatchedWords.push_back(Fault);
   A.MemWordToGuestPc.erase(Fault);
-  H.Cache.addStub(S.Entry, S.End, A);
-  EXPECT_EQ(H.Cache.owner(S.Entry), &A);
+  H.Cache.addStub(S->Entry, S->End, A);
+  EXPECT_EQ(H.Cache.owner(S->Entry), &A);
 
   analysis::VerifierInput In = H.Cache.verifierInput();
   ASSERT_EQ(In.Blocks.size(), 2u);

@@ -376,3 +376,44 @@ TEST(EngineTest, EngineRefusesSecondRun) {
   E.run();
   EXPECT_DEATH(E.run(), "exactly one run");
 }
+
+TEST(EngineTest, RuntimeRegionStaysGuestMemoryWithoutAdaptiveStubs) {
+  // The adaptive stub's revert mailbox and counter cells live in the
+  // BT-runtime region at layout::RuntimeBase.  Until the first adaptive
+  // stub claims it, that region is ordinary guest memory: the monitor
+  // must not consume the mailbox word as a revert request, and the end
+  // of the run must not zero it.
+  using namespace guest;
+  ProgramBuilder B("runtime-region");
+  B.movri(3, static_cast<int32_t>(layout::RuntimeBase));
+  B.movri(2, 0x11223344);
+  B.stl(mem(3, 0), 2); // the mailbox word
+  B.stl(mem(3, 4), 2); // the pad before the first counter cell
+  B.movri(1, 0);
+  ProgramBuilder::Label Loop = B.here();
+  B.ldl(0, mem(3, 0));
+  B.chk(0);
+  B.addi(1, 1);
+  B.cmpi(1, 200);
+  B.jcc(Cond::B, Loop);
+  B.ldl(0, mem(3, 0)); // read back after the loop's native exit
+  B.chk(0);
+  B.halt();
+  GuestImage Image = B.build();
+  Oracle O = interpretOracle(Image);
+
+  using mda::MechanismKind;
+  for (MechanismKind K : {MechanismKind::Direct,
+                          MechanismKind::ExceptionHandling,
+                          MechanismKind::Dpeh}) {
+    mda::PolicySpec Spec{K, K == MechanismKind::Direct ? 0u : 50u, false, 0,
+                         false};
+    std::unique_ptr<dbt::MdaPolicy> Policy = mda::makePolicy(Spec);
+    dbt::EngineConfig Config;
+    Config.Verify = true;
+    dbt::Engine Engine(Image, *Policy, Config);
+    dbt::RunResult R = Engine.run();
+    expectMatchesOracle(R, O, mda::policySpecName(Spec).c_str());
+    EXPECT_EQ(R.Counters.get("dbt.reverts"), 0u);
+  }
+}

@@ -359,8 +359,9 @@ TEST(TranslatorTest, StubEmissionAndPatching) {
 
   host::HostInst Faulting;
   ASSERT_TRUE(host::decodeHost(Code.word(FaultW), Faulting));
-  Translator::StubInfo S = Trans.emitStub(Faulting, FaultW);
-  Code.patch(FaultW, Translator::stubBranchWord(FaultW, S.Entry));
+  std::optional<Translator::StubInfo> S = Trans.emitStub(Faulting, FaultW);
+  ASSERT_TRUE(S);
+  Code.patch(FaultW, *host::branchTo(FaultW, S->Entry));
 
   guest::GuestMemory Mem;
   Mem.store(0x1001, 4, 0xfeedf00d);

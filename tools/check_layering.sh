@@ -16,12 +16,16 @@
 # Inside dbt, the per-run code cache (dbt/CodeCache.*) sits below the
 # engine: it may not include dbt/Engine.h, dbt/Policy.h,
 # dbt/AotTranslator.h, dbt/TranslationCapture.h, or any chaos/ or mda/
-# header.
+# header.  The per-run trap path (dbt/FaultPath.*) sits between the two:
+# it reaches code only through the cache and decides through the policy
+# interface, so it may not include dbt/Engine.h, dbt/AotTranslator.h,
+# dbt/TranslationCapture.h, or any analysis/ or mda/ header.
 #
 # Usage: check_layering.sh [--self-test] [src-dir]
-#   --self-test: build synthetic trees containing a back-edge and a
-#   forbidden code-cache edge, and assert the lint demonstrably FAILS on
-#   each (the CI negative test), then exit 0.
+#   --self-test: build synthetic trees containing a back-edge, a
+#   forbidden code-cache edge and a forbidden trap-path edge, and assert
+#   the lint demonstrably FAILS on each (the CI negative test), then
+#   exit 0.
 set -u
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -56,11 +60,19 @@ allowed_exception() { # $1 = file relative to src dir, $2 = included header
   return 1
 }
 
+# Prints the rule a forbidden same-layer edge breaks; silent otherwise.
 forbidden_edge() { # $1 = file relative to src dir, $2 = included header
   case "$1:$2" in
-  dbt/CodeCache.*:dbt/Engine.h | dbt/CodeCache.*:dbt/Policy.h) return 0 ;;
-  dbt/CodeCache.*:dbt/AotTranslator.h | dbt/CodeCache.*:dbt/TranslationCapture.h) return 0 ;;
-  dbt/CodeCache.*:chaos/* | dbt/CodeCache.*:mda/*) return 0 ;;
+  dbt/CodeCache.*:dbt/Engine.h | dbt/CodeCache.*:dbt/Policy.h | \
+    dbt/CodeCache.*:dbt/AotTranslator.h | dbt/CodeCache.*:dbt/TranslationCapture.h | \
+    dbt/CodeCache.*:chaos/* | dbt/CodeCache.*:mda/*)
+    echo "the code cache may not depend on the engine, policies, AOT, capture, chaos or mda"
+    return 0 ;;
+  dbt/FaultPath.*:dbt/Engine.h | dbt/FaultPath.*:dbt/AotTranslator.h | \
+    dbt/FaultPath.*:dbt/TranslationCapture.h | \
+    dbt/FaultPath.*:analysis/* | dbt/FaultPath.*:mda/*)
+    echo "the trap path may not depend on the engine, AOT, capture, analysis or mda"
+    return 0 ;;
   esac
   return 1
 }
@@ -68,7 +80,7 @@ forbidden_edge() { # $1 = file relative to src dir, $2 = included header
 # Lint one src tree; prints violations, returns the violation count.
 lint_tree() { # $1 = src dir
   local src="$1" violations=0 checked=0
-  local file rel from line lineno target to
+  local file rel from line lineno target to rule
   while IFS= read -r file; do
     rel="${file#"$src"/}"
     from="${rel%%/*}"
@@ -80,8 +92,8 @@ lint_tree() { # $1 = src dir
       to="${target%%/*}"
       [ -d "$src/$to" ] || continue # not a layer (e.g. gtest/ headers)
       checked=$((checked + 1))
-      if forbidden_edge "$rel" "$target"; then
-        echo "::error file=src/$rel,line=$lineno ::layering: $rel includes \"$target\"; the code cache may not depend on the engine, policies, AOT, capture, chaos or mda"
+      if rule="$(forbidden_edge "$rel" "$target")"; then
+        echo "::error file=src/$rel,line=$lineno ::layering: $rel includes \"$target\"; $rule"
         violations=$((violations + 1))
         continue
       fi
@@ -121,7 +133,9 @@ self_test() {
   expect_caught "$tmp" guest/Bad.h dbt/Engine.h
   # A same-layer edge the code cache may not take.
   expect_caught "$tmp" dbt/CodeCache.h dbt/Engine.h
-  echo "check_layering: self-test ok (synthetic back-edge and code-cache edge caught)"
+  # A same-layer edge the trap path may not take.
+  expect_caught "$tmp" dbt/FaultPath.h dbt/Engine.h
+  echo "check_layering: self-test ok (synthetic back-edge, code-cache and trap-path edges caught)"
   exit 0
 }
 

@@ -36,6 +36,7 @@ ablation_smc|
 ablation_alignment_analysis|--refs 60000
 ablation_invalidation|--refs 60000
 ablation_chaining|--refs 60000
+ablation_adaptive|--refs 60000
 serving_throughput|--requests 120
 chaos_soak|"
 
