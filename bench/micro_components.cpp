@@ -203,8 +203,9 @@ double elapsedSeconds(std::chrono::steady_clock::time_point T0) {
 
 /// Host-simulator throughput in simulated MIPS: a tight 4-instruction
 /// loop (aligned load + add + count-down + branch) so the measurement is
-/// dominated by the fetch/decode/dispatch path the predecode cache and
-/// the cache-model line filter optimize.
+/// dominated by HostMachine::run's per-instruction path: direct-threaded
+/// dispatch over CodeSpace's execution view and the skipped fetches
+/// within one I-cache line.
 double hostSimMips() {
   constexpr uint32_t Iters = 2'000'000;
   host::CodeSpace Code;

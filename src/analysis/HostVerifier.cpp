@@ -13,6 +13,7 @@
 #include "support/Format.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace mdabt {
 namespace analysis {
@@ -60,6 +61,8 @@ struct Verifier {
 
   /// All live half-open ranges: block bodies and stubs.
   std::vector<VerifierRegion> LiveRegions;
+  /// The same words as disjoint ranges sorted by Begin, for lookups.
+  std::vector<VerifierRegion> LiveCover;
   std::unordered_set<uint32_t> LiveEntries;
 
   Verifier(const CodeSpace &C, const VerifierInput &I) : Code(C), Input(I) {
@@ -69,35 +72,51 @@ struct Verifier {
       for (const VerifierRegion &S : B.Stubs)
         LiveRegions.push_back(S);
     }
+    std::vector<VerifierRegion> Sorted = LiveRegions;
+    std::sort(Sorted.begin(), Sorted.end(),
+              [](const VerifierRegion &A, const VerifierRegion &B) {
+                return A.Begin < B.Begin;
+              });
+    for (const VerifierRegion &R : Sorted) {
+      if (R.Begin >= R.End)
+        continue;
+      if (!LiveCover.empty() && R.Begin <= LiveCover.back().End)
+        LiveCover.back().End = std::max(LiveCover.back().End, R.End);
+      else
+        LiveCover.push_back(R);
+    }
   }
 
   void issue(VerifyIssueKind K, uint32_t Word, uint32_t Aux = 0) {
     Report.Issues.push_back({K, Word, Aux});
   }
 
+  /// A binary search: checkRegions asks this for every live branch, and
+  /// a scan of every region per branch would make a sweep quadratic.
   bool inLiveRegion(uint32_t Word) const {
-    return std::any_of(LiveRegions.begin(), LiveRegions.end(),
-                       [&](const VerifierRegion &R) {
-                         return Word >= R.Begin && Word < R.End;
-                       });
+    auto It = std::upper_bound(
+        LiveCover.begin(), LiveCover.end(), Word,
+        [](uint32_t W, const VerifierRegion &R) { return W < R.Begin; });
+    return It != LiveCover.begin() && Word < std::prev(It)->End;
   }
 
-  /// Check 1: the predecoded mirror agrees with a fresh decode of every
-  /// raw word, and valid entries round-trip through the encoder.  Runs
-  /// over the whole arena, dead regions included — a stale mirror entry
+  /// Check 1: every execution-view entry equals a fresh lowering of its
+  /// raw word, and valid words round-trip through the encoder.  Runs
+  /// over the whole arena, dead regions included — a stale entry
   /// anywhere means patch/clear bookkeeping went wrong.
   void checkPredecode() {
-    for (uint32_t W = 0; W < Code.size(); ++W) {
-      ++Report.WordsChecked;
-      HostInst Fresh;
-      bool Valid = decodeHost(Code.word(W), Fresh);
-      const CodeSpace::DecodedWord &Mirror = Code.decodedWord(W);
-      if (Mirror.Valid != Valid) {
+    const uint32_t *Words = Code.data();
+    const ExecEntry *View = Code.execView();
+    const uint32_t Size = Code.size();
+    Report.WordsChecked += Size;
+    for (uint32_t W = 0; W != Size; ++W) {
+      if (View[W] != lowerHostWord(Words[W])) {
         issue(VerifyIssueKind::PredecodeMismatch, W);
         continue;
       }
-      if (Valid && encodeHost(Mirror.Inst) != Code.word(W))
-        issue(VerifyIssueKind::PredecodeMismatch, W, Code.word(W));
+      HostInst Fresh;
+      if (decodeHost(Words[W], Fresh) && encodeHost(Fresh) != Words[W])
+        issue(VerifyIssueKind::PredecodeMismatch, W, Words[W]);
     }
   }
 

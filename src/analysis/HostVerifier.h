@@ -13,8 +13,8 @@
 /// divergence.
 ///
 /// Checked invariants (see DESIGN.md for the rationale of each):
-///  1. predecode coherence: the CodeSpace's decoded mirror matches a
-///     fresh decode of every raw word in the arena, and valid entries
+///  1. predecode coherence: the CodeSpace's execution view matches a
+///     fresh lowering of every raw word in the arena, and valid words
 ///     round-trip through the encoder;
 ///  2. every word inside a live region decodes;
 ///  3. branch targets land on instruction boundaries inside live
@@ -73,7 +73,7 @@ namespace analysis {
 
 /// What went wrong at one code-cache word.
 enum class VerifyIssueKind : uint8_t {
-  PredecodeMismatch, ///< Decoded mirror disagrees with the raw word.
+  PredecodeMismatch, ///< Execution view disagrees with the raw word.
   Undecodable,       ///< Live-region word does not decode.
   BranchTargetBad,   ///< Branch lands outside every live region.
   PatchSiteBad,      ///< Patched site is not a branch to an own stub

@@ -99,12 +99,17 @@ public:
     std::memcpy(Bytes.data() + Addr, &Value, Size);
     Dirty[Addr >> DirtyPageShift] = 1;
     Dirty[(Addr + Size - 1) >> DirtyPageShift] = 1;
-    if (WatchedPages != 0) {
-      uint32_t P0 = Addr >> WatchPageShift;
-      uint32_t P1 = (Addr + Size - 1) >> WatchPageShift;
-      if (Watch[P0] != 0 || Watch[P1] != 0)
-        Watcher(Addr, Size);
-    }
+    if (storeWatched(Addr, Size))
+      Watcher(Addr, Size);
+  }
+
+  /// True if store(\p Addr, \p Size) will invoke the watcher: its first
+  /// or last byte lands on a watched page.  The host machine asks before
+  /// a store so that its counters are exact when the watcher runs.
+  bool storeWatched(uint32_t Addr, unsigned Size) const {
+    return WatchedPages != 0 &&
+           (Watch[Addr >> WatchPageShift] != 0 ||
+            Watch[(Addr + Size - 1) >> WatchPageShift] != 0);
   }
 
   // -- write-watch (SMC barrier) ----------------------------------------
@@ -141,11 +146,6 @@ public:
       if (--Watch[P] == 0)
         --WatchedPages;
     }
-  }
-
-  /// True if a store at \p Addr would invoke the watcher.
-  bool watched(uint32_t Addr) const {
-    return WatchedPages != 0 && Watch[Addr >> WatchPageShift] != 0;
   }
 
   /// Number of distinct pages currently under watch.

@@ -13,6 +13,15 @@
 /// fault handler, which stands in for the OS delivering the misalignment
 /// exception to the BT runtime (paper Fig. 4, right side).
 ///
+/// run() is one direct-threaded loop over CodeSpace's execution view
+/// (one handler per opcode and operand form, see ExecOp).  It keeps
+/// Instructions, Cycles, Loads, Stores, the current word and the L1I
+/// filter hits it skipped in locals and writes them back only at a
+/// *callout* — the fault handler, a store the guest memory reports will
+/// invoke its write watcher, or any exit — so at every callout they are
+/// exact, and after one it re-reads everything the callout may have
+/// changed (cycles, the armed stop, the view, which may have moved).
+///
 /// The handler chooses one of three outcomes:
 ///  - Retry: it patched the code cache (exception-handling method); the
 ///    machine re-executes at the same PC, now hitting the patched branch;
@@ -85,8 +94,10 @@ public:
   /// Execute starting at word index \p EntryWord until a service exit.
   ExitInfo run(uint32_t EntryWord);
 
-  /// Register file (R31 reads as zero regardless of content).
-  uint64_t R[NumRegs] = {};
+  /// Register file.  R31 reads as zero: run() zeroes R[31] on entry and
+  /// after every callout, and every write the code makes to R31 lands in
+  /// the write-only sink R[RegSink] instead.
+  uint64_t R[NumRegs + 1] = {};
 
   uint64_t reg(unsigned Idx) const {
     return Idx == RegZero ? 0 : R[Idx];
@@ -99,22 +110,24 @@ public:
   /// Charge extra cycles (used by fault handlers for codegen work).
   void addCycles(uint64_t N) { Cycles += N; }
 
-  /// Word being executed right now.  Valid only while run() is active;
-  /// the engine's SMC write barrier consults it (from inside a store's
-  /// watcher callback) to detect a store issued by the running
+  /// Word being executed right now, exact inside the fault handler and
+  /// the write watcher (and, after run() returns, the word it stopped
+  /// at).  The engine's SMC write barrier consults it from inside a
+  /// store's watcher callback to detect a store issued by the running
   /// translation itself.
   uint32_t currentWord() const { return CurWord; }
 
   /// Arm a one-shot episode stop: when control reaches \p Word, run()
   /// returns ExitInfo::Stop carrying \p ResumePc *before* executing
-  /// that word.  Cleared at every run() entry and when it fires.
+  /// that word.  Cleared at every run() entry and when it fires; armed
+  /// from a callout, it applies from the next word on.
   void stopAt(uint32_t Word, uint32_t ResumePc) {
     StopArmed = true;
     StopWord = Word;
     StopResumePc = ResumePc;
   }
 
-  // Accounting.
+  // Accounting: exact at every callout and after run() returns.
   uint64_t Cycles = 0;
   uint64_t Instructions = 0;
   uint64_t Loads = 0;
@@ -125,9 +138,12 @@ public:
   uint64_t MaxInstsPerRun = 1ULL << 33;
 
 private:
-  uint64_t operandB(const HostInst &I) const {
-    return I.IsLit ? I.Lit : reg(I.Rb);
-  }
+  enum class TrapResult { Retry, Next, Halt };
+
+  /// The misalignment trap at word \p Pc (data address \p Addr): charge
+  /// it, call the fault handler and carry out its decision.  Runs with
+  /// the counters written back.
+  TrapResult trap(uint32_t Pc, uint64_t Addr);
 
   uint32_t CurWord = 0;
   bool StopArmed = false;

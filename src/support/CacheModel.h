@@ -90,6 +90,14 @@ public:
     return false;
   }
 
+  /// Count \p N accesses the caller skipped because each would have hit
+  /// the one-entry filter (the line of the previous access()).  A filter
+  /// hit changes nothing but Hits, so crediting them in bulk leaves the
+  /// cache in exactly the state the N calls would have.  The caller must
+  /// know that no other access intervened since the one whose line the
+  /// skipped accesses share.
+  void creditFilterHits(uint64_t N) { Hits += N; }
+
   void reset() {
     for (uint64_t &T : Tags)
       T = ~0ULL;

@@ -144,7 +144,7 @@ TEST(ChaosEngineTest, TornPatchesAreRepairedOrRolledBack) {
 
 TEST(ChaosEngineTest, TornAndDroppedPatchSoakNeverExecutesStaleCode) {
   // Combined high-rate drop+tear campaigns across the patch-heavy
-  // policies.  The engine executes out of the predecoded code-cache
+  // policies.  The engine executes out of the code cache's execution
   // view, so any mutation path that failed to refresh it — stub
   // patches, chain/unchain, adaptive reverts, capacity flushes, torn
   // words rolled back by the repair path — would execute a stale

@@ -28,6 +28,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+
 using namespace mdabt;
 using namespace mdabt::testutil;
 
@@ -369,7 +372,7 @@ TEST(CodeCacheTest, ClearEmptiesArena) {
 }
 
 //===----------------------------------------------------------------------===//
-// Predecoded-view coherence: Decoded[i] == decodeHost(Words[i]) after
+// Execution-view coherence: View[i] == lowerHostWord(Words[i]) after
 // every mutation path (the invariant documented in CodeSpace.h).
 //===----------------------------------------------------------------------===//
 
@@ -378,15 +381,17 @@ namespace {
 /// An opcode value outside every HostOp range (12..15 are unassigned).
 constexpr uint32_t InvalidWord = 12u << 26;
 
+bool executable(const host::CodeSpace &Code, uint32_t I) {
+  return Code.exec(I).Op != host::ExecOp::Invalid;
+}
+
 void expectPredecodeCoherent(const host::CodeSpace &Code) {
   for (uint32_t I = 0; I != Code.size(); ++I) {
     host::HostInst Fresh;
     bool Ok = host::decodeHost(Code.word(I), Fresh);
-    const host::CodeSpace::DecodedWord &D = Code.decodedWord(I);
-    ASSERT_EQ(D.Valid, Ok) << "stale validity at word " << I;
-    if (Ok)
-      EXPECT_EQ(host::encodeHost(D.Inst), host::encodeHost(Fresh))
-          << "stale instruction at word " << I;
+    ASSERT_EQ(executable(Code, I), Ok) << "stale validity at word " << I;
+    EXPECT_EQ(Code.exec(I), host::lowerHostWord(Code.word(I)))
+        << "stale instruction at word " << I;
   }
 }
 
@@ -398,9 +403,22 @@ TEST(CodeCacheTest, PredecodeCoherentAfterAppendAndPatch) {
   Code.append(host::encodeHost(host::memInst(host::HostOp::Ldl, 3, -8, 4)));
   Code.append(host::encodeHost(host::brInst(host::HostOp::Bne, 5, -2)));
   Code.append(host::encodeHost(host::srvInst(host::SrvFunc::Halt)));
-  Code.append(InvalidWord); // undecodable words carry Valid = false
+  Code.append(InvalidWord); // undecodable words lower to Invalid
   expectPredecodeCoherent(Code);
-  EXPECT_FALSE(Code.decodedWord(4).Valid);
+  EXPECT_FALSE(executable(Code, 4));
+
+  // The lowered fields: literal folded into the handler, R31 to the sink.
+  EXPECT_EQ(Code.exec(0).Op, host::ExecOp::AddqL);
+  EXPECT_EQ(Code.exec(0).Imm, 7);
+  EXPECT_EQ(Code.exec(1).Op, host::ExecOp::Ldl);
+  EXPECT_EQ(Code.exec(1).Dst, 3);
+  EXPECT_EQ(Code.exec(1).SrcB, 4);
+  EXPECT_EQ(Code.exec(1).Imm, -8);
+  EXPECT_EQ(Code.exec(2).Imm, -2);
+  EXPECT_EQ(Code.exec(3).Op, host::ExecOp::SrvHalt);
+  Code.append(host::encodeHost(host::opInst(host::HostOp::Bis, 1, 2, 31)));
+  EXPECT_EQ(Code.exec(5).Dst, host::RegSink);
+  Code.truncate(5);
 
   // Patching flips words between every format, including to and from
   // undecodable; the view must track each store.
@@ -408,8 +426,8 @@ TEST(CodeCacheTest, PredecodeCoherentAfterAppendAndPatch) {
   Code.patch(1, InvalidWord);
   Code.patch(4, host::encodeHost(host::brInst(host::HostOp::Br, 31, 3)));
   expectPredecodeCoherent(Code);
-  EXPECT_FALSE(Code.decodedWord(1).Valid);
-  EXPECT_TRUE(Code.decodedWord(4).Valid);
+  EXPECT_FALSE(executable(Code, 1));
+  EXPECT_TRUE(executable(Code, 4));
 }
 
 TEST(CodeCacheTest, PredecodeCoherentUnderTornAndDroppedWrites) {
@@ -419,7 +437,7 @@ TEST(CodeCacheTest, PredecodeCoherentUnderTornAndDroppedWrites) {
   Code.append(Original);
   Code.append(Original);
 
-  // A torn write stores a different word than requested; the predecoded
+  // A torn write stores a different word than requested; the execution
   // view must follow the word actually stored, not the requested one.
   uint32_t Torn = host::encodeHost(host::memInst(host::HostOp::Stq, 2, 4, 3));
   Code.setPatchHook([&](uint32_t, uint32_t &Word) {
@@ -443,8 +461,24 @@ TEST(CodeCacheTest, PredecodeCoherentUnderTornAndDroppedWrites) {
     return true;
   });
   Code.patch(1, Original);
-  EXPECT_FALSE(Code.decodedWord(1).Valid);
+  EXPECT_FALSE(executable(Code, 1));
   expectPredecodeCoherent(Code);
+}
+
+TEST(CodeCacheTest, PredecodeCoherentAcrossTruncate) {
+  host::CodeSpace Code;
+  Code.append(host::encodeHost(host::opInstLit(host::HostOp::Addq, 1, 1, 1)));
+  Code.append(host::encodeHost(host::srvInst(host::SrvFunc::Exit)));
+  Code.append(InvalidWord);
+  // An abandoned emission: the dropped tail's entries must go with it,
+  // so a word appended at the same index is lowered afresh.
+  Code.truncate(1);
+  EXPECT_EQ(Code.size(), 1u);
+  expectPredecodeCoherent(Code);
+  EXPECT_EQ(Code.append(host::encodeHost(host::srvInst(host::SrvFunc::Halt))),
+            1u);
+  expectPredecodeCoherent(Code);
+  EXPECT_EQ(Code.exec(1).Op, host::ExecOp::SrvHalt);
 }
 
 TEST(CodeCacheTest, PredecodeCoherentAcrossClear) {
@@ -453,14 +487,97 @@ TEST(CodeCacheTest, PredecodeCoherentAcrossClear) {
   Code.clear();
   Code.append(host::encodeHost(host::opInstLit(host::HostOp::Subq, 6, 1, 6)));
   expectPredecodeCoherent(Code);
-  EXPECT_EQ(Code.decodedWord(0).Inst.Op, host::HostOp::Subq);
+  EXPECT_EQ(Code.exec(0).Op, host::ExecOp::SubqL);
+}
+
+namespace {
+
+/// The lowering spelled out per format from decodeHost's fields: the
+/// reference lowerHostWord's table must agree with.
+host::ExecEntry referenceLowering(uint32_t Word) {
+  using host::ExecOp;
+  using host::HostOp;
+  host::ExecEntry E;
+  host::HostInst I;
+  if (!host::decodeHost(Word, I))
+    return E;
+  auto Dest = [](uint8_t R) {
+    return R == host::RegZero ? host::RegSink : R;
+  };
+  if (host::isMemFormat(I.Op)) {
+    static const std::map<HostOp, ExecOp> Ops = {
+        {HostOp::Lda, ExecOp::Lda},   {HostOp::Ldah, ExecOp::Lda},
+        {HostOp::Ldbu, ExecOp::Ldbu}, {HostOp::Ldwu, ExecOp::Ldwu},
+        {HostOp::Ldl, ExecOp::Ldl},   {HostOp::Ldq, ExecOp::Ldq},
+        {HostOp::LdqU, ExecOp::LdqU}, {HostOp::Stb, ExecOp::Stb},
+        {HostOp::Stw, ExecOp::Stw},   {HostOp::Stl, ExecOp::Stl},
+        {HostOp::Stq, ExecOp::Stq},   {HostOp::StqU, ExecOp::StqU}};
+    E.Op = Ops.at(I.Op);
+    if (host::isHostStore(I.Op))
+      E.SrcA = I.Ra;
+    else
+      E.Dst = Dest(I.Ra);
+    E.SrcB = I.Rb;
+    E.Imm = I.Op == HostOp::Ldah ? I.Disp * 65536 : I.Disp;
+  } else if (host::isOperateFormat(I.Op)) {
+    static const std::map<HostOp, ExecOp> Ops = {
+#define MDABT_REF_OPERATE(N) {HostOp::N, ExecOp::N##R},
+        MDABT_HOST_OPERATE_OPS(MDABT_REF_OPERATE)
+#undef MDABT_REF_OPERATE
+    };
+    // 37..39 sit inside the operate range but name no instruction.
+    auto It = Ops.find(I.Op);
+    if (It == Ops.end())
+      return E;
+    E.Op = static_cast<ExecOp>(static_cast<unsigned>(It->second) +
+                               (I.IsLit ? 1 : 0));
+    E.Dst = Dest(I.Rc);
+    E.SrcA = I.Ra;
+    if (I.IsLit)
+      E.Imm = I.Lit;
+    else
+      E.SrcB = I.Rb;
+  } else if (host::isBranchFormat(I.Op)) {
+    static const std::map<HostOp, ExecOp> Ops = {{HostOp::Br, ExecOp::Br},
+                                                 {HostOp::Beq, ExecOp::Beq},
+                                                 {HostOp::Bne, ExecOp::Bne},
+                                                 {HostOp::Blt, ExecOp::Blt},
+                                                 {HostOp::Bge, ExecOp::Bge}};
+    E.Op = Ops.at(I.Op);
+    E.SrcA = I.Ra;
+    E.Imm = I.Disp;
+  } else if (I.Disp == static_cast<int32_t>(host::SrvFunc::Exit)) {
+    E.Op = ExecOp::SrvExit;
+  } else if (I.Disp == static_cast<int32_t>(host::SrvFunc::Halt)) {
+    E.Op = ExecOp::SrvHalt;
+  }
+  return E;
+}
+
+} // namespace
+
+TEST(CodeCacheTest, LoweringReadsEveryWordAsDecodeHostDoes) {
+  // Every opcode value, with random and all-ones/all-zero operand bits
+  // (garbage in the bits a format ignores included).
+  std::mt19937 Rng(7);
+  for (uint32_t Op = 0; Op != 64; ++Op) {
+    std::vector<uint32_t> Bits = {0, 0x3ffffff, 0x1000, 0x1f, 0x10000,
+                                  0x8000, 0x100000, 1};
+    for (int K = 0; K != 2000; ++K)
+      Bits.push_back(Rng() & 0x3ffffff);
+    for (uint32_t B : Bits) {
+      uint32_t Word = Op << 26 | B;
+      ASSERT_EQ(host::lowerHostWord(Word), referenceLowering(Word))
+          << "word 0x" << std::hex << Word;
+    }
+  }
 }
 
 TEST(CodeCacheTest, PatchedWordExecutesOnRetry) {
   // The exception-handler path: a misaligned Ldl traps, the handler
   // patches the faulting word to the never-trapping LdqU and retries —
   // the patched word must execute on the very next fetch from the
-  // predecoded view, and every later iteration must run it too.
+  // execution view, and every later iteration must run it too.
   constexpr uint32_t Iters = 64;
   constexpr uint64_t Quad = 0x0123456789abcdefULL;
   host::CodeSpace Code;

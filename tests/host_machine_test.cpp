@@ -30,6 +30,17 @@ struct MachineFixture {
   }
 };
 
+/// Every executed instruction is one L1I access, including the filter
+/// hits run() skips and credits in bulk.
+void expectFetchesAccounted(const MachineFixture &F) {
+  EXPECT_EQ(F.Hier.L1I.hits() + F.Hier.L1I.misses(), F.Machine.Instructions);
+}
+
+/// Cycles added by an access that misses both L1 and L2.
+uint64_t coldMiss(const MachineFixture &F) {
+  return F.Hier.Costs.L2HitCycles + F.Hier.Costs.MemoryCycles;
+}
+
 } // namespace
 
 TEST(HostMachineTest, OperateBasics) {
@@ -305,6 +316,7 @@ TEST(HostMachineTest, RunawayGuardTrips) {
   F.Machine.MaxInstsPerRun = 1000;
   ExitInfo E = F.Machine.run(0);
   EXPECT_EQ(E.K, ExitInfo::Limit);
+  EXPECT_EQ(F.Machine.Instructions, 1000u); // the guard is exact
 }
 
 TEST(HostMachineTest, ShiftsUse64BitAmounts) {
@@ -353,4 +365,285 @@ TEST(HostMachineTest, LdahArithmetic) {
   F.runToHalt();
   EXPECT_EQ(F.Machine.R[1], 0x20000u);
   EXPECT_EQ(F.Machine.R[2], static_cast<uint64_t>(-65536LL));
+}
+
+//===----------------------------------------------------------------------===//
+// The callout contract: run() keeps its counters in locals, writes them
+// back before the fault handler, a watched store or an exit, and
+// re-reads what a callout may change after it.
+//===----------------------------------------------------------------------===//
+
+TEST(HostMachineTest, FetchesAccountedOnStraightLineAcrossLines) {
+  MachineFixture F;
+  HostAssembler Asm(F.Code);
+  for (int I = 0; I != 40; ++I) // 41 words: three 16-word L1I lines
+    Asm.lda(1, I, 31);
+  Asm.srv(SrvFunc::Halt);
+  Asm.finish();
+  F.runToHalt();
+  EXPECT_EQ(F.Machine.Instructions, 41u);
+  EXPECT_EQ(F.Hier.L1I.misses(), 3u);
+  EXPECT_EQ(F.Hier.L1I.hits(), 38u);
+  EXPECT_EQ(F.Machine.Cycles, 41 + 3 * coldMiss(F));
+  expectFetchesAccounted(F);
+
+  // A second run() starts with no pending hits and its lines cached.
+  F.runToHalt();
+  EXPECT_EQ(F.Machine.Instructions, 82u);
+  EXPECT_EQ(F.Hier.L1I.misses(), 3u);
+  expectFetchesAccounted(F);
+}
+
+TEST(HostMachineTest, FetchesAccountedOnBackwardBranchWithinALine) {
+  MachineFixture F;
+  HostAssembler Asm(F.Code);
+  Asm.lda(1, 10, 31);
+  auto Loop = Asm.newLabel();
+  Asm.bind(Loop);
+  Asm.opl(HostOp::Subq, 1, 1, 1);
+  Asm.bne(1, Loop);
+  Asm.srv(SrvFunc::Halt);
+  Asm.finish();
+  F.runToHalt();
+  EXPECT_EQ(F.Machine.Instructions, 22u);
+  EXPECT_EQ(F.Hier.L1I.misses(), 1u);
+  EXPECT_EQ(F.Machine.Cycles, 22 + coldMiss(F));
+  expectFetchesAccounted(F);
+}
+
+TEST(HostMachineTest, FetchesAccountedAcrossRetryAndFixup) {
+  MachineFixture F;
+  HostAssembler Asm(F.Code);
+  F.Machine.R[1] = 0x1001;
+  uint32_t RetryW = Asm.mem(HostOp::Ldl, 2, 0, 1); // patched, retried
+  Asm.mem(HostOp::Ldl, 3, 0, 1);                   // fixed up
+  Asm.srv(SrvFunc::Halt);
+  Asm.finish();
+  F.Machine.setFaultHandler([&](const FaultInfo &FI) {
+    expectFetchesAccounted(F);
+    if (FI.HostPc != RetryW)
+      return FaultAction::Fixup;
+    F.Code.patch(RetryW, encodeHost(memInst(HostOp::Lda, 2, 7, 31)));
+    return FaultAction::Retry;
+  });
+  F.runToHalt();
+  // The trapping ldl, its patched retry, the fixed-up ldl, the halt.
+  EXPECT_EQ(F.Machine.Instructions, 4u);
+  EXPECT_EQ(F.Machine.Faults, 2u);
+  EXPECT_EQ(F.Machine.Fixups, 1u);
+  EXPECT_EQ(F.Machine.R[2], 7u);
+  expectFetchesAccounted(F);
+}
+
+TEST(HostMachineTest, FetchesAccountedAtStopAndLimit) {
+  MachineFixture F;
+  HostAssembler Asm(F.Code);
+  F.Machine.R[1] = 0x1000;
+  uint32_t StoreW = Asm.mem(HostOp::Stq, 31, 0, 1);
+  auto Loop = Asm.newLabel();
+  Asm.bind(Loop);
+  Asm.br(Loop);
+  Asm.finish();
+  F.Mem.setWriteWatcher([&](uint32_t, unsigned) {
+    expectFetchesAccounted(F);
+    F.Machine.stopAt(StoreW + 1, 0x42);
+  });
+  F.Mem.watchRange(0x1000, 0x1008);
+  ExitInfo E = F.Machine.run(0);
+  EXPECT_EQ(E.K, ExitInfo::Stop);
+  EXPECT_EQ(F.Machine.Instructions, 1u);
+  expectFetchesAccounted(F);
+
+  // The same store again, but the limit ends the loop first.
+  F.Mem.setWriteWatcher([](uint32_t, unsigned) {});
+  F.Machine.MaxInstsPerRun = 100;
+  E = F.Machine.run(0);
+  EXPECT_EQ(E.K, ExitInfo::Limit);
+  EXPECT_EQ(F.Machine.Instructions, 101u);
+  expectFetchesAccounted(F);
+}
+
+TEST(HostMachineTest, WatcherSeesExactCountersAndStopsOnNextWord) {
+  MachineFixture F;
+  HostAssembler Asm(F.Code);
+  Asm.lda(1, 0x1000, 31);
+  Asm.lda(2, 5, 31);
+  uint32_t StoreW = Asm.mem(HostOp::Stq, 2, 0, 1);
+  Asm.lda(3, 9, 31); // the stop word: must not execute
+  Asm.srv(SrvFunc::Halt);
+  Asm.finish();
+  struct {
+    uint32_t Word = 0;
+    uint64_t Insts = 0, Cycles = 0, Stores = 0;
+  } Seen;
+  unsigned Calls = 0;
+  F.Mem.setWriteWatcher([&](uint32_t, unsigned) {
+    ++Calls;
+    Seen = {F.Machine.currentWord(), F.Machine.Instructions, F.Machine.Cycles,
+            F.Machine.Stores};
+    F.Machine.stopAt(F.Machine.currentWord() + 1, 0x777);
+  });
+  F.Mem.watchRange(0x1000, 0x1008);
+  ExitInfo E = F.Machine.run(0);
+  ASSERT_EQ(Calls, 1u);
+  EXPECT_EQ(Seen.Word, StoreW);
+  EXPECT_EQ(Seen.Insts, 3u);
+  EXPECT_EQ(Seen.Stores, 1u);
+  // One cycle per instruction, one cold fetch (all three words share
+  // an L1I line) and the store's cold data access.
+  EXPECT_EQ(Seen.Cycles, 3 + 2 * coldMiss(F));
+  EXPECT_EQ(E.K, ExitInfo::Stop);
+  EXPECT_EQ(E.GuestPc, 0x777u);
+  EXPECT_EQ(E.SrvWord, StoreW + 1);
+  EXPECT_EQ(F.Machine.Instructions, 3u);
+  EXPECT_EQ(F.Machine.Cycles, Seen.Cycles);
+  EXPECT_EQ(F.Machine.R[3], 0u);
+  EXPECT_EQ(F.Mem.load(0x1000, 8), 5u);
+}
+
+TEST(HostMachineTest, HandlerSeesTheTrappingInstructionCounted) {
+  MachineFixture F;
+  HostAssembler Asm(F.Code);
+  F.Machine.R[1] = 0x1001;
+  Asm.lda(2, 1, 31);
+  uint32_t TrapW = Asm.mem(HostOp::Ldl, 3, 0, 1);
+  Asm.srv(SrvFunc::Halt);
+  Asm.finish();
+  struct {
+    uint32_t Word = 0;
+    uint64_t Insts = 0, Cycles = 0;
+  } Seen;
+  F.Machine.setFaultHandler([&](const FaultInfo &) {
+    Seen = {F.Machine.currentWord(), F.Machine.Instructions,
+            F.Machine.Cycles};
+    F.Machine.addCycles(F.Cost.PatchExtraCycles); // codegen work
+    return FaultAction::Fixup;
+  });
+  F.runToHalt();
+  EXPECT_EQ(Seen.Word, TrapW);
+  EXPECT_EQ(Seen.Insts, 2u);
+  EXPECT_EQ(Seen.Cycles, 2 + coldMiss(F) + F.Cost.TrapCycles);
+  // After it: the handler's cycles, the fixup, its two data accesses
+  // (one cold line) and the halt.
+  EXPECT_EQ(F.Machine.Instructions, 3u);
+  EXPECT_EQ(F.Machine.Cycles, 3 + coldMiss(F) + F.Cost.TrapCycles +
+                                  F.Cost.PatchExtraCycles +
+                                  F.Cost.FixupExtraCycles + coldMiss(F));
+  EXPECT_EQ(F.Machine.R[3], 0u);
+}
+
+TEST(HostMachineTest, CalloutThatMovesTheArenaIsSafe) {
+  // The fault handler emits a stub long enough to reallocate the arena
+  // and redirects the trapping word to it; the watcher emits more code
+  // on a store inside the stub.  Execution must follow the new arena.
+  MachineFixture F;
+  HostAssembler Asm(F.Code);
+  F.Machine.R[1] = 0x1001;
+  F.Machine.R[4] = 0x2000;
+  uint32_t TrapW = Asm.mem(HostOp::Ldl, 2, 0, 1);
+  uint32_t AfterW = Asm.opl(HostOp::Addq, 2, 1, 3);
+  Asm.srv(SrvFunc::Halt);
+  Asm.finish();
+  constexpr uint32_t Nops = 4000;
+  F.Machine.setFaultHandler([&](const FaultInfo &FI) {
+    uint32_t Stub = F.Code.size();
+    F.Code.append(encodeHost(memInst(HostOp::Lda, 2, 7, 31)));
+    F.Code.append(encodeHost(memInst(HostOp::Stq, 2, 0, 4)));
+    for (uint32_t I = 0; I != Nops; ++I)
+      F.Code.append(encodeHost(opInst(HostOp::Bis, 31, 31, 31)));
+    F.Code.append(*branchTo(F.Code.size(), AfterW));
+    F.Code.patch(FI.HostPc, *branchTo(FI.HostPc, Stub));
+    return FaultAction::Retry;
+  });
+  F.Mem.setWriteWatcher([&](uint32_t, unsigned) {
+    for (uint32_t I = 0; I != Nops; ++I)
+      F.Code.append(encodeHost(srvInst(SrvFunc::Halt)));
+  });
+  F.Mem.watchRange(0x2000, 0x2008);
+  F.runToHalt();
+  EXPECT_EQ(F.Machine.R[2], 7u);
+  EXPECT_EQ(F.Machine.R[3], 8u);
+  EXPECT_EQ(F.Mem.load(0x2000, 8), 7u);
+  EXPECT_EQ(F.Machine.Faults, 1u);
+  // Trap, branch to the stub, lda, stq, the nops, branch back, addq,
+  // halt.
+  EXPECT_EQ(F.Machine.Instructions, 1 + 1 + 2 + Nops + 1 + 1 + 1);
+  EXPECT_EQ(F.Code.word(TrapW), *branchTo(TrapW, 3));
+  expectFetchesAccounted(F);
+}
+
+TEST(HostMachineTest, StopAtFiresOnAnyWord) {
+  // Arm the stop (from the watcher on word 0's store) at every later
+  // word in turn, including a backward-branch target and the halt.
+  MachineFixture F;
+  HostAssembler Asm(F.Code);
+  F.Machine.R[1] = 0x1000;
+  Asm.mem(HostOp::Stq, 31, 0, 1);
+  Asm.lda(2, 3, 31);
+  auto Loop = Asm.newLabel();
+  Asm.bind(Loop);
+  Asm.opl(HostOp::Subq, 2, 1, 2);
+  Asm.bne(2, Loop);
+  Asm.lda(4, 1, 31);
+  Asm.srv(SrvFunc::Halt);
+  Asm.finish();
+  // Instructions executed before control first reaches each word.
+  const uint64_t Before[] = {0, 1, 2, 3, 8, 9};
+  uint32_t Target = 0;
+  F.Mem.setWriteWatcher(
+      [&](uint32_t, unsigned) { F.Machine.stopAt(Target, 0x100 + Target); });
+  F.Mem.watchRange(0x1000, 0x1008);
+  for (Target = 1; Target != F.Code.size(); ++Target) {
+    uint64_t Start = F.Machine.Instructions;
+    ExitInfo E = F.Machine.run(0);
+    EXPECT_EQ(E.K, ExitInfo::Stop) << "stop at word " << Target;
+    EXPECT_EQ(E.SrvWord, Target);
+    EXPECT_EQ(E.GuestPc, 0x100 + Target);
+    EXPECT_EQ(F.Machine.Instructions - Start, Before[Target])
+        << "stop at word " << Target;
+    EXPECT_EQ(F.Machine.currentWord(), Target);
+  }
+  expectFetchesAccounted(F);
+}
+
+TEST(HostMachineTest, ZeroRegisterAsLoadDestinationAndToolkitSource) {
+  MachineFixture F;
+  constexpr uint64_t V = 0x1122334455667788ULL;
+  F.Mem.store(0x1000, 8, 0xfeedfacecafebeefULL);
+  HostAssembler Asm(F.Code);
+  F.Machine.R[1] = 0x1000;
+  F.Machine.R[5] = V;
+  for (unsigned R = 2; R != 13; ++R)
+    if (R != 5)
+      F.Machine.R[R] = 0xbad;
+  Asm.op(HostOp::Bis, 5, 5, 31);      // a write to R31 is discarded
+  Asm.mem(HostOp::Ldq, 31, 0, 1);     // counted, value discarded
+  Asm.mem(HostOp::LdqU, 31, 3, 1);    // likewise
+  Asm.op(HostOp::Extql, 5, 31, 2);    // shift 0: r5
+  Asm.op(HostOp::Extqh, 5, 31, 3);    // shift 0: 0
+  Asm.op(HostOp::Insql, 5, 31, 4);    // shift 0: r5
+  Asm.op(HostOp::Mskwl, 5, 31, 6);    // clears the low word
+  Asm.op(HostOp::Mskqh, 31, 5, 7);    // A = 0
+  Asm.opl(HostOp::Extll, 31, 2, 8);   // A = 0
+  Asm.opl(HostOp::Inswl, 31, 1, 9);   // A = 0
+  Asm.opl(HostOp::Msklh, 31, 3, 10);  // A = 0
+  Asm.opl(HostOp::Extll, 5, 2, 11);   // bytes 2..5 of r5
+  Asm.opl(HostOp::Mskqh, 5, 0, 12);   // shift 0: r5
+  Asm.srv(SrvFunc::Halt);
+  Asm.finish();
+  F.Machine.R[31] = 99; // run() zeroes it
+  F.runToHalt();
+  EXPECT_EQ(F.Machine.Loads, 2u);
+  EXPECT_EQ(F.Machine.reg(31), 0u);
+  EXPECT_EQ(F.Machine.R[31], 0u);
+  EXPECT_EQ(F.Machine.R[2], V);
+  EXPECT_EQ(F.Machine.R[3], 0u);
+  EXPECT_EQ(F.Machine.R[4], V);
+  EXPECT_EQ(F.Machine.R[6], V & ~0xffffULL);
+  EXPECT_EQ(F.Machine.R[7], 0u);
+  EXPECT_EQ(F.Machine.R[8], 0u);
+  EXPECT_EQ(F.Machine.R[9], 0u);
+  EXPECT_EQ(F.Machine.R[10], 0u);
+  EXPECT_EQ(F.Machine.R[11], 0x33445566u);
+  EXPECT_EQ(F.Machine.R[12], V);
 }

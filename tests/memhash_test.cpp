@@ -219,6 +219,42 @@ TEST(MemoryHashTest, StraddlingStoreMarksSecondPage) {
   expectUnmarkedPagesZero(Mem);
 }
 
+TEST(MemoryHashTest, StoreWatchedPredictsTheWatcher) {
+  // storeWatched must be true exactly when store() invokes the watcher:
+  // the host machine relies on it to write its counters back first.
+  constexpr uint32_t WPage = guest::GuestMemory::WatchPageBytes;
+  guest::GuestMemory Mem;
+  unsigned Fired = 0;
+  Mem.setWriteWatcher([&](uint32_t, unsigned) { ++Fired; });
+  auto Check = [&](uint32_t Addr, unsigned Size) {
+    bool Predicted = Mem.storeWatched(Addr, Size);
+    unsigned Before = Fired;
+    Mem.store(Addr, Size, 0x0102030405060708ULL);
+    EXPECT_EQ(Predicted, Fired != Before)
+        << "store of " << Size << " at " << Addr;
+    return Predicted;
+  };
+  // Nothing watched: no store is.
+  EXPECT_FALSE(Check(10 * WPage, 8));
+
+  // Watch only page 11.  A store that straddles pages 10 and 11 is
+  // watched through its last byte alone; one ending on page 10 is not.
+  Mem.watchRange(11 * WPage, 12 * WPage);
+  EXPECT_TRUE(Check(11 * WPage - 4, 8));
+  EXPECT_FALSE(Check(11 * WPage - 8, 8));
+  EXPECT_TRUE(Check(11 * WPage, 1));
+  EXPECT_TRUE(Check(12 * WPage - 1, 1));
+  EXPECT_FALSE(Check(12 * WPage, 4));
+  // Straddling out of the watched page: watched through its first byte.
+  EXPECT_TRUE(Check(12 * WPage - 2, 4));
+
+  // Unwatched again: the page map is back to empty.
+  Mem.unwatchRange(11 * WPage, 12 * WPage);
+  EXPECT_FALSE(Check(11 * WPage - 4, 8));
+  EXPECT_FALSE(Check(11 * WPage, 1));
+  EXPECT_EQ(Fired, 4u);
+}
+
 TEST(MemoryHashTest, RezeroedPage) {
   guest::GuestMemory Mem;
   uint64_t Zero = referenceHash(Mem);
