@@ -287,8 +287,8 @@ int main(int argc, char **argv) {
     // Rotate the hot-dispatch mechanisms in as well (coprime with the
     // cache rotation above, so the combinations cross-product): inline
     // caches and trace formation add patch surface the injector can
-    // tear, and the dispatch table must stay coherent through chaos
-    // flushes.  Architectural identity across dispatch configs means
+    // tear, and the block map, chains and inline-cache ways must stay
+    // coherent through chaos flushes.  Architectural identity across dispatch configs means
     // the fault-free baselines stay valid ground truth.
     switch (I % 3) {
     case 1:

@@ -14,8 +14,9 @@
 ///
 ///  * the translation store and the guest-PC block map (`lookup`);
 ///  * the host-word region map of bodies and exception stubs (`owner`);
-///  * the write-barrier index of live translations per guest watch page
-///    (`overlapping`), together with the GuestMemory watches it holds;
+///  * the write-barrier index of live translations per guest watch page,
+///    together with the GuestMemory watches it holds; Coherence asks it
+///    for each barrier store's victims (`overlapping`);
 ///  * the shared-cache leases backing service-installed translations;
 ///  * the quarantine of host words whose unlink patch did not stick.
 ///
@@ -96,7 +97,8 @@ public:
   // -- registering ---------------------------------------------------------
 
   /// Register \p T's host words and watch its guest ranges; \p Epoch is
-  /// the guest-store epoch it is born at.  Paired with retire or flush.
+  /// the guest-store epoch it is born at (Coherence::epoch).  Paired
+  /// with retire or flush.
   void install(Translation &T, uint64_t Epoch);
   /// Point the block map at \p T: the next dispatch of its guest PC
   /// enters it.

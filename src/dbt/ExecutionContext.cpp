@@ -8,8 +8,8 @@
 /// The per-run layer of the serving architecture (docs/SERVING.md):
 /// Engine::run builds one ExecutionContext, which owns ALL mutable state
 /// of one guest run — guest memory and registers, the host code arena,
-/// the code cache, the trap path, SMC epochs, budgets — and performs the
-/// run's monitor loop.
+/// the code cache, the trap path, guest-code coherence, budgets — and
+/// performs the run's monitor loop.
 ///
 /// Every translation enters the arena through one pipeline.  obtain()
 /// produces it — translated locally by the stateless Translator or, when
@@ -20,20 +20,24 @@
 /// CodeSpace, so concurrent runs never share mutable code.
 ///
 /// The run's CodeCache owns the translations and every index over them,
-/// and its FaultPath owns the trap path and the degradation ledger; this
-/// file decides what to translate, retire, charge and verify, and
-/// reaches cache and trap state only through them.
+/// its FaultPath the trap path and the degradation ledger, and its
+/// Coherence what the run knows about guest code bytes (store epochs,
+/// dirty bytes, the alignment analysis).  This file decides what to
+/// translate, retire, charge and verify, and reaches cache, trap and
+/// coherence state only through them: the write barrier here charges
+/// the SMC trap, arms the episode stop Coherence asks for and retires
+/// the victims it reports.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "dbt/Engine.h"
 
-#include "analysis/AlignmentAnalysis.h"
 #include "analysis/CfgRecovery.h"
 #include "analysis/HostVerifier.h"
 #include "chaos/FaultInjector.h"
 #include "dbt/AotTranslator.h"
 #include "dbt/CodeCache.h"
+#include "dbt/Coherence.h"
 #include "dbt/FaultPath.h"
 #include "dbt/FusionRules.h"
 #include "dbt/GuestBlock.h"
@@ -45,7 +49,6 @@
 #include "host/HostMachine.h"
 #include "support/CacheModel.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -85,14 +88,13 @@ public:
         HInterpInsts(&Reg.histogram("interp.block_insts")),
         Cache(Code, Mem, Trace, Hard.PatchFailureLimit,
               [this] { Abort = RunError::PatchFailed; }),
-        Faults(Code, Mem, Cache, Policy, Trace, Hard.MaxWatchdogTrips) {
+        Faults(Code, Mem, Cache, Policy, Trace, Hard.MaxWatchdogTrips),
+        Coh(Cache, Mem, Trace, Image.Entry, Image.StackTop) {
     Mem.loadImage(Image);
     Cpu.reset(Image);
     // Guest-code write barrier (self-modifying-code coherence): the
     // callback only fires for stores into pages backing live
     // translations, so runs that never execute natively never pay.
-    EntryPc = Image.Entry;
-    StackTopAddr = Image.StackTop;
     Mem.setWriteWatcher([this](uint32_t Addr, unsigned Size) {
       onGuestCodeStore(Addr, Size);
     });
@@ -102,24 +104,7 @@ public:
     // cycles are not charged to the run.  AOT MemPlans come from
     // congruence verdicts, so AOT implies it even with Analysis off.
     if (Config.Analysis || Config.Aot != AotMode::Off)
-      Ana.emplace(analysis::analyzeAlignment(Mem, EntryPc, StackTopAddr));
-    if (Config.Analysis && Trace.enabled()) {
-      std::vector<uint32_t> Pcs;
-      Pcs.reserve(Ana->Sites.size());
-      for (const auto &Entry : Ana->Sites)
-        Pcs.push_back(Entry.first);
-      std::sort(Pcs.begin(), Pcs.end());
-      for (uint32_t Pc : Pcs) {
-        const analysis::SiteInfo &Site = Ana->Sites.at(Pc);
-        Trace.emit(obs::TraceEventKind::AnalysisVerdict, Pc, 0,
-                   static_cast<uint64_t>(Site.Verdict),
-                   Site.Size | (Site.IsStore ? 0x100u : 0u));
-      }
-      Trace.emit(obs::TraceEventKind::AnalysisSummary,
-                 static_cast<uint32_t>(Ana->Sites.size()),
-                 Ana->Poisoned ? 1 : 0, Ana->NumAligned,
-                 Ana->NumMisaligned);
-    }
+      Coh.analyze(Config.Analysis && Trace.enabled());
     if (Config.Aot != AotMode::Off) {
       // Deterministic whole-image CFG recovery over the pristine bytes:
       // the statically proven reachable set the pre-translator covers
@@ -179,17 +164,15 @@ private:
       return MemPlan::Inline;
     // Static verdicts next: a proof beats any policy heuristic, and
     // only Unknown sites fall through to the policy's machinery.
-    if (Ana) {
-      switch (Ana->verdictFor(Pc, I)) {
-      case analysis::AlignVerdict::Aligned:
-        ++PlanAlignedElides;
-        return MemPlan::Elide;
-      case analysis::AlignVerdict::Misaligned:
-        ++PlanInlineForced;
-        return MemPlan::Inline;
-      case analysis::AlignVerdict::Unknown:
-        break;
-      }
+    switch (Coh.verdict(Pc, I)) {
+    case analysis::AlignVerdict::Aligned:
+      ++PlanAlignedElides;
+      return MemPlan::Elide;
+    case analysis::AlignVerdict::Misaligned:
+      ++PlanInlineForced;
+      return MemPlan::Inline;
+    case analysis::AlignVerdict::Unknown:
+      break;
     }
     return Policy.planMemoryOp(Pc, I);
   }
@@ -326,7 +309,7 @@ private:
   /// the verifier sweep afterwards.
   bool install(Translation *T, bool FromCache, obs::TraceEventKind Kind,
                uint64_t A, uint64_t B) {
-    Cache.install(*T, StoreEpoch);
+    Cache.install(*T, Coh.epoch());
     if (!Policy.translationIsOffline())
       TranslateCycles += static_cast<uint64_t>(T->GuestInsts) *
                          (FromCache ? Cost.CacheInstallCyclesPerInst
@@ -367,8 +350,7 @@ private:
       return nullptr; // degradation rung 3: this block stays interpreted
     // Never plan from stale verdicts: a supersede can reach here before
     // the monitor loop's own re-analysis point.
-    maybeReanalyze();
-    if (Abort != RunError::None)
+    if (!maybeReanalyze())
       return nullptr;
     if (AllowFlush && !makeRoom())
       return nullptr;
@@ -534,54 +516,26 @@ private:
   /// retired before the next dispatch (a neighbour that merely shares
   /// the page stays live).  Coherence contract: rewritten guest code
   /// takes effect no later than the next basic-block boundary, exactly
-  /// like classic pre-P6 x86 ("effective after the next jump").
+  /// like classic pre-P6 x86 ("effective after the next jump"), and at
+  /// the next guest instruction when the store came from inside the
+  /// running translation's own bytes.
   void onGuestCodeStore(uint32_t Addr, unsigned Size) {
-    if (InSmcBarrier)
-      return; // re-entrant store from coherence work itself
-    InSmcBarrier = true;
-    ++SmcStores;
-    ++StoreEpoch;
     Machine.addCycles(Cost.SmcWriteTrapCycles);
-    Trace.emit(obs::TraceEventKind::SmcStore, 0, 0, Addr, Size);
-    for (uint32_t B = Addr; B != Addr + Size; ++B)
-      ByteDirtyEpoch[B] = StoreEpoch;
+    Coherence::Store St = Coh.store(
+        Addr, Size,
+        InNative ? std::optional(Machine.currentWord()) : std::nullopt);
     // Pending AOT units whose source bytes this store rewrote can never
     // be installed: the dynamic path re-discovers from the new bytes.
     if (Aot)
       Aot->noteGuestStore(Addr, static_cast<uint32_t>(Size));
-    // Victim collection first, mutation after: invalidation edits the
-    // per-page index the query reads.
-    std::vector<Translation *> Victims =
-        Cache.overlapping(Addr, static_cast<uint32_t>(Size));
-    // The store came from *inside* a victim (a superblock fused the
-    // patcher with the code it patches, or a block rewrote its own
-    // bytes): quarantining alone is not enough, because the episode
-    // would keep executing the stale body it just overwrote.  Arm a
-    // machine stop at the end of the storing guest instruction and
-    // resume via fresh dispatch — the rewrite takes effect at the next
-    // guest instruction, exactly the interpreter's semantics.
-    if (InNative) {
-      Translation *Running = Cache.owner(Machine.currentWord());
-      if (Running && std::find(Victims.begin(), Victims.end(), Running) !=
-                         Victims.end()) {
-        auto It = Running->StoreResume.find(Machine.currentWord());
-        if (It != Running->StoreResume.end()) {
-          Machine.stopAt(It->second.EndWord, It->second.ResumePc);
-          ++SmcEpisodeStops;
-          Trace.emit(obs::TraceEventKind::SmcEpisodeStop,
-                     It->second.ResumePc, Running->GuestPc,
-                     Machine.currentWord(), It->second.EndWord);
-        } else {
-          // No resume metadata for this word: the in-flight episode
-          // cannot be stopped coherently.  Typed abort — never let a
-          // hostile guest turn a bookkeeping gap into silent
-          // corruption.
-          Abort = RunError::PatchFailed;
-        }
-      }
-    }
-    for (Translation *T : Victims) {
-      ++SmcInvalidations;
+    // Resume via fresh dispatch; with no resume metadata for the storing
+    // word, typed abort — never let a hostile guest turn a bookkeeping
+    // gap into silent corruption.
+    if (St.Stop)
+      Machine.stopAt(St.Stop->EndWord, St.Stop->ResumePc);
+    else if (St.Unstoppable)
+      Abort = RunError::PatchFailed;
+    for (Translation *T : St.Victims) {
       Trace.emit(obs::TraceEventKind::SmcInvalidate, Addr, T->GuestPc,
                  T->Generation, T->IsTrace ? 1 : 0);
       // A failed unchain or IC-retire must abort here, not quarantine:
@@ -590,41 +544,25 @@ private:
       // old semantics with no trap to catch it.
       if (!invalidate(T))
         Abort = RunError::PatchFailed;
-      uint32_t Pin = ++SmcInvalsAt[T->GuestPc];
-      if (Config.Budget.SmcChurnPinLimit != 0 &&
-          Pin >= Config.Budget.SmcChurnPinLimit &&
-          !Faults.pinned(T->GuestPc)) {
-        // Per-block churn containment: a block rewritten this often is
-        // cheaper to interpret (rung 3 of the degradation ladder) —
-        // the interpreter fetches fresh bytes every instruction, so
-        // SMC is free there.
-        Faults.pin(T->GuestPc, FaultPath::Pin::SmcChurn);
-        Trace.emit(obs::TraceEventKind::SmcChurnPin, 0, T->GuestPc, Pin,
-                   0);
-      }
+      Faults.smcInvalidated(T->GuestPc, Config.Budget.SmcChurnPinLimit);
     }
-    // Any rewrite of watched code bytes may shift dataflow the static
-    // analysis proved facts about; re-run it lazily at the next safe
-    // point and revoke elides that no longer hold.
-    if (Ana)
-      AnaStale = true;
     checkBudgets();
-    if (!Victims.empty())
+    if (!St.Victims.empty())
       runVerifier();
-    InSmcBarrier = false;
   }
 
   /// Re-run the static alignment analysis if guest code changed since
   /// the last pass (lazy: one pass absorbs a whole burst of stores),
-  /// then revoke Elide verdicts that no longer hold.
-  void maybeReanalyze() {
-    if (!AnaStale || !Ana || Abort != RunError::None)
-      return;
-    AnaStale = false;
-    Ana.emplace(analysis::analyzeAlignment(Mem, EntryPc, StackTopAddr));
-    ++SmcReanalyses;
-    Trace.emit(obs::TraceEventKind::SmcReanalysis, 0, 0,
-               Ana->Sites.size(), Ana->Poisoned ? 1 : 0);
+  /// then retire the translations whose Elide verdicts no longer hold:
+  /// EngineConfig::Analysis stays sound, no live code elides MDA
+  /// bookkeeping without a current proof.  False if the run is
+  /// aborting.
+  bool maybeReanalyze() {
+    if (Abort != RunError::None)
+      return false;
+    std::optional<std::vector<Translation *>> Revoked = Coh.reanalyze();
+    if (!Revoked)
+      return true;
     // Every pending AOT unit was planned under the old verdicts, and a
     // rewritten byte anywhere can shift dataflow into blocks it does
     // not overlap — a stale Elide re-installed from a pre-translation
@@ -632,41 +570,11 @@ private:
     // covered code falls back to demand translation under fresh plans.
     if (Aot)
       Aot->dropAll();
-    revokeStaleElides();
-  }
-
-  /// Sweep live translations for Elide sites whose Aligned proof does
-  /// not survive the fresh analysis (the modified bytes may sit in a
-  /// *different* block that feeds this one's dataflow) and invalidate
-  /// them; their next translation re-plans every site under the new
-  /// verdicts.  EngineConfig::Analysis stays sound: no live code elides
-  /// MDA bookkeeping without a current proof.
-  void revokeStaleElides() {
-    std::vector<Translation *> Victims;
-    Cache.forEachLive([&](Translation &T) {
-      std::vector<uint32_t> ElidePcs;
-      for (const auto &KV : T.PlanByPc)
-        if (KV.second == MemPlan::Elide)
-          ElidePcs.push_back(KV.first);
-      std::sort(ElidePcs.begin(), ElidePcs.end());
-      for (uint32_t Pc : ElidePcs) {
-        guest::GuestInst I;
-        if (guest::decode(Mem.data(), Mem.size(), Pc, I) &&
-            Ana->verdictFor(Pc, I) == analysis::AlignVerdict::Aligned)
-          continue; // still proven; the elide stands
-        ++SmcVerdictsRevoked;
-        Trace.emit(obs::TraceEventKind::SmcVerdictRevoked, Pc, T.GuestPc,
-                   T.Generation, 0);
-        Victims.push_back(&T);
-        break; // one revoked site retires the whole translation
-      }
-    });
-    CodeCache::sortByEntry(Victims);
-    for (Translation *T : Victims)
-      if (T->Valid) // an earlier victim's unchaining cannot kill it,
-        invalidate(T); // but stay defensive
-    if (!Victims.empty())
+    for (Translation *T : *Revoked)
+      invalidate(T);
+    if (!Revoked->empty())
       runVerifier();
+    return Abort == RunError::None;
   }
 
   // -- resource governance ---------------------------------------------------
@@ -700,10 +608,10 @@ private:
       Trace.emit(obs::TraceEventKind::BudgetExceeded, 0, 0, 1,
                  CodeBytesEmitted);
     } else if (B.MaxChurn != 0 &&
-               Supersedes + SmcInvalidations > B.MaxChurn) {
+               Supersedes + Coh.stats().Invalidations > B.MaxChurn) {
       Abort = RunError::BudgetChurn;
       Trace.emit(obs::TraceEventKind::BudgetExceeded, 0, 0, 2,
-                 Supersedes + SmcInvalidations);
+                 Supersedes + Coh.stats().Invalidations);
     }
   }
 
@@ -719,7 +627,7 @@ private:
     if ((!Config.Verify && !Force) || Abort != RunError::None)
       return;
     analysis::VerifierInput In = Cache.verifierInput();
-    In.GuestDirtyEpoch = &ByteDirtyEpoch;
+    In.GuestDirtyEpoch = &Coh.dirtyEpochs();
     if (AotCfg)
       In.ReachableRanges = &AotReachable;
     analysis::VerifyReport Report = analysis::verifyCodeSpace(Code, In);
@@ -894,12 +802,9 @@ private:
   /// treatment.  De-optimization is ordinary invalidation: the trace
   /// falls back to the still-installed constituent blocks.
   void tryFormSuperblock(uint32_t HeadPc) {
-    if (Abort != RunError::None || Faults.pinned(HeadPc))
-      return;
     // Trace planning replays constituent MemPlans and consults the
     // analysis for fresh sites: both must be current.
-    maybeReanalyze();
-    if (Abort != RunError::None)
+    if (Faults.pinned(HeadPc) || !maybeReanalyze())
       return;
     if (TraceFormsAt[HeadPc] >= TraceFormsPerHead)
       return;
@@ -1047,6 +952,8 @@ private:
   CodeCache Cache;
   /// The trap path and the degradation ledger.
   FaultPath Faults;
+  /// Store epochs, dirty bytes, the alignment analysis and revocation.
+  Coherence Coh;
   std::unordered_map<uint32_t, uint32_t> Heat;
 
   /// Backward-chain events per loop-head PC (superblock hotness).
@@ -1056,10 +963,6 @@ private:
 
   /// Fault injection (chaos campaigns); disengaged in normal runs.
   std::optional<chaos::FaultInjector> Injector;
-
-  /// Static alignment analysis (EngineConfig::Analysis); empty when
-  /// disabled.  Also implied by EngineConfig::Aot != Off.
-  std::optional<analysis::AnalysisResult> Ana;
 
   // -- static AOT pre-translation state (EngineConfig::Aot) --------------
 
@@ -1079,28 +982,6 @@ private:
   uint64_t AotCoveredHeads = 0;
   uint64_t AotFallbackBlocks = 0;
   uint64_t AotStartupCycles = 0;
-
-  // -- guest-code coherence state ----------------------------------------
-
-  /// Guest-store epoch: bumped once per barrier-visible store.  Dirty
-  /// bytes and Translation::BornEpoch are stamped with it.
-  uint64_t StoreEpoch = 0;
-  /// Dirtied guest code byte -> epoch of the store that dirtied it.
-  /// Byte-granular on purpose: two translations can share one watch
-  /// page, and the verifier must not flag the live neighbour of a
-  /// rewritten range.  Bounded by distinct dirtied bytes on watched
-  /// pages (only those reach the barrier).
-  std::unordered_map<uint32_t, uint64_t> ByteDirtyEpoch;
-  /// Re-entrancy guard for the write barrier.
-  bool InSmcBarrier = false;
-  /// Guest code bytes changed since the last analysis pass; re-run
-  /// lazily at the next safe point (maybeReanalyze).
-  bool AnaStale = false;
-  /// SMC invalidations per block PC (BudgetConfig::SmcChurnPinLimit).
-  std::unordered_map<uint32_t, uint32_t> SmcInvalsAt;
-  /// Re-analysis anchor (the image's entry and initial stack top).
-  uint32_t EntryPc = 0;
-  uint32_t StackTopAddr = 0;
 
   RunError Abort = RunError::None;
 
@@ -1135,11 +1016,6 @@ private:
   uint64_t VerifyPasses = 0;
   uint64_t VerifyWords = 0;
   uint64_t VerifyIssues = 0;
-  uint64_t SmcStores = 0;
-  uint64_t SmcInvalidations = 0;
-  uint64_t SmcReanalyses = 0;
-  uint64_t SmcVerdictsRevoked = 0;
-  uint64_t SmcEpisodeStops = 0;
   // -- serving state (EngineConfig::Service) -----------------------------
 
   uint64_t CacheHits = 0;
@@ -1204,8 +1080,7 @@ RunResult ExecutionContext::run() {
     // Guest code changed since the last analysis pass: re-analyze and
     // revoke stale Elide verdicts before dispatching anything compiled
     // under the old proofs.
-    maybeReanalyze();
-    if (Abort != RunError::None)
+    if (!maybeReanalyze())
       break;
 
     // AOT coverage accounting: every executed head reaches this point
@@ -1378,12 +1253,13 @@ RunResult ExecutionContext::run() {
   Reg.addCounter("harden.translate_failures", TranslateFailures);
   Reg.addCounter("harden.flush_suppressed", FlushesSuppressed);
   Reg.addCounter("harden.stub_downgrades", FS.StubDowngrades);
-  Reg.addCounter("smc.stores", SmcStores);
-  Reg.addCounter("smc.invalidations", SmcInvalidations);
-  Reg.addCounter("smc.reanalyses", SmcReanalyses);
-  Reg.addCounter("smc.verdicts_revoked", SmcVerdictsRevoked);
+  const Coherence::Stats &CS = Coh.stats();
+  Reg.addCounter("smc.stores", Coh.epoch());
+  Reg.addCounter("smc.invalidations", CS.Invalidations);
+  Reg.addCounter("smc.reanalyses", CS.Reanalyses);
+  Reg.addCounter("smc.verdicts_revoked", CS.VerdictsRevoked);
   Reg.addCounter("smc.churn_pins", FS.SmcChurnPins);
-  Reg.addCounter("smc.episode_stops", SmcEpisodeStops);
+  Reg.addCounter("smc.episode_stops", CS.EpisodeStops);
   Reg.addCounter("budget.code_bytes_emitted", CodeBytesEmitted);
   if (Config.Service) {
     Reg.addCounter("cache.hits", CacheHits);
@@ -1411,13 +1287,13 @@ RunResult ExecutionContext::run() {
     Reg.addCounter("fusion.saved_words", FusionSavedWords);
     Reg.addCounter("fusion.blocks", FusionBlocks);
   }
-  if (Ana) {
-    Reg.addCounter("analysis.blocks", Ana->Blocks);
-    Reg.addCounter("analysis.mem_sites", Ana->Sites.size());
-    Reg.addCounter("analysis.provably_aligned", Ana->NumAligned);
-    Reg.addCounter("analysis.provably_misaligned", Ana->NumMisaligned);
-    Reg.addCounter("analysis.unknown", Ana->NumUnknown);
-    Reg.addCounter("analysis.poisoned", Ana->Poisoned ? 1 : 0);
+  if (const analysis::AnalysisResult *A = Coh.analysis()) {
+    Reg.addCounter("analysis.blocks", A->Blocks);
+    Reg.addCounter("analysis.mem_sites", A->Sites.size());
+    Reg.addCounter("analysis.provably_aligned", A->NumAligned);
+    Reg.addCounter("analysis.provably_misaligned", A->NumMisaligned);
+    Reg.addCounter("analysis.unknown", A->NumUnknown);
+    Reg.addCounter("analysis.poisoned", A->Poisoned ? 1 : 0);
     Reg.addCounter("analysis.plan_aligned_elides", PlanAlignedElides);
     Reg.addCounter("analysis.plan_inline_forced", PlanInlineForced);
   }

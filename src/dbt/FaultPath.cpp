@@ -211,3 +211,14 @@ uint32_t FaultPath::translateFailed(uint32_t Pc) {
     pin(Pc, Pin::TranslateRetries);
   return Attempt;
 }
+
+void FaultPath::smcInvalidated(uint32_t Pc, uint32_t Limit) {
+  uint32_t Count = ++SmcInvalsAt[Pc];
+  if (Limit == 0 || Count < Limit || pinned(Pc))
+    return;
+  // Per-block churn containment: a block rewritten this often is cheaper
+  // to interpret (rung 3 of the degradation ladder) — the interpreter
+  // fetches fresh bytes every instruction, so SMC is free there.
+  pin(Pc, Pin::SmcChurn);
+  Trace.emit(obs::TraceEventKind::SmcChurnPin, 0, Pc, Count, 0);
+}

@@ -22,7 +22,8 @@
 ///    rearrangement with the storming site force-inlined, retranslation
 ///    with every site force-inlined, interpret-only pin;
 ///  * the degradation ledger: interpret-only pins, force-inlined sites,
-///    ladder rungs and per-block translation failures.
+///    ladder rungs, per-block translation failures and per-block SMC
+///    invalidations (the churn pin).
 ///
 /// The fault path decides nothing about the run.  It reports what it did
 /// — patched block T (and whether the policy asked to supersede it),
@@ -152,6 +153,10 @@ public:
   /// Record a failed translation of block \p Pc, pinning it at
   /// TranslateRetryLimit; returns the attempt number.
   uint32_t translateFailed(uint32_t Pc);
+  /// A store rewrote (and retired) a translation of block \p Pc: pin it
+  /// at the \p Limit-th such store (BudgetConfig::SmcChurnPinLimit; 0
+  /// never pins).
+  void smcInvalidated(uint32_t Pc, uint32_t Limit);
   /// A translation headed at \p Pc succeeded: its failures are forgiven.
   void translated(uint32_t Pc) { TranslateFailsAt.erase(Pc); }
   size_t pinnedBlocks() const { return InterpOnly.size(); }
@@ -195,6 +200,7 @@ private:
   std::unordered_set<uint32_t> ForceInline; ///< inst PCs forced Inline
   std::unordered_map<uint32_t, uint32_t> LadderRungOf; ///< block -> rung
   std::unordered_map<uint32_t, uint32_t> TranslateFailsAt;
+  std::unordered_map<uint32_t, uint32_t> SmcInvalsAt;
 };
 
 } // namespace dbt

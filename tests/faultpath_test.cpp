@@ -330,6 +330,37 @@ TEST(FaultPathUnitTest, EachPinReasonBumpsOnlyItsCounters) {
     H.Faults.translateFailed(0x40);
   EXPECT_TRUE(H.Faults.pinned(0x40));
   EXPECT_EQ(H.Faults.stats().LadderInterpPins, 1u);
+
+  // SMC churn pins exactly at the limit, once, and moves only the churn
+  // and interpret-only counters; a limit of 0 never pins.
+  constexpr uint32_t Limit = 3;
+  FaultHarness C;
+  for (uint32_t I = 1; I != Limit; ++I)
+    C.Faults.smcInvalidated(0x80, Limit);
+  EXPECT_FALSE(C.Faults.pinned(0x80));
+  C.Faults.smcInvalidated(0x80, Limit);
+  EXPECT_TRUE(C.Faults.pinned(0x80));
+  C.Faults.smcInvalidated(0x80, Limit); // already pinned: not pinned again
+  const FaultPath::Stats &S = C.Faults.stats();
+  EXPECT_EQ(S.SmcChurnPins, 1u);
+  EXPECT_EQ(S.LadderInterpPins, 1u);
+  EXPECT_EQ(S.OversizedPins, 0u);
+  EXPECT_EQ(S.Patches + S.Reverts + S.SpuriousTraps + S.StubDowngrades +
+                S.WatchdogTrips + S.LadderRearranges + S.LadderRetranslations,
+            0u);
+  std::vector<obs::TraceEvent> Pins;
+  for (const obs::TraceEvent &E : C.Events.snapshot())
+    if (E.Kind == obs::TraceEventKind::SmcChurnPin)
+      Pins.push_back(E);
+  ASSERT_EQ(Pins.size(), 1u);
+  EXPECT_EQ(Pins[0].BlockPc, 0x80u);
+  EXPECT_EQ(Pins[0].A, Limit);
+  EXPECT_FALSE(C.Faults.pinned(0x84)); // per block
+  FaultHarness Off;
+  for (uint32_t I = 0; I != 64; ++I)
+    Off.Faults.smcInvalidated(0x80, 0);
+  EXPECT_FALSE(Off.Faults.pinned(0x80));
+  EXPECT_EQ(Off.Faults.stats().LadderInterpPins, 0u);
 }
 
 TEST(FaultPathUnitTest, StubOutOfBranchRangeIsEmulated) {

@@ -19,9 +19,12 @@
 #include "TestUtil.h"
 
 #include "mda/PolicyFactory.h"
+#include "obs/TraceSink.h"
 #include "workloads/Hostile.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace mdabt;
 using namespace mdabt::testutil;
@@ -173,4 +176,194 @@ TEST(SmcTest, ChurnPinDegradesInsteadOfAborting) {
       Image, {mda::MechanismKind::Direct, 0, false, 0, false}, Config);
   expectMatchesOracle(R, O, "smc.churn pinned");
   EXPECT_GT(R.Counters.get("smc.churn_pins"), 0u);
+}
+
+namespace {
+
+/// A loop whose one block rewrites its own later bytes after it may
+/// have been superseded from inside its own trap handler:
+///
+///   Loop: ebp = Buf + ((esi + 56) >> 8)   ; misaligned from esi == 200
+///         ldl  eax, [ebp]                 ; traps once misaligned
+///         movri ebx, Imm
+///         stl  [ebx], esi                 ; rewrites the movri below
+///         movri edx, <Imm>                ; must read the fresh value
+///         chk  edx; chk eax
+///         esi += 1; loop while esi < Iters
+///
+/// Under exception handling with rearrangement, the first misaligned
+/// trap patches the load to a stub and retires the block while it keeps
+/// running; its store into its own bytes must still stop the episode.
+guest::GuestImage selfPatchAfterTrapProgram(uint32_t Iters) {
+  using namespace guest;
+  constexpr uint8_t Eax = 0, Edx = 2, Ebx = 3, Ebp = 5, Esi = 6;
+  ProgramBuilder B("smc.self-after-trap");
+  uint32_t Buf = B.dataReserve(32, 8);
+  // Bytes from the loop head to the patched movri's imm32 ([op][reg]
+  // [imm32], imm at +2), measured on a throwaway builder.
+  auto Prefix = [&](ProgramBuilder &P, uint32_t Imm) {
+    P.movrr(Ebp, Esi);
+    P.addi(Ebp, 56);
+    P.shri(Ebp, 8);
+    P.addi(Ebp, static_cast<int32_t>(Buf));
+    P.ldl(Eax, mem(Ebp, 0));
+    P.movri(Ebx, static_cast<int32_t>(Imm));
+    P.stl(mem(Ebx, 0), Esi);
+  };
+  ProgramBuilder Probe("probe");
+  uint32_t Probe0 = Probe.codeAddress();
+  Prefix(Probe, 0);
+  uint32_t ImmOffset = Probe.codeAddress() - Probe0 + 2;
+
+  B.movri(Esi, 0);
+  // Align the imm32 so the patch is a plain aligned store.
+  while ((B.codeAddress() + ImmOffset) % 4 != 0)
+    B.nop();
+  ProgramBuilder::Label Loop = B.here();
+  uint32_t Imm = B.codeAddress() + ImmOffset;
+  Prefix(B, Imm);
+  B.movri(Edx, 0);
+  B.chk(Edx);
+  B.chk(Eax);
+  B.addi(Esi, 1);
+  B.cmpi(Esi, static_cast<int32_t>(Iters));
+  B.jcc(Cond::B, Loop);
+  B.halt();
+  return B.build();
+}
+
+} // namespace
+
+TEST(SmcTest, RetiredRunningBlockStopsOnStoreIntoItsOwnBytes) {
+  // The rearranging exception handler supersedes the block from inside
+  // its own trap, so the body that then stores into its own movri is
+  // already retired: only its own guest ranges, not the live victims,
+  // can tell that the episode must stop.
+  guest::GuestImage Image = selfPatchAfterTrapProgram(400);
+  Oracle O = interpretOracle(Image);
+  for (bool Verify : {true, false}) {
+    dbt::EngineConfig Config = smcConfig();
+    Config.Verify = Verify;
+    dbt::RunResult R = runSmc(
+        Image, {mda::MechanismKind::ExceptionHandling, 50, true, 0, false},
+        Config);
+    expectMatchesOracle(R, O, Verify ? "eh+rearrange verify"
+                                     : "eh+rearrange");
+    EXPECT_GT(R.Counters.get("dbt.supersedes"), 0u);
+  }
+}
+
+namespace {
+
+/// Keeps the write barrier's and the re-analysis's events, in order.
+class CoherenceEvents final : public obs::TraceSink {
+public:
+  void emit(const obs::TraceEvent &E) override {
+    using K = obs::TraceEventKind;
+    switch (E.Kind) {
+    case K::SmcStore:
+    case K::SmcEpisodeStop:
+    case K::SmcInvalidate:
+    case K::BlockInvalidated:
+    case K::SmcChurnPin:
+    case K::SmcReanalysis:
+    case K::SmcVerdictRevoked:
+      Events.push_back(E);
+      break;
+    default:
+      break;
+    }
+  }
+  std::vector<obs::TraceEvent> Events;
+};
+
+struct BarrierCounts {
+  uint64_t Stores = 0, Invalidations = 0, Pins = 0, Reanalyses = 0,
+           Revoked = 0;
+};
+
+/// Parse \p E as a sequence of the two coherence transactions:
+///   SmcStore (SmcEpisodeStop)? (SmcInvalidate BlockInvalidated
+///            (SmcChurnPin)?)*
+///   SmcReanalysis SmcVerdictRevoked* BlockInvalidated*
+/// where each retirement names the block its barrier event named.
+BarrierCounts parseCoherenceTrace(const std::vector<obs::TraceEvent> &E) {
+  using K = obs::TraceEventKind;
+  BarrierCounts C;
+  size_t I = 0, N = E.size();
+  auto At = [&](K Kind) { return I < N && E[I].Kind == Kind; };
+  while (I < N) {
+    if (At(K::SmcStore)) {
+      ++I;
+      ++C.Stores;
+      if (At(K::SmcEpisodeStop))
+        ++I;
+      while (At(K::SmcInvalidate)) {
+        uint32_t Pc = E[I++].BlockPc;
+        ++C.Invalidations;
+        EXPECT_TRUE(At(K::BlockInvalidated)) << "event " << I;
+        if (!At(K::BlockInvalidated))
+          return C;
+        EXPECT_EQ(E[I++].BlockPc, Pc);
+        if (At(K::SmcChurnPin)) {
+          EXPECT_EQ(E[I++].BlockPc, Pc);
+          ++C.Pins;
+        }
+      }
+    } else if (At(K::SmcReanalysis)) {
+      ++I;
+      ++C.Reanalyses;
+      std::vector<uint32_t> Revoked, Retired;
+      while (At(K::SmcVerdictRevoked))
+        Revoked.push_back(E[I++].BlockPc);
+      for (size_t R = 0; R != Revoked.size() && At(K::BlockInvalidated); ++R)
+        Retired.push_back(E[I++].BlockPc);
+      std::sort(Revoked.begin(), Revoked.end());
+      std::sort(Retired.begin(), Retired.end());
+      EXPECT_EQ(Retired, Revoked) << "event " << I;
+      C.Revoked += Revoked.size();
+    } else {
+      ADD_FAILURE() << "coherence event " << I << " (kind "
+                    << static_cast<int>(E[I].Kind)
+                    << ") outside a barrier or re-analysis";
+      return C;
+    }
+  }
+  return C;
+}
+
+} // namespace
+
+TEST(SmcTest, BarrierAndReanalysisEmitEventsInTransactionOrder) {
+  {
+    guest::GuestImage Image = workloads::smcPhaseProgram(400, 200);
+    CoherenceEvents Sink;
+    dbt::EngineConfig Config = smcConfig();
+    Config.Trace = &Sink;
+    dbt::RunResult R = runSmc(
+        Image, {mda::MechanismKind::Direct, 0, false, 0, false}, Config);
+    EXPECT_TRUE(R.completed());
+    BarrierCounts C = parseCoherenceTrace(Sink.Events);
+    EXPECT_EQ(C.Stores, R.Counters.get("smc.stores"));
+    EXPECT_EQ(C.Invalidations, R.Counters.get("smc.invalidations"));
+    EXPECT_EQ(C.Reanalyses, R.Counters.get("smc.reanalyses"));
+    EXPECT_EQ(C.Revoked, R.Counters.get("smc.verdicts_revoked"));
+    EXPECT_GE(C.Revoked, 1u);
+  }
+  {
+    guest::GuestImage Image = workloads::smcChurnProgram(3, 250);
+    CoherenceEvents Sink;
+    dbt::EngineConfig Config = smcConfig();
+    Config.Budget.SmcChurnPinLimit = 4;
+    Config.Trace = &Sink;
+    dbt::RunResult R = runSmc(
+        Image, {mda::MechanismKind::Direct, 0, false, 0, false}, Config);
+    EXPECT_TRUE(R.completed());
+    BarrierCounts C = parseCoherenceTrace(Sink.Events);
+    EXPECT_EQ(C.Stores, R.Counters.get("smc.stores"));
+    EXPECT_EQ(C.Invalidations, R.Counters.get("smc.invalidations"));
+    EXPECT_EQ(C.Pins, R.Counters.get("smc.churn_pins"));
+    EXPECT_GT(C.Pins, 0u);
+    EXPECT_GE(C.Reanalyses, 1u);
+  }
 }

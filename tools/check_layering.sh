@@ -19,13 +19,17 @@
 # header.  The per-run trap path (dbt/FaultPath.*) sits between the two:
 # it reaches code only through the cache and decides through the policy
 # interface, so it may not include dbt/Engine.h, dbt/AotTranslator.h,
-# dbt/TranslationCapture.h, or any analysis/ or mda/ header.
+# dbt/TranslationCapture.h, or any analysis/ or mda/ header.  Guest-code
+# coherence (dbt/Coherence.*) sits beside the trap path: it reads the
+# cache and the alignment analysis and reports to the engine, so it may
+# not include dbt/Engine.h, dbt/FaultPath.h, dbt/AotTranslator.h,
+# dbt/TranslationCapture.h, host/HostMachine.h, or any chaos/ or mda/
+# header.
 #
 # Usage: check_layering.sh [--self-test] [src-dir]
-#   --self-test: build synthetic trees containing a back-edge, a
-#   forbidden code-cache edge and a forbidden trap-path edge, and assert
-#   the lint demonstrably FAILS on each (the CI negative test), then
-#   exit 0.
+#   --self-test: build synthetic trees containing a back-edge and a
+#   forbidden code-cache, trap-path and coherence edge, and assert the
+#   lint demonstrably FAILS on each (the CI negative test), then exit 0.
 set -u
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -72,6 +76,11 @@ forbidden_edge() { # $1 = file relative to src dir, $2 = included header
     dbt/FaultPath.*:dbt/TranslationCapture.h | \
     dbt/FaultPath.*:analysis/* | dbt/FaultPath.*:mda/*)
     echo "the trap path may not depend on the engine, AOT, capture, analysis or mda"
+    return 0 ;;
+  dbt/Coherence.*:dbt/Engine.h | dbt/Coherence.*:dbt/FaultPath.h | \
+    dbt/Coherence.*:dbt/AotTranslator.h | dbt/Coherence.*:dbt/TranslationCapture.h | \
+    dbt/Coherence.*:host/HostMachine.h | dbt/Coherence.*:chaos/* | dbt/Coherence.*:mda/*)
+    echo "coherence may not depend on the engine, trap path, AOT, capture, host machine, chaos or mda"
     return 0 ;;
   esac
   return 1
@@ -135,7 +144,9 @@ self_test() {
   expect_caught "$tmp" dbt/CodeCache.h dbt/Engine.h
   # A same-layer edge the trap path may not take.
   expect_caught "$tmp" dbt/FaultPath.h dbt/Engine.h
-  echo "check_layering: self-test ok (synthetic back-edge, code-cache and trap-path edges caught)"
+  # A same-layer edge guest-code coherence may not take.
+  expect_caught "$tmp" dbt/Coherence.h dbt/Engine.h
+  echo "check_layering: self-test ok (synthetic back-edge, code-cache, trap-path and coherence edges caught)"
   exit 0
 }
 
