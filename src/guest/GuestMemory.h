@@ -22,6 +22,13 @@
 /// callback — the software analogue of write-protecting code pages in a
 /// real translator.  Unwatched stores pay exactly one integer compare.
 ///
+/// The bytes live in one private anonymous mapping that the OS zeroes
+/// on first touch (GuestMemory.cpp, the only file that maps memory), so
+/// constructing a 16 MiB memory costs a system call, not a 16 MiB fill,
+/// and a run pays page faults only for the pages it touches.  The watch
+/// counters share that mapping, after the bytes.  A memory owns its
+/// mapping, so it cannot be copied.
+///
 /// Beside it sits a "may be non-zero" map at 4 KiB granularity
 /// (DirtyPageShift).  Its invariant: every byte of an unmarked page is
 /// zero.  loadImage marks the pages it copies the image into and every
@@ -30,7 +37,8 @@
 /// the invariant.  There is no mutable data() accessor, so a write that
 /// bypassed the map would not compile.  dbt::memoryHash relies on the
 /// invariant to hash a 16 MiB memory in time proportional to the pages
-/// a run touched, and loadImage relies on it to re-zero only those.
+/// a run touched, and loadImage relies on it to re-zero only those; with
+/// the lazily zeroed mapping, allocation is proportional to them too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +51,6 @@
 #include <cassert>
 #include <cstring>
 #include <functional>
-#include <vector>
 
 namespace mdabt {
 namespace guest {
@@ -66,10 +73,13 @@ public:
   static constexpr uint32_t DirtyPageShift = 12;
   static constexpr uint32_t DirtyPageBytes = 1u << DirtyPageShift;
 
-  /// \p Size is at most the guest address space, layout::MemorySize.
-  explicit GuestMemory(uint32_t Size = layout::MemorySize) : Bytes(Size, 0) {
-    assert(Size <= layout::MemorySize && "guest memory larger than layout");
-  }
+  /// \p Size is non-zero and at most the guest address space,
+  /// layout::MemorySize.  Every byte reads zero.  Throws std::bad_alloc
+  /// if the storage cannot be mapped.
+  explicit GuestMemory(uint32_t Size = layout::MemorySize);
+  ~GuestMemory();
+  GuestMemory(const GuestMemory &) = delete;
+  GuestMemory &operator=(const GuestMemory &) = delete;
 
   /// Zero memory and copy the image's code and data segments in.  Only
   /// pages marked by earlier writes need zeroing; unmarked ones already
@@ -78,7 +88,7 @@ public:
     for (uint32_t P = 0, E = dirtyPageCount(); P != E; ++P)
       if (Dirty[P]) {
         uint32_t Begin = P << DirtyPageShift;
-        std::memset(Bytes.data() + Begin, 0, pageEnd(P) - Begin);
+        std::memset(Bytes + Begin, 0, pageEnd(P) - Begin);
         Dirty[P] = 0;
       }
     copyIn(Image.CodeBase, Image.Code.data(), Image.Code.size());
@@ -89,14 +99,14 @@ public:
   uint64_t load(uint32_t Addr, unsigned Size) const {
     assert(inRange(Addr, Size) && "guest load out of range");
     uint64_t V = 0;
-    std::memcpy(&V, Bytes.data() + Addr, Size);
+    std::memcpy(&V, Bytes + Addr, Size);
     return V;
   }
 
   /// Store the low \p Size bytes of \p Value at \p Addr.
   void store(uint32_t Addr, unsigned Size, uint64_t Value) {
     assert(inRange(Addr, Size) && "guest store out of range");
-    std::memcpy(Bytes.data() + Addr, &Value, Size);
+    std::memcpy(Bytes + Addr, &Value, Size);
     Dirty[Addr >> DirtyPageShift] = 1;
     Dirty[(Addr + Size - 1) >> DirtyPageShift] = 1;
     if (storeWatched(Addr, Size))
@@ -125,8 +135,7 @@ public:
     if (Begin >= End)
       return;
     assert(Watcher && "watchRange without a write watcher installed");
-    if (Watch.empty())
-      Watch.resize(((Bytes.size() - 1) >> WatchPageShift) + 1, 0);
+    assert(End <= ByteCount && "watchRange out of range");
     for (uint32_t P = Begin >> WatchPageShift,
                   Last = (End - 1) >> WatchPageShift;
          P <= Last; ++P)
@@ -141,8 +150,7 @@ public:
     for (uint32_t P = Begin >> WatchPageShift,
                   Last = (End - 1) >> WatchPageShift;
          P <= Last; ++P) {
-      assert(!Watch.empty() && Watch[P] != 0 &&
-             "unwatchRange without a matching watchRange");
+      assert(Watch[P] != 0 && "unwatchRange without a matching watchRange");
       if (--Watch[P] == 0)
         --WatchedPages;
     }
@@ -154,8 +162,8 @@ public:
   /// Zero the half-open byte range [Begin, End).  Zeroing keeps the
   /// page-map invariant, so no page changes state.
   void zeroRange(uint32_t Begin, uint32_t End) {
-    assert(Begin <= End && End <= Bytes.size() && "zeroRange out of range");
-    std::memset(Bytes.data() + Begin, 0, End - Begin);
+    assert(Begin <= End && End <= ByteCount && "zeroRange out of range");
+    std::memset(Bytes + Begin, 0, End - Begin);
   }
 
   // -- "may be non-zero" page map ---------------------------------------
@@ -172,16 +180,16 @@ public:
   /// One past the last byte of page \p Page.
   uint32_t pageEnd(uint32_t Page) const {
     uint64_t End = (static_cast<uint64_t>(Page) + 1) << DirtyPageShift;
-    return End < Bytes.size() ? static_cast<uint32_t>(End) : size();
+    return End < ByteCount ? static_cast<uint32_t>(End) : ByteCount;
   }
 
   /// Read-only view of the bytes.  Writes go through store(), loadImage()
   /// or zeroRange(), which keep the page-map invariant.
-  const uint8_t *data() const { return Bytes.data(); }
-  uint32_t size() const { return static_cast<uint32_t>(Bytes.size()); }
+  const uint8_t *data() const { return Bytes; }
+  uint32_t size() const { return ByteCount; }
 
   bool inRange(uint32_t Addr, unsigned Size) const {
-    return static_cast<uint64_t>(Addr) + Size <= Bytes.size();
+    return static_cast<uint64_t>(Addr) + Size <= ByteCount;
   }
 
 private:
@@ -191,7 +199,7 @@ private:
       return;
     assert(inRange(Addr, static_cast<unsigned>(Size)) &&
            "image segment out of range");
-    std::memcpy(Bytes.data() + Addr, Src, Size);
+    std::memcpy(Bytes + Addr, Src, Size);
     for (uint32_t P = Addr >> DirtyPageShift,
                   Last = static_cast<uint32_t>((Addr + Size - 1) >>
                                                DirtyPageShift);
@@ -199,17 +207,20 @@ private:
       Dirty[P] = 1;
   }
 
-  std::vector<uint8_t> Bytes;
+  /// The guest bytes, at the start of the mapping.
+  uint8_t *Bytes = nullptr;
+  uint32_t ByteCount;
   /// The "may be non-zero" map: one byte per DirtyPageBytes page, 0 only
-  /// if the whole page is zero.  Inline rather than a second heap block:
-  /// a separate 4 KiB allocation beside each 16 MiB one measurably grew
-  /// peak RSS through allocator placement.
+  /// if the whole page is zero.  Not in the lazily zeroed mapping:
+  /// loadImage and dbt::memoryHash scan all of it, so its 4 KiB would be
+  /// touched by every run anyway.
   static constexpr uint32_t MaxDirtyPages =
       (layout::MemorySize + DirtyPageBytes - 1) >> DirtyPageShift;
   std::array<uint8_t, MaxDirtyPages> Dirty{};
-  /// Per-page count of watched ranges covering the page; allocated
-  /// lazily on the first watchRange so watch-free runs pay nothing.
-  std::vector<uint32_t> Watch;
+  /// Per-page count of watched ranges covering the page, in the mapping
+  /// after the bytes: zero until a watchRange first touches it, so
+  /// watch-free runs pay nothing.
+  uint32_t *Watch = nullptr;
   uint32_t WatchedPages = 0;
   WriteWatcher Watcher;
 };

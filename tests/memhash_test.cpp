@@ -11,7 +11,10 @@
 /// all-zero chunks and dbt::memoryHash skips pages GuestMemory's
 /// "may be non-zero" map leaves unmarked; every test here compares both
 /// against a plain byte-serial reference, so the fast paths must be
-/// bit-identical, and checks the map's invariant directly.
+/// bit-identical, and checks the map's invariant directly.  The
+/// GuestMemoryTest cases check the lazily zeroed storage beneath them:
+/// a fresh memory reads zero, and constructing one costs no resident
+/// memory until it is written.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,9 +29,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
+#include <memory>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <vector>
+
+#include <unistd.h>
 
 using namespace mdabt;
 using namespace mdabt::testutil;
@@ -72,6 +80,16 @@ std::vector<uint8_t> randomBuffer(std::mt19937 &Rng, size_t Size,
     if (NonZero(Rng))
       B = static_cast<uint8_t>(Byte(Rng));
   return Buf;
+}
+
+/// The process's resident set in bytes, or -1 if /proc/self/statm
+/// cannot be read.
+long long residentBytes() {
+  std::ifstream Statm("/proc/self/statm");
+  long long TotalPages = 0, ResidentPages = 0;
+  if (!(Statm >> TotalPages >> ResidentPages))
+    return -1;
+  return ResidentPages * sysconf(_SC_PAGESIZE);
 }
 
 /// The six mechanism columns: five MDA policies plus hybrid AOT.
@@ -310,6 +328,41 @@ TEST(MemoryHashTest, RandomStoresKeepInvariant) {
     ASSERT_EQ(dbt::memoryHash(Mem), referenceHash(Mem)) << "round " << Round;
     expectUnmarkedPagesZero(Mem);
   }
+}
+
+// A memory owns its mapping; a copy would unmap it twice.
+static_assert(!std::is_copy_constructible_v<guest::GuestMemory>);
+
+TEST(GuestMemoryTest, FreshMemoryReadsZero) {
+  constexpr uint32_t Page = guest::GuestMemory::DirtyPageBytes;
+  guest::GuestMemory Default;
+  EXPECT_EQ(Default.size(), guest::layout::MemorySize);
+  guest::GuestMemory Partial(9 * Page + 777);
+  for (const guest::GuestMemory *Mem : {&Default, &Partial}) {
+    uint32_t Size = Mem->size();
+    EXPECT_EQ(Mem->load(0, 1), 0u) << "size " << Size;
+    for (uint32_t A = Page; A < Size; A += Page)
+      ASSERT_EQ(Mem->load(A, 1), 0u) << "size " << Size << " byte " << A;
+    EXPECT_EQ(Mem->load(Size - 1, 1), 0u) << "size " << Size;
+  }
+}
+
+TEST(GuestMemoryTest, ConstructionTouchesOnlyStoredPages) {
+  // Eight 16 MiB memories with one byte stored in each: a zero-filled
+  // allocation would grow the resident set by at least 128 MiB.
+  long long Before = residentBytes();
+  if (Before < 0)
+    GTEST_SKIP() << "/proc/self/statm is unreadable";
+  std::vector<std::unique_ptr<guest::GuestMemory>> Mems;
+  for (unsigned I = 0; I != 8; ++I) {
+    Mems.push_back(std::make_unique<guest::GuestMemory>());
+    Mems.back()->store(guest::layout::StackTop - 1, 1, I + 1);
+  }
+  long long Growth = residentBytes() - Before;
+  EXPECT_LT(Growth, 8ll << 20) << "resident set grew by " << Growth
+                               << " bytes";
+  for (unsigned I = 0; I != 8; ++I)
+    EXPECT_EQ(Mems[I]->load(guest::layout::StackTop - 1, 1), I + 1);
 }
 
 TEST(MemoryHashTest, EngineRunsMatchFullRangeOracleUnderEveryColumn) {

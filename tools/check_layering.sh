@@ -26,10 +26,15 @@
 # dbt/TranslationCapture.h, host/HostMachine.h, or any chaos/ or mda/
 # header.
 #
+# One system header is owned too: only guest/GuestMemory.cpp, the guest
+# memory's storage, may include <sys/mman.h>, so mapping memory from the
+# OS stays in one place.
+#
 # Usage: check_layering.sh [--self-test] [src-dir]
-#   --self-test: build synthetic trees containing a back-edge and a
-#   forbidden code-cache, trap-path and coherence edge, and assert the
-#   lint demonstrably FAILS on each (the CI negative test), then exit 0.
+#   --self-test: build synthetic trees containing a back-edge, a
+#   forbidden code-cache, trap-path and coherence edge, and a stray
+#   <sys/mman.h>, and assert the lint demonstrably FAILS on each (the CI
+#   negative test), then exit 0.
 set -u
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -86,6 +91,9 @@ forbidden_edge() { # $1 = file relative to src dir, $2 = included header
   return 1
 }
 
+# The one file that may include <sys/mman.h>.
+MMAN_OWNER=guest/GuestMemory.cpp
+
 # Lint one src tree; prints violations, returns the violation count.
 lint_tree() { # $1 = src dir
   local src="$1" violations=0 checked=0
@@ -115,19 +123,25 @@ lint_tree() { # $1 = src dir
         violations=$((violations + 1))
       fi
     done < <(grep -n '#include "' "$file" || true)
+    [ "$rel" = "$MMAN_OWNER" ] && continue
+    while IFS=: read -r lineno line; do
+      echo "::error file=src/$rel,line=$lineno ::layering: $rel includes <sys/mman.h>; only $MMAN_OWNER maps memory from the OS"
+      violations=$((violations + 1))
+    done < <(grep -n '#[[:space:]]*include[[:space:]]*<sys/mman\.h>' "$file" || true)
   done < <(find "$src" -name '*.h' -o -name '*.cpp' | sort)
   echo "check_layering: $checked first-party include edges checked, $violations violations" >&2
   return "$violations"
 }
 
 # Exit 1 unless the lint fails on a synthetic tree in which $2 (a path
-# under src/) includes "$3".
+# under src/) includes $3: a first-party header, or <a system header>.
 expect_caught() { # $1 = scratch dir, $2 = planted file, $3 = its include
-  local src="$1/src"
+  local src="$1/src" include="\"$3\""
+  [ "${3:0:1}" = "<" ] && include="$3"
   rm -rf "$src"
   mkdir -p "$src/guest" "$src/dbt" "$src/support"
   echo '#include "support/Format.h"' > "$src/dbt/Engine.h"
-  echo "#include \"$3\"" > "$src/$2"
+  echo "#include $include" > "$src/$2"
   if lint_tree "$src" > /dev/null 2>&1; then
     echo "check_layering: self-test FAILED ($2 -> $3 was not caught)" >&2
     exit 1
@@ -146,7 +160,9 @@ self_test() {
   expect_caught "$tmp" dbt/FaultPath.h dbt/Engine.h
   # A same-layer edge guest-code coherence may not take.
   expect_caught "$tmp" dbt/Coherence.h dbt/Engine.h
-  echo "check_layering: self-test ok (synthetic back-edge, code-cache, trap-path and coherence edges caught)"
+  # Mapping memory outside the guest memory's storage file.
+  expect_caught "$tmp" dbt/CodeCache.cpp "<sys/mman.h>"
+  echo "check_layering: self-test ok (synthetic back-edge, code-cache, trap-path, coherence and <sys/mman.h> edges caught)"
   exit 0
 }
 
