@@ -373,7 +373,7 @@ struct Verifier {
   }
 
   /// Check 9: fused-sequence integrity.  Every fused core must still be
-  /// byte-exact against the words captured at install time, except at
+  /// byte-exact against the words the translator emitted, except at
   /// words the engine legitimately rewrote afterwards (patched fault
   /// sites, adaptive reverts) or quarantined (ExemptWords).  The
   /// issue's word is the first diverging word; aux is its current raw

@@ -63,6 +63,7 @@
 #include "host/CodeSpace.h"
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -86,7 +87,7 @@ enum class VerifyIssueKind : uint8_t {
   StaleGuestCode, ///< Live translation built from guest bytes that were
                   ///< rewritten after it was installed.
   FusedSiteBad,   ///< Fused-sequence core diverged from the byte-exact
-                  ///< words captured at install time.
+                  ///< words the translator emitted.
   AotUnreachable, ///< AOT-installed translation covers guest bytes
                   ///< outside the statically recovered reachable set.
 };
@@ -123,31 +124,33 @@ struct VerifierIcWay {
 };
 
 /// One fused guest-idiom core (check 9): the half-open word range the
-/// fusion emitter produced plus the pristine words captured right after
-/// label resolution at install time.
+/// fusion emitter produced plus the pristine words the translator
+/// emitted there (a view into the engine's translation record).
 struct VerifierFusedSite {
   uint8_t Rule = 0; ///< dbt::FusionRuleId value, diagnostic only.
   uint32_t Begin = 0;
   uint32_t End = 0;
-  std::vector<uint32_t> Words; ///< Reference words, size == End - Begin.
+  std::span<const uint32_t> Words; ///< Reference words, size == End - Begin.
 };
 
 /// One live translation as the engine knows it.
+/// Every member has a default initializer, so an aggregate initializer
+/// may stop after the fields it sets.
 struct VerifierBlock {
   uint32_t EntryWord = 0;
   uint32_t EndWord = 0; ///< One past the body's last word.
-  std::vector<VerifierRegion> Stubs;
-  std::vector<VerifierPatch> Patches;
-  std::vector<uint32_t> ExitWords;
+  std::vector<VerifierRegion> Stubs{};
+  std::vector<VerifierPatch> Patches{};
+  std::vector<uint32_t> ExitWords{};
   /// Non-quarantined inline-cache ways at indirect exits.
-  std::vector<VerifierIcWay> IcWays;
+  std::vector<VerifierIcWay> IcWays{};
   /// Half-open *guest byte* ranges this translation was compiled from
   /// (check 8; empty disables the check for this block).
-  std::vector<VerifierRegion> GuestRanges;
+  std::vector<VerifierRegion> GuestRanges{};
   /// Guest-store epoch when this translation was installed (check 8).
   uint64_t BornEpoch = 0;
   /// Fused guest-idiom cores with their reference words (check 9).
-  std::vector<VerifierFusedSite> FusedSites;
+  std::vector<VerifierFusedSite> FusedSites{};
   /// Installed by the static AOT pre-translator (check 10).
   bool AotInstalled = false;
 };

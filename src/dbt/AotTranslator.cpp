@@ -9,6 +9,7 @@
 #include "dbt/GuestBlock.h"
 #include "dbt/TranslationCapture.h"
 
+#include <optional>
 #include <utility>
 
 using namespace mdabt;
@@ -26,7 +27,7 @@ AotTranslator::AotTranslator(guest::GuestMemory &Mem,
 }
 
 void AotTranslator::pretranslateAll() {
-  // PC order (CfgResult::Blocks is an ordered map): payload production,
+  // PC order (CfgResult::Blocks is an ordered map): record production,
   // publish order and modeled startup cost are all deterministic.
   for (const auto &KV : Cfg.Blocks) {
     const analysis::CfgBlock &B = KV.second;
@@ -36,26 +37,25 @@ void AotTranslator::pretranslateAll() {
     Unit U;
     U.GuestPc = B.StartPc;
     U.Key = translationContentKey(Mem, &GB, 1, Plan, Opts, false);
-    Translation T;
+    std::optional<Translation> T;
     auto Translate = [&]() -> const Translation & {
-      T = Trans.translate(GB, Plan, 0, Opts);
+      T.emplace(Trans.translate(GB, Plan, 0, Opts));
       ++S.Translated;
       S.StartupTranslateCycles +=
           static_cast<uint64_t>(GB.size()) * Cost.TranslateCyclesPerInst;
-      return T;
+      return *T;
     };
     if (Service) {
       // A hit is a warm start: someone (a previous run, the disk
       // artifact, or a concurrent tenant) already produced these words.
-      U.FromCache =
-          acquireOrPublish(*Service, U.Key, Scratch, Translate, U.Lease);
-      U.Payload = U.Lease.get();
+      U.FromCache = acquireOrPublish(*Service, U.Key, Translate, U.Lease);
+      U.Record = U.Lease.get();
       S.FromCache += U.FromCache ? 1 : 0;
     } else {
-      U.Payload = captureTranslation(Translate(), Scratch);
+      U.Record = Translate().Rec;
     }
     S.GuestInsts += GB.size();
-    for (const auto &R : U.Payload.GuestRanges)
+    for (const auto &R : U.Record->GuestRanges)
       Mem.watchRange(R.first, R.second);
     Units.emplace(B.StartPc, std::move(U));
   }
@@ -70,14 +70,14 @@ void AotTranslator::stale(Unit &U) {
   U.Stale = true;
   U.Lease.release();
   ++S.StaleDropped;
-  for (const auto &R : U.Payload.GuestRanges)
+  for (const auto &R : U.Record->GuestRanges)
     Mem.unwatchRange(R.first, R.second);
 }
 
 void AotTranslator::noteGuestStore(uint32_t Addr, uint32_t Size) {
   for (auto &KV : Units)
     if (!KV.second.Stale &&
-        overlapsAny(KV.second.Payload.GuestRanges, Addr, Addr + Size))
+        overlapsAny(KV.second.Record->GuestRanges, Addr, Addr + Size))
       stale(KV.second);
 }
 

@@ -10,17 +10,17 @@
 /// statically translates every block the CFG-recovery pass
 /// (`analysis/CfgRecovery.h`) proved reachable, using the same plan
 /// chain, translation options and fusion rules the demand path would
-/// use — so each pre-translated payload is byte-for-byte what a demand
+/// use — so each pre-translated record is byte-for-byte what a demand
 /// translation of the same bytes would emit, under the same
 /// `translationContentKey`.  When a `TranslationService` is attached,
-/// payloads are acquired from / published into the shared cache under
+/// records are acquired from / published into the shared cache under
 /// that key, so disk persistence and multi-tenant warm start work
 /// unchanged.
 ///
 /// The pre-translator produces pending *units*, not installed code: the
 /// owning ExecutionContext instantiates a unit into its private arena
 /// either eagerly at load (`AotMode::Full`) or at first dispatch
-/// (`AotMode::Hybrid`), and keeps the payload so a capacity flush can
+/// (`AotMode::Hybrid`), and keeps the record so a capacity flush can
 /// re-install without re-translating.  Code the recovery pass could not
 /// prove — everything behind an indirect-jump frontier — falls back to
 /// the existing two-phase DBT.
@@ -62,9 +62,10 @@ public:
   struct Unit {
     uint32_t GuestPc = 0;
     CacheKey Key;
-    /// Relocatable payload; kept after installation so a capacity
-    /// flush can re-install without re-translating.
-    CachedTranslation Payload;
+    /// The translation record, shared with the cache entry when
+    /// serving-attached; kept after installation so a capacity flush can
+    /// re-install without re-translating.
+    std::shared_ptr<const TranslationRecord> Record;
     /// Held for the whole run when serving-attached, so eviction can
     /// never retire the entry while this run may still install it.
     TranslationLease Lease;
@@ -125,8 +126,8 @@ private:
   TranslationOpts Opts;
   TranslationService *Service;
   const host::CostModel &Cost;
-  /// Private emission arena: payloads are captured out of it in
-  /// relocatable form, so it never aliases the run's code space.
+  /// Private emission arena: records carry their own copy of the words,
+  /// so it never aliases the run's code space.
   host::CodeSpace Scratch;
   Translator Trans;
   std::map<uint32_t, Unit> Units;

@@ -58,41 +58,13 @@ CodeCache::CodeCache(host::CodeSpace &Code, guest::GuestMemory &Mem,
 // control flow is PC-relative and exits materialize guest PCs as data, so
 // a straight word copy is a correct relocation.  The private copy is
 // indistinguishable from a fresh local translation: chains, MDA stubs and
-// inline-cache fills mutate only this run's words, never the shared entry.
-Translation &CodeCache::instantiate(const CachedTranslation &C,
+// inline-cache fills mutate only this run's words, never the record.
+Translation &CodeCache::instantiate(std::shared_ptr<const TranslationRecord> R,
                                     uint32_t Generation) {
   uint32_t Base = Code.size();
-  for (uint32_t W : C.Words)
+  for (uint32_t W : R->Words)
     Code.append(W);
-  Translation T;
-  T.GuestPc = C.GuestPc;
-  T.EntryWord = Base;
-  T.EndWord = Base + static_cast<uint32_t>(C.Words.size());
-  for (const CachedTranslation::RelExit &E : C.Exits)
-    T.Exits.push_back({Base + E.Word, E.TargetGuestPc, E.Direct != 0});
-  for (const auto &MW : C.MemWordToGuestPc)
-    T.MemWordToGuestPc[Base + MW.first] = MW.second;
-  for (const CachedTranslation::RelResume &R : C.StoreResume)
-    T.StoreResume[Base + R.Word] = {Base + R.EndWord, R.ResumePc};
-  T.GuestInsts = C.GuestInsts;
-  T.Generation = Generation;
-  for (const CachedTranslation::RelIcSite &S : C.IcSites) {
-    T.IcSites.push_back({Base + S.SrvWord, {}});
-    for (uint32_t W : S.WayBegins)
-      T.IcSites.back().Ways.push_back({Base + W});
-  }
-  for (const auto &P : C.PlanByPc)
-    T.PlanByPc[P.first] = static_cast<MemPlan>(P.second);
-  T.IsTrace = C.IsTrace != 0;
-  T.Constituents = C.Constituents;
-  T.GuestRanges = C.GuestRanges;
-  // The cached payload is the pristine translator output, so each fused
-  // core's reference words come straight from it.
-  for (const CachedTranslation::RelFusedSite &F : C.FusedSites)
-    T.FusedSites.push_back(
-        {F.Rule, Base + F.Begin, Base + F.End, F.GuestPc, F.GuestLen,
-         F.SavedWords, {C.Words.begin() + F.Begin, C.Words.begin() + F.End}});
-  return add(std::move(T));
+  return add(Translation(std::move(R), Base, Generation));
 }
 
 // -- registering -------------------------------------------------------------
@@ -103,7 +75,7 @@ Translation &CodeCache::instantiate(const CachedTranslation &C,
 void CodeCache::install(Translation &T, uint64_t Epoch) {
   Regions[T.EntryWord] = {T.EndWord, &T};
   T.BornEpoch = Epoch;
-  for (const auto &R : T.GuestRanges) {
+  for (const auto &R : T.Rec->GuestRanges) {
     Mem.watchRange(R.first, R.second);
     forEachPage(R.first, R.second,
                 [&](uint32_t P) { TrackedByPage[P].push_back(&T); });
@@ -111,7 +83,7 @@ void CodeCache::install(Translation &T, uint64_t Epoch) {
 }
 
 void CodeCache::untrack(Translation &T) {
-  for (const auto &R : T.GuestRanges) {
+  for (const auto &R : T.Rec->GuestRanges) {
     Mem.unwatchRange(R.first, R.second);
     forEachPage(R.first, R.second, [&](uint32_t P) {
       std::vector<Translation *> &V = TrackedByPage[P];
@@ -134,7 +106,7 @@ std::vector<Translation *> CodeCache::overlapping(uint32_t Addr,
     if (It == TrackedByPage.end())
       return;
     for (Translation *T : It->second)
-      if (T->Valid && overlapsAny(T->GuestRanges, Addr, Addr + Size) &&
+      if (T->Valid && overlapsAny(T->Rec->GuestRanges, Addr, Addr + Size) &&
           std::find(Victims.begin(), Victims.end(), T) == Victims.end())
         Victims.push_back(T);
   });
@@ -144,7 +116,6 @@ std::vector<Translation *> CodeCache::overlapping(uint32_t Addr,
 
 analysis::VerifierInput CodeCache::verifierInput() const {
   analysis::VerifierInput In;
-  std::unordered_map<const Translation *, size_t> Index;
   for (const Translation &T : Store) {
     if (!T.Valid)
       continue;
@@ -153,29 +124,30 @@ analysis::VerifierInput CodeCache::verifierInput() const {
     B.EndWord = T.EndWord;
     B.BornEpoch = T.BornEpoch;
     B.AotInstalled = T.AotInstalled;
-    for (const auto &R : T.GuestRanges)
+    for (const auto &R : T.Rec->GuestRanges)
       B.GuestRanges.push_back({R.first, R.second});
-    for (const ExitSite &X : T.Exits)
-      B.ExitWords.push_back(X.SrvWord);
-    for (const IcSite &S : T.IcSites)
-      for (const IcWay &W : S.Ways)
-        if (!W.Stale) // quarantined ways are covered by ExemptWords
-          B.IcWays.push_back(
-              {W.Begin, W.Filled, W.TargetEntry, W.TargetGuestPc});
-    for (uint32_t W : T.PatchedWords)
-      B.Patches.push_back({W, T.MemWordToGuestPc.count(W) != 0});
-    for (const FusedSite &F : T.FusedSites)
-      B.FusedSites.push_back({F.Rule, F.Begin, F.End, F.Words});
-    Index[&T] = In.Blocks.size();
+    for (size_t I = 0; I != T.Rec->Exits.size(); ++I)
+      B.ExitWords.push_back(T.exitWord(I));
+    for (uint32_t S = 0; S != T.IcSites.size(); ++S) {
+      for (uint32_t W = 0; W != T.IcSites[S].Ways.size(); ++W) {
+        const IcWay &Way = T.IcSites[S].Ways[W];
+        if (!Way.Stale) // quarantined ways are covered by ExemptWords
+          B.IcWays.push_back({T.icWayBegin(S, W), Way.Filled,
+                              Way.TargetEntry, Way.TargetGuestPc});
+      }
+    }
+    // Stubs are appended at the arena tail, so patch order is entry
+    // order.
+    for (const StubPatch &P : T.Patches) {
+      B.Patches.push_back({P.Word, !T.patched(P.Word)});
+      B.Stubs.push_back({P.StubEntry, P.StubEnd});
+    }
+    T.forEachFusedCore([&](const TranslationRecord::RelFusedSite &F,
+                           uint32_t Begin, uint32_t End,
+                           std::span<const uint32_t> Words) {
+      B.FusedSites.push_back({F.Rule, Begin, End, Words});
+    });
     In.Blocks.push_back(std::move(B));
-  }
-  for (const auto &[Entry, Region] : Regions) {
-    Translation *T = Region.second;
-    if (!T->Valid || Entry == T->EntryWord)
-      continue; // dead, or the body region itself
-    auto It = Index.find(T);
-    if (It != Index.end())
-      In.Blocks[It->second].Stubs.push_back({Entry, Region.first});
   }
   In.ExemptWords = StaleChainWords;
   In.IcWayWords = IcWayWords;
@@ -232,15 +204,17 @@ bool CodeCache::chain(uint32_t Word, Translation &Target) {
   return true;
 }
 
-bool CodeCache::evictIcWay(const Translation &Owner, IcWay &Way,
+bool CodeCache::evictIcWay(Translation &Owner, uint32_t Site, uint32_t WayIdx,
                            bool Retired) {
+  IcWay &Way = Owner.IcSites[Site].Ways[WayIdx];
+  uint32_t Begin = Owner.icWayBegin(Site, WayIdx);
   ++S.IcEvictions;
   Trace.emit(obs::TraceEventKind::DispatchIcEvict, Way.TargetGuestPc,
-             Owner.GuestPc, Way.Begin, Retired ? 1 : 0);
-  uint32_t FinalBr = Way.Begin + IcWayWords - 1;
+             Owner.GuestPc, Begin, Retired ? 1 : 0);
+  uint32_t FinalBr = Begin + IcWayWords - 1;
   // A way whose guard cannot be disabled may still reach the intact dead
   // target: the same contained casualty as a stale chain.
-  if (!patchOrQuarantine(Way.Begin, icDisabledGuardWord(), FinalBr)) {
+  if (!patchOrQuarantine(Begin, icDisabledGuardWord(), FinalBr)) {
     Way.Stale = true;
     Way.Filled = false;
     return false;
@@ -283,11 +257,12 @@ CodeCache::IcFill CodeCache::fillIc(Translation &Owner, uint32_t SiteIdx,
     if (!Way)
       return IcFill::Skipped; // every way quarantined
   }
-  uint32_t FinalBr = Way->Begin + IcWayWords - 1;
+  uint32_t Begin = Owner.icWayBegin(SiteIdx, WayIdx);
+  uint32_t FinalBr = Begin + IcWayWords - 1;
   std::optional<uint32_t> Br = branchTo(FinalBr, Target.EntryWord);
   if (!Br)
     return IcFill::Skipped;
-  if (Evicting && !evictIcWay(Owner, *Way, /*Retired=*/false))
+  if (Evicting && !evictIcWay(Owner, SiteIdx, WayIdx, /*Retired=*/false))
     return IcFill::Failed; // the victim is quarantined
   // Interiors first (tag compare, miss skip, target branch), guard
   // last: the way only becomes executable once fully written.
@@ -295,14 +270,14 @@ CodeCache::IcFill CodeCache::fillIc(Translation &Owner, uint32_t SiteIdx,
   int32_t Lo = static_cast<int16_t>(Tag & 0xffff);
   int32_t Hi = static_cast<int32_t>(Tag - static_cast<uint32_t>(Lo)) >> 16;
   const std::pair<uint32_t, uint32_t> Interior[] = {
-      {Way->Begin + 1,
+      {Begin + 1,
        encodeHost(memInst(HostOp::Lda, RegScratch1, Lo, RegScratch1))},
-      {Way->Begin + 2,
+      {Begin + 2,
        encodeHost(opInst(HostOp::Zextl, RegZero, RegScratch1, RegScratch1))},
-      {Way->Begin + 3,
+      {Begin + 3,
        encodeHost(opInst(HostOp::Cmpeq, RegExitPc, RegScratch1,
                          RegScratch2))},
-      {Way->Begin + 4, encodeHost(brInst(HostOp::Beq, RegScratch2, 1))},
+      {Begin + 4, encodeHost(brInst(HostOp::Beq, RegScratch2, 1))},
       {FinalBr, *Br},
   };
   // patchVerified restores a failed word, and the guard is still
@@ -313,9 +288,8 @@ CodeCache::IcFill CodeCache::fillIc(Translation &Owner, uint32_t SiteIdx,
       return IcFill::Failed;
     }
   }
-  if (!patchVerified(Way->Begin, encodeHost(memInst(HostOp::Ldah,
-                                                    RegScratch1, Hi,
-                                                    RegZero)))) {
+  if (!patchVerified(Begin, encodeHost(memInst(HostOp::Ldah, RegScratch1,
+                                               Hi, RegZero)))) {
     // Guard never armed, but FinalBr now holds a live branch the
     // verifier cannot tie to a filled way: scrub it.
     ++S.IcFillFails;
@@ -328,7 +302,7 @@ CodeCache::IcFill CodeCache::fillIc(Translation &Owner, uint32_t SiteIdx,
   Way->TargetEntry = Target.EntryWord;
   Way->TargetGuestPc = Tag;
   Target.IncomingIcWays.push_back({&Owner, SiteIdx, WayIdx});
-  WayBegin = Way->Begin;
+  WayBegin = Begin;
   ++S.IcFills;
   return IcFill::Filled;
 }
@@ -343,13 +317,13 @@ bool CodeCache::retire(Translation &Old) {
   for (const IcWayRef &Ref : Old.IncomingIcWays) {
     if (!Ref.Owner->Valid)
       continue; // the caller died too; the flush will reap both
-    IcWay &Way = Ref.Owner->IcSites[Ref.Site].Ways[Ref.Way];
+    const IcWay &Way = Ref.Owner->IcSites[Ref.Site].Ways[Ref.Way];
     // Lazy staleness: the way may have been refilled toward another
     // target since this back-reference was recorded (entry words are
     // unique between flushes, so the comparison is exact).
     if (!Way.Filled || Way.TargetEntry != Old.EntryWord)
       continue;
-    Stuck &= evictIcWay(*Ref.Owner, Way, /*Retired=*/true);
+    Stuck &= evictIcWay(*Ref.Owner, Ref.Site, Ref.Way, /*Retired=*/true);
   }
   Old.IncomingIcWays.clear();
   // Purely local: another run's lease on the same shared entry is
@@ -367,8 +341,7 @@ void CodeCache::flush() {
     for (uint32_t W : T.IncomingChains)
       assert(W < Code.size() && "incoming chain outlives the arena");
     for (const IcWayRef &Ref : T.IncomingIcWays)
-      assert(Ref.Owner->IcSites[Ref.Site].Ways[Ref.Way].Begin <
-                 Code.size() &&
+      assert(Ref.Owner->icWayBegin(Ref.Site, Ref.Way) < Code.size() &&
              "incoming IC way outlives the arena");
   }
   for (uint32_t W : StaleChainWords)

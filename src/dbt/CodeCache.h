@@ -86,9 +86,10 @@ public:
     Store.push_back(std::move(T));
     return Store.back();
   }
-  /// Install a cached payload at the arena tail, rebasing every piece of
-  /// metadata onto the new entry word, and take ownership of the result.
-  Translation &instantiate(const CachedTranslation &C, uint32_t Generation);
+  /// Copy \p R's words to the arena tail and take ownership of a new
+  /// live copy of it there.
+  Translation &instantiate(std::shared_ptr<const TranslationRecord> R,
+                           uint32_t Generation);
   /// Hold \p L until \p T leaves service (retire or flush).
   void lease(const Translation &T, TranslationLease L) {
     Leases.emplace(&T, std::move(L));
@@ -103,8 +104,10 @@ public:
   /// Point the block map at \p T: the next dispatch of its guest PC
   /// enters it.
   void map(Translation &T) { BlockMap[T.GuestPc] = &T; }
-  /// Register the exception stub [Entry, End) emitted for \p T.
-  void addStub(uint32_t Entry, uint32_t End, Translation &T) {
+  /// Register the exception stub [Entry, End) that \p T's body word
+  /// \p Word now branches to.
+  void addStub(Translation &T, uint32_t Word, uint32_t Entry, uint32_t End) {
+    T.patch(Word, Entry, End);
     Regions[Entry] = {End, &T};
   }
 
@@ -194,11 +197,12 @@ private:
     StaleChainWords.insert(Suspect);
     return false;
   }
-  /// Take a way of \p Owner out of service — to refill it, or because
-  /// its target was \p Retired — by disabling its guard and scrubbing its
-  /// final branch.  False if the guard could not be disabled (the way is
-  /// then quarantined).
-  bool evictIcWay(const Translation &Owner, IcWay &Way, bool Retired);
+  /// Take way \p Way of \p Owner's inline-cache site \p Site out of
+  /// service — to refill it, or because its target was \p Retired — by
+  /// disabling its guard and scrubbing its final branch.  False if the
+  /// guard could not be disabled (the way is then quarantined).
+  bool evictIcWay(Translation &Owner, uint32_t Site, uint32_t Way,
+                  bool Retired);
   void untrack(Translation &T);
 
   host::CodeSpace &Code;

@@ -48,14 +48,14 @@ Coherence::Store Coherence::store(uint32_t Addr, uint32_t Size,
   // the interpreter's semantics.
   const Translation *Running =
       RunningWord ? Cache.owner(*RunningWord) : nullptr;
-  if (!Running || !overlapsAny(Running->GuestRanges, Addr, Addr + Size))
+  if (!Running ||
+      !overlapsAny(Running->Rec->GuestRanges, Addr, Addr + Size))
     return R;
-  auto It = Running->StoreResume.find(*RunningWord);
-  if (It == Running->StoreResume.end()) {
+  R.Stop = Running->resumeAt(*RunningWord);
+  if (!R.Stop) {
     R.Unstoppable = true;
     return R;
   }
-  R.Stop = It->second;
   ++S.EpisodeStops;
   Trace.emit(obs::TraceEventKind::SmcEpisodeStop, R.Stop->ResumePc,
              Running->GuestPc, *RunningWord, R.Stop->EndWord);
@@ -78,7 +78,7 @@ std::optional<std::vector<Translation *>> Coherence::reanalyze() {
   std::vector<Translation *> Revoked;
   Cache.forEachLive([&](Translation &T) {
     uint32_t Lost = ~0u;
-    for (const auto &[Pc, Plan] : T.PlanByPc) {
+    for (const auto &[Pc, Plan] : T.Rec->PlanByPc) {
       guest::GuestInst I;
       if (Plan == MemPlan::Elide && Pc < Lost &&
           !(guest::decode(Mem.data(), Mem.size(), Pc, I) &&

@@ -24,20 +24,18 @@ std::string mdabt::dbt::dumpTranslation(const Translation &T,
     bool Ok = host::decodeHost(Code.word(W), Inst);
     Out += format("  %6u: ", W);
     Out += Ok ? host::disassembleHost(Inst, W) : "<undecodable>";
-    auto MemIt = T.MemWordToGuestPc.find(W);
-    if (MemIt != T.MemWordToGuestPc.end())
-      Out += format("    ; may trap (guest %06x)", MemIt->second);
-    if (std::find(T.PatchedWords.begin(), T.PatchedWords.end(), W) !=
-        T.PatchedWords.end())
+    if (std::optional<uint32_t> Pc = T.siteAt(W))
+      Out += format("    ; may trap (guest %06x)", *Pc);
+    if (std::any_of(T.Patches.begin(), T.Patches.end(),
+                    [W](const StubPatch &P) { return P.Word == W; }))
       Out += "    ; patched by the exception handler";
-    for (const ExitSite &X : T.Exits) {
-      if (X.SrvWord != W)
-        continue;
+    if (std::optional<size_t> I = T.exitAt(W)) {
+      const TranslationRecord::RelExit &X = T.Rec->Exits[*I];
       if (!X.Direct)
         Out += "    ; indirect exit";
       else
         Out += format("    ; exit to guest %06x%s", X.TargetGuestPc,
-                      X.Chained ? " (chained)" : "");
+                      T.Chained[*I] ? " (chained)" : "");
     }
     Out += '\n';
   }

@@ -191,19 +191,20 @@ private:
   /// (local or cache-instantiated): per-site and per-block trace
   /// events, plus the fusion.* counters.
   void recordFusion(const Translation &T) {
-    if (T.FusedSites.empty())
+    const auto &Sites = T.Rec->FusedSites;
+    if (Sites.empty())
       return;
     uint64_t Saved = 0;
-    for (const FusedSite &F : T.FusedSites) {
+    for (const TranslationRecord::RelFusedSite &F : Sites) {
       Saved += F.SavedWords;
       Trace.emit(obs::TraceEventKind::FusionApplied, F.GuestPc, T.GuestPc,
                  F.Rule, F.SavedWords);
     }
-    FusionSites += T.FusedSites.size();
+    FusionSites += Sites.size();
     FusionSavedWords += Saved;
     ++FusionBlocks;
     Trace.emit(obs::TraceEventKind::FusionSummary, T.GuestPc, T.GuestPc,
-               T.FusedSites.size(), Saved);
+               Sites.size(), Saved);
   }
 
   /// The engine's plan chain as a translator callback.
@@ -277,8 +278,7 @@ private:
                                          Plan, Opts, IsTrace);
     TranslationLease L;
     uint64_t Evicted = 0;
-    FromCache =
-        acquireOrPublish(*Config.Service, Key, Code, Translate, L, &Evicted);
+    FromCache = acquireOrPublish(*Config.Service, Key, Translate, L, &Evicted);
     if (FromCache) {
       T = &Cache.instantiate(L.get(), Generation);
       ++CacheHits;
@@ -311,12 +311,12 @@ private:
                uint64_t A, uint64_t B) {
     Cache.install(*T, Coh.epoch());
     if (!Policy.translationIsOffline())
-      TranslateCycles += static_cast<uint64_t>(T->GuestInsts) *
+      TranslateCycles += static_cast<uint64_t>(T->Rec->GuestInsts) *
                          (FromCache ? Cost.CacheInstallCyclesPerInst
                                     : Cost.TranslateCyclesPerInst);
     chargeCodeGrowth();
     checkBudgets();
-    HTransInsts->record(T->GuestInsts);
+    HTransInsts->record(T->Rec->GuestInsts);
     Trace.emit(Kind, T->GuestPc, T->GuestPc, A, B);
     recordFusion(*T);
     if (Config.CodeCacheLimitWords != 0 &&
@@ -335,7 +335,7 @@ private:
                            obs::TraceEventKind Kind, uint64_t B) {
     ++Translations;
     Cache.map(*T);
-    if (install(T, FromCache, Kind, T->GuestInsts, B))
+    if (install(T, FromCache, Kind, T->Rec->GuestInsts, B))
       return T;
     Faults.pin(T->GuestPc, FaultPath::Pin::Oversize);
     return nullptr;
@@ -378,10 +378,10 @@ private:
     HTrapBlock->record(Old->FaultCount);
     Trace.emit(obs::TraceEventKind::BlockInvalidated, 0, Old->GuestPc,
                Old->FaultCount, Old->Generation);
-    if (Old->IsTrace) {
+    if (Old->Rec->IsTrace) {
       ++TraceDeopts;
       Trace.emit(obs::TraceEventKind::TraceDeopt, 0, Old->GuestPc,
-                 Old->Constituents.size(), Old->Generation);
+                 Old->Rec->Constituents.size(), Old->Generation);
     }
     return Cache.retire(*Old);
   }
@@ -424,14 +424,14 @@ private:
     Cache.flush();
 #ifndef NDEBUG
     // Pending AOT units keep their write-barrier watches across the
-    // flush (their payloads survive for lazy re-install), so the drain
+    // flush (their records survive for lazy re-install), so the drain
     // target is the page set of the units not yet staled, not zero.
     std::unordered_set<uint32_t> AotPages;
     constexpr uint32_t Shift = guest::GuestMemory::WatchPageShift;
     if (Aot)
       for (const auto &KV : Aot->units())
         if (!KV.second.Stale)
-          for (const auto &R : KV.second.Payload.GuestRanges)
+          for (const auto &R : KV.second.Record->GuestRanges)
             for (uint32_t P = R.first >> Shift; P <= (R.second - 1) >> Shift;
                  ++P)
               AotPages.insert(P);
@@ -458,7 +458,7 @@ private:
   /// pre-populated cache instead); an oversize retirement is always
   /// swept.
   Translation *installAotUnit(AotTranslator::Unit &U, bool Sweep) {
-    Translation *T = &Cache.instantiate(U.Payload, /*Generation=*/0);
+    Translation *T = &Cache.instantiate(U.Record, /*Generation=*/0);
     T->AotInstalled = true;
     ++AotInstalls;
     T = installHead(T, /*FromCache=*/true, obs::TraceEventKind::AotInstall,
@@ -484,7 +484,7 @@ private:
       TranslateCycles += AS.StartupTranslateCycles;
     for (const auto &KV : Aot->units())
       Trace.emit(obs::TraceEventKind::AotTranslated, KV.first, KV.first,
-                 KV.second.Payload.GuestInsts, KV.second.FromCache ? 1 : 0);
+                 KV.second.Record->GuestInsts, KV.second.FromCache ? 1 : 0);
     // Full installs eagerly.  Installing only marks units stale, never
     // adds or removes one, so walking the unit map meanwhile is safe.
     for (const auto &KV : Aot->units()) {
@@ -537,7 +537,7 @@ private:
       Abort = RunError::PatchFailed;
     for (Translation *T : St.Victims) {
       Trace.emit(obs::TraceEventKind::SmcInvalidate, Addr, T->GuestPc,
-                 T->Generation, T->IsTrace ? 1 : 0);
+                 T->Generation, T->Rec->IsTrace ? 1 : 0);
       // A failed unchain or IC-retire must abort here, not quarantine:
       // a stale branch into *superseded* code reaches architecturally
       // equivalent instructions, but one into *rewritten* code reaches
@@ -736,26 +736,25 @@ private:
     Translation *Owner = Cache.owner(E.SrvWord);
     if (!Owner || !Owner->Valid)
       return;
-    for (ExitSite &X : Owner->Exits) {
-      if (X.SrvWord != E.SrvWord)
-        continue;
-      if (!X.Direct || X.Chained)
-        return;
-      Translation *Target = Cache.lookup(X.TargetGuestPc);
-      if (!Target || !chain(X.SrvWord, *Owner, *Target))
-        return; // keep exiting via the monitor
-      X.Chained = true;
-      runVerifier();
-      // A backward chain closes a native loop — the hotness signal for
-      // superblock formation.  (Chain events, not dispatch counts: a
-      // fully chained loop never revisits the monitor, so a dispatch
-      // counter would stop ticking exactly when the loop gets hot.)
-      if (Config.Superblocks && Abort == RunError::None &&
-          X.TargetGuestPc <= Owner->GuestPc &&
-          ++BackedgeHeat[X.TargetGuestPc] >= TraceHotChains)
-        tryFormSuperblock(X.TargetGuestPc);
+    std::optional<size_t> I = Owner->exitAt(E.SrvWord);
+    if (!I)
       return;
-    }
+    const TranslationRecord::RelExit &X = Owner->Rec->Exits[*I];
+    if (!X.Direct || Owner->Chained[*I])
+      return;
+    Translation *Target = Cache.lookup(X.TargetGuestPc);
+    if (!Target || !chain(E.SrvWord, *Owner, *Target))
+      return; // keep exiting via the monitor
+    Owner->Chained[*I] = true;
+    runVerifier();
+    // A backward chain closes a native loop — the hotness signal for
+    // superblock formation.  (Chain events, not dispatch counts: a
+    // fully chained loop never revisits the monitor, so a dispatch
+    // counter would stop ticking exactly when the loop gets hot.)
+    if (Config.Superblocks && Abort == RunError::None &&
+        X.TargetGuestPc <= Owner->GuestPc &&
+        ++BackedgeHeat[X.TargetGuestPc] >= TraceHotChains)
+      tryFormSuperblock(X.TargetGuestPc);
   }
 
   /// On an indirect-exit miss, fill (or refill) an inline-cache way
@@ -765,23 +764,17 @@ private:
     if (!Config.InlineCaches || Abort != RunError::None)
       return;
     Translation *Owner = Cache.owner(E.SrvWord);
-    if (!Owner || !Owner->Valid || Owner->IcSites.empty())
+    if (!Owner || !Owner->Valid)
       return;
-    uint32_t SiteIdx = ~0u;
-    for (uint32_t I = 0; I != Owner->IcSites.size(); ++I) {
-      if (Owner->IcSites[I].SrvWord == E.SrvWord) {
-        SiteIdx = I;
-        break;
-      }
-    }
-    if (SiteIdx == ~0u)
+    std::optional<uint32_t> Site = Owner->icSiteAt(E.SrvWord);
+    if (!Site)
       return; // a direct exit's Srv word, not an IC fallback
     ++IcMisses;
     Translation *Target = Cache.lookup(E.GuestPc);
     if (!Target)
       return; // target not translated yet; a later miss can fill
     uint32_t WayBegin = 0;
-    CodeCache::IcFill R = Cache.fillIc(*Owner, SiteIdx, *Target, WayBegin);
+    CodeCache::IcFill R = Cache.fillIc(*Owner, *Site, *Target, WayBegin);
     if (R == CodeCache::IcFill::Skipped)
       return; // keep going through the monitor
     if (R == CodeCache::IcFill::Filled) {
@@ -809,7 +802,7 @@ private:
     if (TraceFormsAt[HeadPc] >= TraceFormsPerHead)
       return;
     Translation *Head = Cache.lookup(HeadPc);
-    if (!Head || Head->IsTrace)
+    if (!Head || Head->Rec->IsTrace)
       return;
 
     // Walk direct exits from the head, preferring chained (observed
@@ -821,20 +814,20 @@ private:
     bool ClosedAtHead = false;
     while (Pcs.size() < TraceMaxBlocks) {
       Translation *T = Cache.lookup(Pc);
-      if (!T || T->IsTrace)
+      if (!T || T->Rec->IsTrace)
         break;
       if (!Seen.insert(Pc).second) {
         ClosedAtHead = Pc == HeadPc;
         break; // closed the loop (or revisited): stop
       }
       Pcs.push_back(Pc);
-      for (const auto &KV : T->PlanByPc)
-        Plans.insert(KV);
-      const ExitSite *Next = nullptr;
-      for (const ExitSite &X : T->Exits) {
+      Plans.insert(T->Rec->PlanByPc.begin(), T->Rec->PlanByPc.end());
+      const TranslationRecord::RelExit *Next = nullptr;
+      for (size_t I = 0; I != T->Rec->Exits.size(); ++I) {
+        const TranslationRecord::RelExit &X = T->Rec->Exits[I];
         if (!X.Direct)
           continue;
-        if (X.Chained) {
+        if (T->Chained[I]) {
           Next = &X;
           break;
         }

@@ -28,10 +28,7 @@ FaultPath::site(uint32_t Word) const {
   Translation *T = Cache.owner(Word);
   if (!T)
     return {nullptr, std::nullopt};
-  auto It = T->MemWordToGuestPc.find(Word);
-  if (It == T->MemWordToGuestPc.end())
-    return {T, std::nullopt};
-  return {T, It->second};
+  return {T, T->siteAt(Word)};
 }
 
 // -- the trap path -----------------------------------------------------------
@@ -109,19 +106,7 @@ FaultPath::Delivery FaultPath::deliver(const FaultInfo &F) {
       PatchedOriginals.erase(F.HostPc);
     return {FaultAction::Fixup};
   }
-  T->PatchedWords.push_back(F.HostPc);
-  T->MemWordToGuestPc.erase(F.HostPc);
-  Cache.addStub(Stub->Entry, Stub->End, *T);
-  // A store executed out of the stub must stop the episode at the same
-  // place as the body word it replaces: propagate the resume metadata to
-  // every stub word.  (Loads were never recorded, so the lookup fails
-  // for them and nothing is registered.)
-  auto RIt = T->StoreResume.find(F.HostPc);
-  if (RIt != T->StoreResume.end()) {
-    SmcResume V = RIt->second; // copy: the inserts below may rehash
-    for (uint32_t W = Stub->Entry; W != Stub->End; ++W)
-      T->StoreResume[W] = V;
-  }
+  Cache.addStub(*T, F.HostPc, Stub->Entry, Stub->End);
   ++S.Patches;
   LastPatch = F;
   return {FaultAction::Retry, T, InstPc, Stub->Entry, D.Supersede};
@@ -154,8 +139,7 @@ FaultPath::Escalation FaultPath::escalate(const FaultInfo &F) {
     ForceInline.insert(InstPc);
     ++S.LadderRearranges;
   } else {
-    for (const auto &Entry : T->MemWordToGuestPc)
-      ForceInline.insert(Entry.second);
+    T->forEachSite([&](uint32_t Pc) { ForceInline.insert(Pc); });
     Rung = 2;
     ++S.LadderRetranslations;
   }
@@ -178,7 +162,7 @@ bool FaultPath::pollRevert() {
     return false; // revert failed; the stub stays in place and stays correct
   Translation *T = Cache.owner(FaultWord);
   if (T)
-    T->MemWordToGuestPc[FaultWord] = It->second.second;
+    T->revert(FaultWord);
   Trace.emit(obs::TraceEventKind::StubReverted, It->second.second,
              T ? T->GuestPc : 0, FaultWord, 0);
   PatchedOriginals.erase(It);

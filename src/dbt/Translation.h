@@ -5,12 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Bookkeeping for one translated basic block: where its host code lives,
-/// its exit sites (for block chaining), the incoming chain links that must
-/// be undone if the block is invalidated, the mapping from trapping host
-/// memory words back to guest instruction PCs (consumed by the
-/// misalignment exception handler), and fault counters driving the
-/// retranslation policy of paper Fig. 7.
+/// The one record of a translated block, and its live copies.
+/// TranslationRecord is what the translator emits — host words, exit
+/// sites, the map from trapping host memory words back to guest
+/// instruction PCs (consumed by the misalignment exception handler),
+/// store resume points, plans — entry-relative and immutable, shared by
+/// the serving cache, AOT units and every copy.  Translation is one copy
+/// in a run's arena: where it lives, its chains and inline-cache fills,
+/// its stub patches and the fault counters driving the retranslation
+/// policy of paper Fig. 7.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +22,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -44,7 +49,7 @@ enum class MemPlan {
 struct Translation;
 
 /// True if a guest store to [Lo, Hi) rewrites a byte of the half-open
-/// guest byte ranges \p Ranges (Translation::GuestRanges).
+/// guest byte ranges \p Ranges (TranslationRecord::GuestRanges).
 inline bool
 overlapsAny(const std::vector<std::pair<uint32_t, uint32_t>> &Ranges,
             uint32_t Lo, uint32_t Hi) {
@@ -71,9 +76,9 @@ overlapsAny(const std::vector<std::pair<uint32_t, uint32_t>> &Ranges,
 /// across block boundaries, so a hit may clobber them freely.
 inline constexpr uint32_t IcWayWords = 6;
 
-/// One way of an indirect-exit inline cache.
+/// This run's state of one inline-cache way (its words are fixed by the
+/// record: Translation::icWayBegin).
 struct IcWay {
-  uint32_t Begin = 0; ///< guard word (first word of the way)
   bool Filled = false;
   /// Quarantined: a disable patch failed under fault injection and the
   /// way's final branch may still target a dead (but intact) entry.
@@ -83,9 +88,8 @@ struct IcWay {
   uint32_t TargetGuestPc = 0; ///< cached target's guest PC (the tag)
 };
 
-/// The inline cache attached to one indirect exit site.
+/// This run's state of the inline cache at one indirect exit.
 struct IcSite {
-  uint32_t SrvWord = 0; ///< the Srv Exit word the ways fall back to
   std::vector<IcWay> Ways;
   uint32_t NextVictim = 0; ///< round-robin eviction cursor
 };
@@ -119,24 +123,6 @@ struct TranslationOpts {
   uint32_t FusionMask = 0;
 };
 
-/// One fused multi-guest-instruction host sequence (dbt/FusionRules.h).
-/// The core range [Begin, End) covers the translator-final fused words
-/// — address arithmetic and memory/ALU/branch ops, but *not* the exit
-/// materialization that may follow a fused compare-branch (exit words
-/// are chained/patched by the monitor).  HostVerifier re-checks the
-/// captured words byte-exactly (invariant 9), skipping words the
-/// exception handler has patched to MDA stubs.
-struct FusedSite {
-  uint8_t Rule = 0;        ///< FusionRuleId
-  uint32_t Begin = 0;      ///< first host word of the fused core
-  uint32_t End = 0;        ///< one past the fused core
-  uint32_t GuestPc = 0;    ///< PC of the first fused guest instruction
-  uint8_t GuestLen = 0;    ///< guest instructions consumed
-  uint32_t SavedWords = 0; ///< estimated host words saved vs unfused
-  /// Word values of [Begin, End), captured after label resolution.
-  std::vector<uint32_t> Words;
-};
-
 /// Episode-stop resume point for a guest store (SMC coherence).  When
 /// a store executed from inside a translation invalidates that very
 /// translation (the patcher and the patched code were fused into one
@@ -151,74 +137,227 @@ struct SmcResume {
   uint32_t ResumePc = 0; ///< guest PC to redispatch at
 };
 
-/// One block-exit service call, patchable into a direct chain.
-struct ExitSite {
-  uint32_t SrvWord = 0;      ///< word index of the Srv Exit instruction
-  uint32_t TargetGuestPc = 0;
-  bool Direct = false; ///< compile-time-known target (chainable)
-  bool Chained = false;
+/// One translated block or superblock as the translator emitted it: the
+/// pristine host words and every piece of install metadata.  Word
+/// numbers are relative to the entry word, so the same record serves a
+/// copy at any arena base.  Immutable once built and shared
+/// (`std::shared_ptr<const TranslationRecord>`) by the shared cache
+/// entry, an AOT unit and every live Translation installed from it; the
+/// translator, the cache's save/load and Translation's own lookups are
+/// the only code that reads its relative word numbers.
+struct TranslationRecord {
+  uint32_t GuestPc = 0;
+  uint32_t GuestInsts = 0; ///< guest instructions (for cost accounting)
+  /// A superblock spanning several guest blocks.
+  bool IsTrace = false;
+  /// The emitted host words, after label resolution.
+  std::vector<uint32_t> Words;
+
+  /// One block-exit service call, patchable into a direct chain.
+  struct RelExit {
+    uint32_t Word = 0; ///< Srv Exit word
+    uint32_t TargetGuestPc = 0;
+    bool Direct = false; ///< compile-time-known target (chainable)
+  };
+  std::vector<RelExit> Exits;
+  /// Trapping-capable memory word -> guest inst PC, sorted by word
+  /// (consumed by the misalignment exception handler).
+  std::vector<std::pair<uint32_t, uint32_t>> MemWordToGuestPc;
+  /// Every word that performs a guest store (plain op, each word of an
+  /// inline MDA sequence, multi-version arms, the Call push) and where
+  /// to resume if that store invalidates this translation mid-episode;
+  /// sorted by word.
+  struct RelResume {
+    uint32_t Word = 0;
+    uint32_t EndWord = 0; ///< episode-stop word
+    uint32_t ResumePc = 0;
+  };
+  std::vector<RelResume> StoreResume;
+  /// Policy-intent memory plan per guest instruction PC (mem ops of
+  /// size >= 2 only), sorted by PC, so superblock re-emission
+  /// reproduces the exact MDA treatment of every site without
+  /// re-consulting the (stateful) policy.
+  std::vector<std::pair<uint32_t, MemPlan>> PlanByPc;
+  /// The inline cache at each indirect exit, in emission order (empty
+  /// when TranslationOpts::IcWays == 0).
+  struct RelIcSite {
+    uint32_t SrvWord = 0; ///< the Srv Exit word the ways fall back to
+    std::vector<uint32_t> WayBegins; ///< guard word of each way
+  };
+  std::vector<RelIcSite> IcSites;
+  /// Head-first guest PCs of a trace's constituent blocks (empty for
+  /// plain block translations).
+  std::vector<uint32_t> Constituents;
+  /// Half-open guest byte ranges whose bytes this translation compiled
+  /// (one per constituent block, deduplicated); the engine registers
+  /// them with the guest memory's write barrier so a store into any of
+  /// them invalidates the translation (self-modifying-code coherence).
+  std::vector<std::pair<uint32_t, uint32_t>> GuestRanges;
+  /// One fused guest-idiom sequence (dbt/FusionRules.h).  The core
+  /// [Begin, End) covers the fused words — address arithmetic and
+  /// memory/ALU/branch ops, but *not* the exit materialization that may
+  /// follow a fused compare-branch (exits are chained by the monitor).
+  /// HostVerifier re-checks the core against Words (invariant 9).
+  struct RelFusedSite {
+    uint8_t Rule = 0;     ///< FusionRuleId
+    uint8_t GuestLen = 0; ///< guest instructions consumed
+    uint32_t Begin = 0;
+    uint32_t End = 0;
+    uint32_t GuestPc = 0;    ///< PC of the first fused guest instruction
+    uint32_t SavedWords = 0; ///< estimated host words saved vs unfused
+  };
+  /// In emission order (empty when TranslationOpts::FusionMask was 0).
+  std::vector<RelFusedSite> FusedSites;
+
+  /// Approximate heap footprint, for accounting.
+  size_t footprintBytes() const;
 };
 
-/// One translated guest basic block.
+/// One fault word redirected to an exception stub (paper Fig. 5).
+struct StubPatch {
+  uint32_t Word = 0;      ///< the patched body word
+  uint32_t StubEntry = 0; ///< the stub, [StubEntry, StubEnd)
+  uint32_t StubEnd = 0;
+  bool Reverted = false; ///< an adaptive stub patched Word back since
+};
+
+/// One live copy of a translation in a run's code space: the shared
+/// record plus the state only this run changes.
 struct Translation {
-  uint32_t GuestPc = 0;
+  Translation(std::shared_ptr<const TranslationRecord> R, uint32_t Entry,
+              uint32_t Generation)
+      : Rec(std::move(R)), GuestPc(Rec->GuestPc), EntryWord(Entry),
+        EndWord(Entry + static_cast<uint32_t>(Rec->Words.size())),
+        Generation(Generation), Chained(Rec->Exits.size()),
+        IcSites(Rec->IcSites.size()) {
+    for (size_t I = 0; I != IcSites.size(); ++I)
+      IcSites[I].Ways.resize(Rec->IcSites[I].WayBegins.size());
+  }
+
+  std::shared_ptr<const TranslationRecord> Rec;
+  uint32_t GuestPc = 0; ///< Rec->GuestPc, the block-map key
   uint32_t EntryWord = 0;
   uint32_t EndWord = 0; ///< one past the block body
-  std::vector<ExitSite> Exits;
+  /// Retranslation generation of this block (0 = first translation).
+  uint32_t Generation = 0;
+  /// Per Rec->Exits: the exit has been chained to its target.
+  std::vector<bool> Chained;
   /// Host words of *other* blocks' exit branches chained to this entry;
   /// restored to Srv Exit when this block is invalidated.
   std::vector<uint32_t> IncomingChains;
-  /// Host word of each trapping-capable memory op -> guest inst PC.
-  std::unordered_map<uint32_t, uint32_t> MemWordToGuestPc;
-  /// Every host word that performs a guest store (plain op, each word
-  /// of an inline MDA sequence, multi-version arms, the Call push, and
-  /// — registered at stub-emission time — MDA stub words) -> where to
-  /// resume if that store invalidates this translation mid-episode.
-  std::unordered_map<uint32_t, SmcResume> StoreResume;
-  /// Number of guest instructions translated (for cost accounting).
-  uint32_t GuestInsts = 0;
-  /// Misalignment traps taken inside this translation.
-  uint32_t FaultCount = 0;
-  /// Patched (stub-redirected) words, to avoid double patching.
-  std::vector<uint32_t> PatchedWords;
-  /// Retranslation generation of this block (0 = first translation).
-  uint32_t Generation = 0;
-  /// False once superseded by a rearranged/retranslated version.
-  bool Valid = true;
-  /// Inline caches at this translation's indirect exits (one per
-  /// indirect ExitSite, in emission order; empty when IcWays == 0).
+  /// Per Rec->IcSites: the inline cache's way states.
   std::vector<IcSite> IcSites;
   /// Ways in *other* translations whose final branch targets this
   /// entry; taken out of service when this block is invalidated
   /// (the inline-cache analogue of IncomingChains).
   std::vector<IcWayRef> IncomingIcWays;
-  /// Policy-intent memory plan per guest instruction PC (mem ops of
-  /// size >= 2 only), recorded at translation time so superblock
-  /// re-emission reproduces the exact MDA treatment of every site
-  /// without re-consulting the (stateful) policy.
-  std::unordered_map<uint32_t, MemPlan> PlanByPc;
-  /// True for a superblock/trace spanning several guest blocks.
-  bool IsTrace = false;
-  /// Head-first guest PCs of a trace's constituent blocks (empty for
-  /// plain block translations).
-  std::vector<uint32_t> Constituents;
-  /// Half-open guest byte ranges whose bytes this translation compiled
-  /// (one per constituent block, deduplicated).  Filled by the
-  /// translator; the engine registers them with the guest memory's
-  /// write barrier so a store into any of them invalidates this
-  /// translation (self-modifying-code coherence).
-  std::vector<std::pair<uint32_t, uint32_t>> GuestRanges;
+  /// Every stub redirect, in patch order; a word patched again after an
+  /// adaptive revert appears again.
+  std::vector<StubPatch> Patches;
+  /// Misalignment traps taken inside this translation.
+  uint32_t FaultCount = 0;
+  /// False once superseded by a rearranged/retranslated version.
+  bool Valid = true;
   /// The engine's guest-store epoch when this translation was
   /// installed.  HostVerifier invariant: no byte of a live
-  /// translation's GuestRanges may carry a dirty epoch newer than this.
+  /// translation's guest ranges may carry a dirty epoch newer than this.
   uint64_t BornEpoch = 0;
-  /// Fused guest-idiom sequences in this translation, in emission
-  /// order (empty when TranslationOpts::FusionMask was 0).
-  std::vector<FusedSite> FusedSites;
   /// Instantiated from a static AOT pre-translation unit
   /// (EngineConfig::Aot); HostVerifier holds such blocks to the
   /// recovered-reachable-set invariant (check 10).
   bool AotInstalled = false;
+
+  // -- lookups -------------------------------------------------------------
+
+  /// True while body word \p Word branches to a stub.
+  bool patched(uint32_t Word) const {
+    return std::any_of(Patches.begin(), Patches.end(), [&](const auto &P) {
+      return P.Word == Word && !P.Reverted;
+    });
+  }
+  /// The guest PC of the trapping-capable memory op at host word
+  /// \p Word; nullopt for any other word, and for a site now patched to
+  /// a stub.
+  std::optional<uint32_t> siteAt(uint32_t Word) const {
+    if (Word < EntryWord || Word >= EndWord || patched(Word))
+      return std::nullopt;
+    const auto &M = Rec->MemWordToGuestPc;
+    auto It = std::lower_bound(M.begin(), M.end(),
+                               std::make_pair(Word - EntryWord, 0u));
+    if (It == M.end() || It->first != Word - EntryWord)
+      return std::nullopt;
+    return It->second;
+  }
+  /// Visit the guest PC of every memory site not patched to a stub.
+  template <typename Fn> void forEachSite(Fn F) const {
+    for (const auto &[Rel, Pc] : Rec->MemWordToGuestPc)
+      if (!patched(EntryWord + Rel))
+        F(Pc);
+  }
+  /// Where to stop the episode if the guest store issued by host word
+  /// \p Word rewrites this translation; nullopt if \p Word issues no
+  /// store.  A stub word stops where the body word it replaces would.
+  std::optional<SmcResume> resumeAt(uint32_t Word) const {
+    for (const StubPatch &P : Patches) {
+      if (Word >= P.StubEntry && Word < P.StubEnd) {
+        Word = P.Word;
+        break;
+      }
+    }
+    if (Word < EntryWord || Word >= EndWord)
+      return std::nullopt;
+    const auto &R = Rec->StoreResume;
+    auto It = std::lower_bound(R.begin(), R.end(), Word - EntryWord,
+                               [](const TranslationRecord::RelResume &E,
+                                  uint32_t W) { return E.Word < W; });
+    if (It == R.end() || It->Word != Word - EntryWord)
+      return std::nullopt;
+    return SmcResume{EntryWord + It->EndWord, It->ResumePc};
+  }
+  /// The Srv Exit word of exit \p I (an index into Rec->Exits).
+  uint32_t exitWord(size_t I) const {
+    return EntryWord + Rec->Exits[I].Word;
+  }
+  /// The exit whose Srv Exit word is \p Word, if any.
+  std::optional<size_t> exitAt(uint32_t Word) const {
+    for (size_t I = 0; I != Rec->Exits.size(); ++I)
+      if (exitWord(I) == Word)
+        return I;
+    return std::nullopt;
+  }
+  /// The inline-cache site falling back to Srv Exit word \p Word, if any.
+  std::optional<uint32_t> icSiteAt(uint32_t Word) const {
+    for (uint32_t S = 0; S != Rec->IcSites.size(); ++S)
+      if (EntryWord + Rec->IcSites[S].SrvWord == Word)
+        return S;
+    return std::nullopt;
+  }
+  /// The guard word (first word) of way \p Way of inline-cache site
+  /// \p Site.
+  uint32_t icWayBegin(uint32_t Site, uint32_t Way) const {
+    return EntryWord + Rec->IcSites[Site].WayBegins[Way];
+  }
+  /// Visit every fused core as (site, first host word, one past the
+  /// last, the pristine words the translator emitted there).
+  template <typename Fn> void forEachFusedCore(Fn F) const {
+    for (const TranslationRecord::RelFusedSite &S : Rec->FusedSites)
+      F(S, EntryWord + S.Begin, EntryWord + S.End,
+        std::span<const uint32_t>(Rec->Words).subspan(S.Begin,
+                                                      S.End - S.Begin));
+  }
+
+  // -- the exception handler's patches ---------------------------------------
+
+  /// Body word \p Word now branches to the stub [StubEntry, StubEnd).
+  void patch(uint32_t Word, uint32_t StubEntry, uint32_t StubEnd) {
+    Patches.push_back({Word, StubEntry, StubEnd, false});
+  }
+  /// An adaptive stub patched the original op back in at \p Word.
+  void revert(uint32_t Word) {
+    for (StubPatch &P : Patches)
+      if (P.Word == Word)
+        P.Reverted = true;
+  }
 };
 
 } // namespace dbt

@@ -1,4 +1,4 @@
-//===- dbt/TranslationCapture.cpp - Content keys + capture ----------------==//
+//===- dbt/TranslationCapture.cpp - Content keys + publish ----------------==//
 //
 // Part of the MDABT project (CGO 2009 MDA-handling reproduction).
 //
@@ -8,7 +8,6 @@
 
 #include "dbt/FusionRules.h"
 
-#include <algorithm>
 #include <vector>
 
 using namespace mdabt;
@@ -58,57 +57,13 @@ CacheKey mdabt::dbt::translationContentKey(
   return cacheKeyFromBytes(M.data(), M.size());
 }
 
-CachedTranslation mdabt::dbt::captureTranslation(const Translation &T,
-                                                 const host::CodeSpace &Code) {
-  CachedTranslation C;
-  C.GuestPc = T.GuestPc;
-  C.GuestInsts = T.GuestInsts;
-  C.IsTrace = T.IsTrace ? 1 : 0;
-  uint32_t Base = T.EntryWord;
-  C.Words.reserve(T.EndWord - Base);
-  for (uint32_t W = Base; W != T.EndWord; ++W)
-    C.Words.push_back(Code.word(W));
-  for (const ExitSite &X : T.Exits)
-    C.Exits.push_back({X.SrvWord - Base, X.TargetGuestPc,
-                       static_cast<uint8_t>(X.Direct ? 1 : 0)});
-  for (const auto &KV : T.MemWordToGuestPc)
-    C.MemWordToGuestPc.push_back({KV.first - Base, KV.second});
-  std::sort(C.MemWordToGuestPc.begin(), C.MemWordToGuestPc.end());
-  for (const auto &KV : T.StoreResume)
-    C.StoreResume.push_back(
-        {KV.first - Base, KV.second.EndWord - Base, KV.second.ResumePc});
-  std::sort(C.StoreResume.begin(), C.StoreResume.end(),
-            [](const CachedTranslation::RelResume &A,
-               const CachedTranslation::RelResume &B) {
-              return A.Word < B.Word;
-            });
-  for (const auto &KV : T.PlanByPc)
-    C.PlanByPc.push_back({KV.first, static_cast<uint8_t>(KV.second)});
-  std::sort(C.PlanByPc.begin(), C.PlanByPc.end());
-  for (const IcSite &S : T.IcSites) {
-    CachedTranslation::RelIcSite RS;
-    RS.SrvWord = S.SrvWord - Base;
-    RS.WayBegins.reserve(S.Ways.size());
-    for (const IcWay &W : S.Ways)
-      RS.WayBegins.push_back(W.Begin - Base);
-    C.IcSites.push_back(std::move(RS));
-  }
-  C.Constituents = T.Constituents;
-  C.GuestRanges = T.GuestRanges;
-  for (const FusedSite &F : T.FusedSites)
-    C.FusedSites.push_back({F.Rule, F.GuestLen, F.Begin - Base, F.End - Base,
-                            F.GuestPc, F.SavedWords});
-  return C;
-}
-
 bool mdabt::dbt::acquireOrPublish(
     TranslationService &Service, const CacheKey &Key,
-    const host::CodeSpace &Code,
     const std::function<const Translation &()> &Translate,
     TranslationLease &Lease, uint64_t *Evicted) {
   Lease = Service.acquire(Key);
   if (Lease)
     return true;
-  Lease = Service.publish(Key, captureTranslation(Translate(), Code), Evicted);
+  Lease = Service.publish(Key, Translate().Rec, Evicted);
   return false;
 }

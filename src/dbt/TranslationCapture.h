@@ -1,4 +1,4 @@
-//===- dbt/TranslationCapture.h - Content keys + capture -------*- C++ -*-===//
+//===- dbt/TranslationCapture.h - Content keys + publish -------*- C++ -*-===//
 //
 // Part of the MDABT project (CGO 2009 MDA-handling reproduction).
 //
@@ -6,9 +6,8 @@
 ///
 /// \file
 /// The shared half of the translation pipeline, used by every producer
-/// of cached translations — the per-run install path
-/// (`ExecutionContext.cpp`) and the static AOT pre-translator
-/// (`AotTranslator`):
+/// of translations — the per-run install path (`ExecutionContext.cpp`)
+/// and the static AOT pre-translator (`AotTranslator`):
 ///
 ///  * `translationContentKey` serializes everything that determines the
 ///    translator's emission for one (multi-)block — format version,
@@ -16,17 +15,15 @@
 ///    constituent's raw guest bytes, and the MemPlan the plan chain
 ///    returns for every planned site — and hashes it into the 128-bit
 ///    cache key;
-///  * `captureTranslation` snapshots a freshly translated block's
-///    pristine words and install metadata into the relocatable
-///    `CachedTranslation` form (entry-relative, deterministically
-///    sorted);
 ///  * `acquireOrPublish` is the one lookup sequence: lease the entry
-///    under a key, or translate and publish the capture.
+///    under a key, or translate and publish the translator's own
+///    TranslationRecord.
 ///
-/// Keeping all three in one place is what lets an AOT-published entry
-/// be byte-for-byte the entry a demand translation of the same bytes
-/// under the same plans would publish: warm start, disk persistence and
-/// multi-tenant sharing work unchanged whichever side produced it.
+/// Both producers publish the record the translator built, so an
+/// AOT-published entry is byte-for-byte the entry a demand translation
+/// of the same bytes under the same plans would publish: warm start,
+/// disk persistence and multi-tenant sharing work unchanged whichever
+/// side produced it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +34,6 @@
 #include "dbt/TranslationService.h"
 #include "dbt/Translator.h"
 #include "guest/GuestMemory.h"
-#include "host/CodeSpace.h"
 
 #include <cstddef>
 #include <functional>
@@ -54,19 +50,12 @@ CacheKey translationContentKey(const guest::GuestMemory &Mem,
                                const Translator::PlanFn &Plan,
                                const TranslationOpts &Opts, bool IsTrace);
 
-/// Snapshot \p T's pristine words (still untouched by chaining or
-/// patching) from \p Code into the relocatable cached form.
-CachedTranslation captureTranslation(const Translation &T,
-                                     const host::CodeSpace &Code);
-
 /// Lease the entry under \p Key from \p Service into \p Lease and
 /// return true.  On a miss, call \p Translate (which emits the
-/// translation into \p Code and returns it), publish its pristine
-/// capture under \p Key, lease the published entry and return false;
-/// \p Evicted, if given, receives the number of entries the publish
-/// evicted.
+/// translation and returns it), publish its record under \p Key, lease
+/// the published entry and return false; \p Evicted, if given, receives
+/// the number of entries the publish evicted.
 bool acquireOrPublish(TranslationService &Service, const CacheKey &Key,
-                      const host::CodeSpace &Code,
                       const std::function<const Translation &()> &Translate,
                       TranslationLease &Lease, uint64_t *Evicted = nullptr);
 

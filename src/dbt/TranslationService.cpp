@@ -8,7 +8,6 @@
 
 #include "dbt/Engine.h"
 #include "dbt/FusionRules.h"
-#include "dbt/Translation.h"
 #include "guest/GuestImage.h"
 
 #include <algorithm>
@@ -34,13 +33,13 @@ CacheKey mdabt::dbt::cacheKeyFromBytes(const uint8_t *Bytes, size_t Size) {
   return K;
 }
 
-size_t CachedTranslation::footprintBytes() const {
+size_t TranslationRecord::footprintBytes() const {
   size_t N = sizeof(*this);
   N += Words.size() * sizeof(uint32_t);
   N += Exits.size() * sizeof(RelExit);
   N += MemWordToGuestPc.size() * sizeof(std::pair<uint32_t, uint32_t>);
   N += StoreResume.size() * sizeof(RelResume);
-  N += PlanByPc.size() * sizeof(std::pair<uint32_t, uint8_t>);
+  N += PlanByPc.size() * sizeof(std::pair<uint32_t, MemPlan>);
   for (const RelIcSite &S : IcSites)
     N += sizeof(RelIcSite) + S.WayBegins.size() * sizeof(uint32_t);
   N += Constituents.size() * sizeof(uint32_t);
@@ -93,9 +92,10 @@ TranslationLease TranslationService::acquire(const CacheKey &Key) {
 
 std::shared_ptr<detail::CacheEntry>
 TranslationService::insertLocked(Shard &S, const CacheKey &Key,
-                                 CachedTranslation &&T, uint64_t &Evicted) {
+                                 std::shared_ptr<const TranslationRecord> T,
+                                 uint64_t &Evicted) {
   // First writer wins: a racing publisher of the same key leases the
-  // resident entry (the payloads are byte-identical by key design).
+  // resident entry (the records are byte-identical by key design).
   for (const std::shared_ptr<detail::CacheEntry> &E : S.Entries)
     if (E->Key == Key)
       return E;
@@ -128,9 +128,10 @@ TranslationService::insertLocked(Shard &S, const CacheKey &Key,
   return E;
 }
 
-TranslationLease TranslationService::publish(const CacheKey &Key,
-                                             CachedTranslation T,
-                                             uint64_t *Evicted) {
+TranslationLease
+TranslationService::publish(const CacheKey &Key,
+                            std::shared_ptr<const TranslationRecord> T,
+                            uint64_t *Evicted) {
   Shard &S = shardFor(Key);
   uint64_t Ev = 0;
   std::shared_ptr<detail::CacheEntry> E;
@@ -166,7 +167,7 @@ uint64_t TranslationService::liveLeases() const {
 
 uint64_t TranslationService::footprintBytes() const {
   return sumEntries(
-      [](const detail::CacheEntry &E) { return E.T.footprintBytes(); });
+      [](const detail::CacheEntry &E) { return E.T->footprintBytes(); });
 }
 
 // -- disk persistence --------------------------------------------------------
@@ -227,20 +228,20 @@ struct Cursor {
 constexpr uint32_t MaxElems = 1u << 22;
 
 void serializeEntry(std::vector<uint8_t> &B, const CacheKey &Key,
-                    const CachedTranslation &T) {
+                    const TranslationRecord &T) {
   put64(B, Key.Lo);
   put64(B, Key.Hi);
   put32(B, T.GuestPc);
   put32(B, T.GuestInsts);
-  put8(B, T.IsTrace);
+  put8(B, T.IsTrace ? 1 : 0);
   put32(B, static_cast<uint32_t>(T.Words.size()));
   for (uint32_t W : T.Words)
     put32(B, W);
   put32(B, static_cast<uint32_t>(T.Exits.size()));
-  for (const CachedTranslation::RelExit &E : T.Exits) {
+  for (const TranslationRecord::RelExit &E : T.Exits) {
     put32(B, E.Word);
     put32(B, E.TargetGuestPc);
-    put8(B, E.Direct);
+    put8(B, E.Direct ? 1 : 0);
   }
   put32(B, static_cast<uint32_t>(T.MemWordToGuestPc.size()));
   for (const auto &M : T.MemWordToGuestPc) {
@@ -248,7 +249,7 @@ void serializeEntry(std::vector<uint8_t> &B, const CacheKey &Key,
     put32(B, M.second);
   }
   put32(B, static_cast<uint32_t>(T.StoreResume.size()));
-  for (const CachedTranslation::RelResume &R : T.StoreResume) {
+  for (const TranslationRecord::RelResume &R : T.StoreResume) {
     put32(B, R.Word);
     put32(B, R.EndWord);
     put32(B, R.ResumePc);
@@ -256,10 +257,10 @@ void serializeEntry(std::vector<uint8_t> &B, const CacheKey &Key,
   put32(B, static_cast<uint32_t>(T.PlanByPc.size()));
   for (const auto &P : T.PlanByPc) {
     put32(B, P.first);
-    put8(B, P.second);
+    put8(B, static_cast<uint8_t>(P.second));
   }
   put32(B, static_cast<uint32_t>(T.IcSites.size()));
-  for (const CachedTranslation::RelIcSite &S : T.IcSites) {
+  for (const TranslationRecord::RelIcSite &S : T.IcSites) {
     put32(B, S.SrvWord);
     put32(B, static_cast<uint32_t>(S.WayBegins.size()));
     for (uint32_t W : S.WayBegins)
@@ -274,7 +275,7 @@ void serializeEntry(std::vector<uint8_t> &B, const CacheKey &Key,
     put32(B, R.second);
   }
   put32(B, static_cast<uint32_t>(T.FusedSites.size()));
-  for (const CachedTranslation::RelFusedSite &F : T.FusedSites) {
+  for (const TranslationRecord::RelFusedSite &F : T.FusedSites) {
     put8(B, F.Rule);
     put8(B, F.GuestLen);
     put32(B, F.Begin);
@@ -287,14 +288,15 @@ void serializeEntry(std::vector<uint8_t> &B, const CacheKey &Key,
 /// Parse one entry; returns false on a structural defect (truncated
 /// stream, implausible counts, metadata outside the word range, guest
 /// ranges outside the guest address space).
-bool parseEntry(Cursor &C, CacheKey &Key, CachedTranslation &T) {
+bool parseEntry(Cursor &C, CacheKey &Key, TranslationRecord &T) {
   Key.Lo = C.u64();
   Key.Hi = C.u64();
   T.GuestPc = C.u32();
   T.GuestInsts = C.u32();
-  T.IsTrace = C.u8();
-  if (T.IsTrace > 1)
+  uint8_t IsTrace = C.u8();
+  if (IsTrace > 1)
     return false;
+  T.IsTrace = IsTrace != 0;
   uint32_t NWords = C.u32();
   if (C.Bad || NWords == 0 || NWords > MaxElems)
     return false;
@@ -306,12 +308,13 @@ bool parseEntry(Cursor &C, CacheKey &Key, CachedTranslation &T) {
   if (C.Bad || NExits > MaxElems)
     return false;
   for (uint32_t I = 0; I != NExits; ++I) {
-    CachedTranslation::RelExit E;
+    TranslationRecord::RelExit E;
     E.Word = C.u32();
     E.TargetGuestPc = C.u32();
-    E.Direct = C.u8();
-    if (!RelOk(E.Word) || E.Direct > 1)
+    uint8_t Direct = C.u8();
+    if (!RelOk(E.Word) || Direct > 1)
       return false;
+    E.Direct = Direct != 0;
     T.Exits.push_back(E);
   }
   uint32_t NMem = C.u32();
@@ -328,7 +331,7 @@ bool parseEntry(Cursor &C, CacheKey &Key, CachedTranslation &T) {
   if (C.Bad || NResume > MaxElems)
     return false;
   for (uint32_t I = 0; I != NResume; ++I) {
-    CachedTranslation::RelResume R;
+    TranslationRecord::RelResume R;
     R.Word = C.u32();
     R.EndWord = C.u32();
     R.ResumePc = C.u32();
@@ -344,13 +347,13 @@ bool parseEntry(Cursor &C, CacheKey &Key, CachedTranslation &T) {
     uint8_t Plan = C.u8();
     if (Plan > static_cast<uint8_t>(MemPlan::Elide))
       return false;
-    T.PlanByPc.push_back({Pc, Plan});
+    T.PlanByPc.push_back({Pc, static_cast<MemPlan>(Plan)});
   }
   uint32_t NSites = C.u32();
   if (C.Bad || NSites > MaxElems)
     return false;
   for (uint32_t I = 0; I != NSites; ++I) {
-    CachedTranslation::RelIcSite S;
+    TranslationRecord::RelIcSite S;
     S.SrvWord = C.u32();
     uint32_t NWays = C.u32();
     if (C.Bad || !RelOk(S.SrvWord) || NWays > 4)
@@ -386,7 +389,7 @@ bool parseEntry(Cursor &C, CacheKey &Key, CachedTranslation &T) {
   if (C.Bad || NFused > MaxElems)
     return false;
   for (uint32_t I = 0; I != NFused; ++I) {
-    CachedTranslation::RelFusedSite F;
+    TranslationRecord::RelFusedSite F;
     F.Rule = C.u8();
     F.GuestLen = C.u8();
     F.Begin = C.u32();
@@ -425,7 +428,7 @@ bool TranslationService::save(const std::string &Path,
             });
   std::vector<uint8_t> Payload;
   for (const std::shared_ptr<detail::CacheEntry> &E : All)
-    serializeEntry(Payload, E->Key, E->T);
+    serializeEntry(Payload, E->Key, *E->T);
   std::vector<uint8_t> File;
   put32(File, ArtifactMagic);
   put32(File, FormatVersion);
@@ -470,14 +473,16 @@ bool TranslationService::load(const std::string &Path, obs::TraceSink *Sink,
     return fail(Err, "payload checksum mismatch");
   // Parse and validate everything before touching the cache: a corrupt
   // artifact must be rejected whole, never half-merged.
-  std::vector<std::pair<CacheKey, CachedTranslation>> Parsed;
+  std::vector<std::pair<CacheKey, std::shared_ptr<const TranslationRecord>>>
+      Parsed;
   Parsed.reserve(static_cast<size_t>(std::min<uint64_t>(Count, 65536)));
   for (uint64_t I = 0; I != Count; ++I) {
     CacheKey Key;
-    CachedTranslation T;
+    TranslationRecord T;
     if (!parseEntry(C, Key, T))
       return fail(Err, "malformed entry");
-    Parsed.emplace_back(Key, std::move(T));
+    Parsed.emplace_back(Key,
+                        std::make_shared<const TranslationRecord>(std::move(T)));
   }
   if (C.At != C.N)
     return fail(Err, "trailing bytes after last entry");

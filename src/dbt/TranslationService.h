@@ -21,12 +21,13 @@
 /// its code changes the key, so it can only ever miss, never poison
 /// another tenant's entry.
 ///
-/// Cached words are position-independent (all translator-internal
-/// control flow is label-relative; exits materialize guest PCs as data)
-/// and every piece of metadata is stored relative to the entry word, so
-/// a run installs a hit by appending the words at its own arena tail
-/// and rebasing the metadata.  Runs mutate only their private copy
-/// (chains, stubs, inline-cache fills); the shared entry stays pristine.
+/// An entry holds the translator's own TranslationRecord.  Its words are
+/// position-independent (all translator-internal control flow is
+/// label-relative; exits materialize guest PCs as data) and its metadata
+/// is entry-relative, so a run installs a hit by appending the words at
+/// its own arena tail and pointing a Translation header at the shared
+/// record.  Runs mutate only their private words (chains, stubs,
+/// inline-cache fills); the record stays pristine.
 ///
 /// Leases are the cross-tenant safety mechanism: a run acquires a lease
 /// per installed translation and releases it when the translation
@@ -43,6 +44,7 @@
 #ifndef MDABT_DBT_TRANSLATIONSERVICE_H
 #define MDABT_DBT_TRANSLATIONSERVICE_H
 
+#include "dbt/Translation.h"
 #include "obs/TraceSink.h"
 
 #include <atomic>
@@ -71,65 +73,12 @@ struct CacheKey {
 /// into a CacheKey.
 CacheKey cacheKeyFromBytes(const uint8_t *Bytes, size_t Size);
 
-/// One cached translation: the pristine host words the translator
-/// emitted plus every piece of install metadata, stored relative to the
-/// entry word so the words can be installed at any arena base.
-/// Immutable once published — runs mutate only their private copies.
-struct CachedTranslation {
-  uint32_t GuestPc = 0;
-  uint32_t GuestInsts = 0;
-  uint8_t IsTrace = 0;
-  /// The emitted host words, [EntryWord, EndWord) at capture time.
-  std::vector<uint32_t> Words;
-
-  struct RelExit {
-    uint32_t Word = 0; ///< Srv Exit word, entry-relative
-    uint32_t TargetGuestPc = 0;
-    uint8_t Direct = 0;
-  };
-  std::vector<RelExit> Exits;
-  /// Entry-relative trapping-capable word -> guest inst PC (sorted).
-  std::vector<std::pair<uint32_t, uint32_t>> MemWordToGuestPc;
-  struct RelResume {
-    uint32_t Word = 0;    ///< store-capable word, entry-relative
-    uint32_t EndWord = 0; ///< episode-stop word, entry-relative
-    uint32_t ResumePc = 0;
-  };
-  std::vector<RelResume> StoreResume;
-  /// Guest inst PC -> MemPlan value, sorted by PC.
-  std::vector<std::pair<uint32_t, uint8_t>> PlanByPc;
-  struct RelIcSite {
-    uint32_t SrvWord = 0; ///< entry-relative
-    std::vector<uint32_t> WayBegins;
-  };
-  std::vector<RelIcSite> IcSites;
-  std::vector<uint32_t> Constituents;
-  /// Half-open guest byte ranges the translation compiled.
-  std::vector<std::pair<uint32_t, uint32_t>> GuestRanges;
-  /// Fused peephole sequences (dbt/FusionRules.h), entry-relative.  The
-  /// fused cores' reference words are not stored separately: the Words
-  /// payload *is* the pristine translator output, so instantiation
-  /// re-derives them from [Begin, End).
-  struct RelFusedSite {
-    uint8_t Rule = 0;
-    uint8_t GuestLen = 0;
-    uint32_t Begin = 0; ///< entry-relative fused-core start
-    uint32_t End = 0;   ///< entry-relative, one past the core
-    uint32_t GuestPc = 0;
-    uint32_t SavedWords = 0;
-  };
-  std::vector<RelFusedSite> FusedSites;
-
-  /// Approximate heap footprint, for accounting.
-  size_t footprintBytes() const;
-};
-
 namespace detail {
 /// One shard-resident entry.  Lease count is atomic so release never
 /// takes the shard lock.
 struct CacheEntry {
   CacheKey Key;
-  CachedTranslation T;
+  std::shared_ptr<const TranslationRecord> T;
   std::atomic<uint64_t> Leases{0};
   uint64_t Seq = 0; ///< insertion order within the shard (FIFO evict)
 };
@@ -148,8 +97,11 @@ public:
   ~TranslationLease();
 
   explicit operator bool() const { return E != nullptr; }
-  /// The leased translation.  Only valid while the lease is held.
-  const CachedTranslation &get() const { return E->T; }
+  /// The leased translation.  A copy of the pointer keeps the record
+  /// alive after the lease is released and the entry evicted.
+  const std::shared_ptr<const TranslationRecord> &get() const {
+    return E->T;
+  }
   /// Drop the lease early (idempotent).
   void release();
 
@@ -187,10 +139,11 @@ public:
 
   /// Publish a freshly translated entry and lease it.  If another run
   /// raced us to the same key, the first writer wins and its entry is
-  /// leased instead (the loser's payload is dropped — both payloads are
+  /// leased instead (the loser's record is not inserted — both are
   /// byte-identical by construction of the key).  \p Evicted, when
   /// non-null, receives the number of entries evicted to make room.
-  TranslationLease publish(const CacheKey &Key, CachedTranslation T,
+  TranslationLease publish(const CacheKey &Key,
+                           std::shared_ptr<const TranslationRecord> T,
                            uint64_t *Evicted = nullptr);
 
   // -- stats (monotonic process-lifetime counters) ---------------------
@@ -223,7 +176,7 @@ public:
             std::string *Err = nullptr);
 
   /// On-disk format version written by save().  Version 2 appended the
-  /// per-entry fused-site records (CachedTranslation::RelFusedSite).
+  /// per-entry fused-site records (TranslationRecord::RelFusedSite).
   static constexpr uint32_t FormatVersion = 2;
 
 private:
@@ -239,8 +192,8 @@ private:
   /// Insert under the shard lock; returns the resident entry (existing
   /// one on a key race) and bumps \p Evicted per eviction.
   std::shared_ptr<detail::CacheEntry>
-  insertLocked(Shard &S, const CacheKey &Key, CachedTranslation &&T,
-               uint64_t &Evicted);
+  insertLocked(Shard &S, const CacheKey &Key,
+               std::shared_ptr<const TranslationRecord> T, uint64_t &Evicted);
 
   /// Sum \p F over every resident entry, each shard under its lock.
   template <typename Fn> uint64_t sumEntries(Fn F) const;

@@ -147,14 +147,17 @@ enum class MvMode { PerInst, Plain, Sequences };
 /// through to the next constituent and off-trace edges branch to shared
 /// side-exit labels instead of materializing an exit inline.
 struct BodyEmitter {
-  BodyEmitter(HostAssembler &Asm, Translation &T, const GuestBlock &Block,
-              const Translator::PlanFn &Plan, unsigned IcWays,
-              uint32_t FusionMask)
-      : Asm(Asm), T(T), Block(Block), Plan(Plan), IcWays(IcWays),
-        Matcher(FusionMask) {}
+  BodyEmitter(HostAssembler &Asm, TranslationRecord &R, uint32_t Base,
+              const GuestBlock &Block, const Translator::PlanFn &Plan,
+              unsigned IcWays, uint32_t FusionMask)
+      : Asm(Asm), R(R), Base(Base), Block(Block), Plan(Plan),
+        IcWays(IcWays), Matcher(FusionMask) {}
 
   HostAssembler &Asm;
-  Translation &T;
+  /// The record being built; its word numbers are relative to Base, the
+  /// translation's entry word.
+  TranslationRecord &R;
+  uint32_t Base;
   const GuestBlock &Block;
   const Translator::PlanFn &Plan;
   /// Inline-cache ways to emit before each indirect exit (0 = none).
@@ -198,28 +201,34 @@ struct BodyEmitter {
     }
     Asm.materialize32(RegExitPc, TargetPc);
     uint32_t W = Asm.srv(SrvFunc::Exit);
-    T.Exits.push_back({W, TargetPc, /*Direct=*/true, /*Chained=*/false});
+    R.Exits.push_back({W - Base, TargetPc, /*Direct=*/true});
   }
 
   /// Indirect exit: RegExitPc already holds the target.  When IcWays is
   /// nonzero, a disabled inline cache (see IcWayWords) is emitted ahead
   /// of the fallback Srv Exit for the monitor to fill.
   void emitIndirectExit() {
-    IcSite Site;
+    TranslationRecord::RelIcSite Site;
     for (unsigned N = 0; N != IcWays; ++N) {
-      IcWay Way;
-      Way.Begin = Asm.emit(
-          brInst(HostOp::Br, RegZero, static_cast<int32_t>(IcWayWords) - 1));
+      Site.WayBegins.push_back(
+          Asm.emit(brInst(HostOp::Br, RegZero,
+                          static_cast<int32_t>(IcWayWords) - 1)) -
+          Base);
       for (uint32_t K = 1; K != IcWayWords; ++K)
         Asm.op(HostOp::Bis, RegZero, RegZero, RegZero); // nop filler
-      Site.Ways.push_back(Way);
     }
     uint32_t W = Asm.srv(SrvFunc::Exit);
-    T.Exits.push_back({W, 0, /*Direct=*/false, /*Chained=*/false});
+    R.Exits.push_back({W - Base, 0, /*Direct=*/false});
     if (IcWays != 0) {
-      Site.SrvWord = W;
-      T.IcSites.push_back(std::move(Site));
+      Site.SrvWord = W - Base;
+      R.IcSites.push_back(std::move(Site));
     }
+  }
+
+  /// Register host word \p W as a trapping-capable memory site of the
+  /// guest instruction at \p Pc.
+  void recordSite(uint32_t W, uint32_t Pc) {
+    R.MemWordToGuestPc.push_back({W - Base, Pc});
   }
 
   /// Record episode-stop metadata for a guest store whose lowering
@@ -232,11 +241,11 @@ struct BodyEmitter {
   void recordStoreResume(uint32_t FirstWord, uint32_t ResumePc) {
     uint32_t End = Asm.pos();
     for (uint32_t W = FirstWord; W != End; ++W)
-      T.StoreResume[W] = {End, ResumePc};
+      R.StoreResume.push_back({W - Base, End - Base, ResumePc});
   }
 
   /// Plan for the memory instruction at \p Idx under MV rendering mode
-  /// \p Mode.  Records the policy-intent plan in Translation::PlanByPc
+  /// \p Mode.  Records the policy-intent plan in the record's PlanByPc
   /// so superblock re-emission can reproduce it without the policy.
   MemPlan planFor(size_t Idx, MvMode Mode) {
     const guest::GuestInst &Inst = Block.Insts[Idx];
@@ -250,7 +259,15 @@ struct BodyEmitter {
       P = Plan(Block.InstPcs[Idx], Inst);
       if (Matcher.enabled())
         PlanMemo.emplace(Idx, P);
-      T.PlanByPc[Block.InstPcs[Idx]] = P;
+      // A site emitted twice (block multi-version tails, unrolled trace
+      // copies) keeps its last plan.
+      auto Old = std::find_if(
+          R.PlanByPc.begin(), R.PlanByPc.end(),
+          [&](const auto &E) { return E.first == Block.InstPcs[Idx]; });
+      if (Old != R.PlanByPc.end())
+        Old->second = P;
+      else
+        R.PlanByPc.push_back({Block.InstPcs[Idx], P});
     }
     if (P == MemPlan::MultiVersion) {
       if (Mode == MvMode::Plain)
@@ -261,19 +278,12 @@ struct BodyEmitter {
     return P;
   }
 
-  /// Record one fused sequence whose core words are [Begin, End).  The
-  /// word values themselves are captured after label resolution, by the
-  /// translate entry points.
+  /// Record one fused sequence whose core words are [Begin, End).
   void recordFused(const FusionMatch &M, size_t Idx, uint32_t Begin,
                    uint32_t End) {
-    FusedSite F;
-    F.Rule = static_cast<uint8_t>(M.Rule);
-    F.Begin = Begin;
-    F.End = End;
-    F.GuestPc = Block.InstPcs[Idx];
-    F.GuestLen = static_cast<uint8_t>(M.Length);
-    F.SavedWords = M.SavedWords;
-    T.FusedSites.push_back(std::move(F));
+    R.FusedSites.push_back({static_cast<uint8_t>(M.Rule),
+                            static_cast<uint8_t>(M.Length), Begin - Base,
+                            End - Base, Block.InstPcs[Idx], M.SavedWords});
   }
 
   /// Baseline lowering of the simple GPR ALU ops: the block body's, and
@@ -446,12 +456,12 @@ struct BodyEmitter {
       MemPlan PL = planFor(Idx, Mode);
       uint32_t WL = Asm.mem(hostMemOp(I0.Op), Data, A.Disp, A.Base);
       if (Size >= 2 && PL != MemPlan::Elide)
-        T.MemWordToGuestPc[WL] = Block.InstPcs[Idx];
+        recordSite(WL, Block.InstPcs[Idx]);
       emitSimpleAlu(Block.Insts[Idx + 1]);
       MemPlan PS = planFor(Idx + 2, Mode);
       uint32_t WS = Asm.mem(hostMemOp(St.Op), Data, A.Disp, A.Base);
       if (Size >= 2 && PS != MemPlan::Elide)
-        T.MemWordToGuestPc[WS] = StPc;
+        recordSite(WS, StPc);
       recordStoreResume(WS, St.nextPc(StPc));
       recordFused(M, Idx, Begin, Asm.pos());
       break;
@@ -476,7 +486,7 @@ struct BodyEmitter {
                            : hostGpr(I.Reg1);
         uint32_t W = Asm.mem(hostMemOp(I.Op), Data, I.Disp, RegScratch0);
         if (guest::accessSize(I.Op) >= 2 && P != MemPlan::Elide)
-          T.MemWordToGuestPc[W] = Pc;
+          recordSite(W, Pc);
         if (guest::isStore(I.Op))
           recordStoreResume(W, I.nextPc(Pc));
       }
@@ -550,7 +560,7 @@ struct BodyEmitter {
         // site: it can never trap, so the fault path must never be able
         // to resolve it.
         if (Size >= 2 && P != MemPlan::Elide)
-          T.MemWordToGuestPc[W] = Pc;
+          recordSite(W, Pc);
         if (IsStore)
           recordStoreResume(W, I.nextPc(Pc));
       } else if (P == MemPlan::Inline) {
@@ -726,7 +736,7 @@ struct BodyEmitter {
       Asm.opl(HostOp::Subl, Sp, 4, Sp);
       Asm.materialize32(RegScratch0, RetPc);
       uint32_t W = Asm.mem(HostOp::Stl, RegScratch0, 0, Sp);
-      T.MemWordToGuestPc[W] = Pc;
+      recordSite(W, Pc);
       // If the return-address push rewrites watched code (pathological
       // but legal), resume at the callee: the push has architecturally
       // completed and the call transfers control next.
@@ -738,7 +748,7 @@ struct BodyEmitter {
     case guest::Opcode::Ret: {
       uint8_t Sp = hostGpr(guest::RegSP);
       uint32_t W = Asm.mem(HostOp::Ldl, RegScratch0, 0, Sp);
-      T.MemWordToGuestPc[W] = Pc;
+      recordSite(W, Pc);
       Asm.opl(HostOp::Addl, Sp, 4, Sp);
       Asm.mov(RegScratch0, RegExitPc);
       emitIndirectExit();
@@ -756,18 +766,27 @@ struct BodyEmitter {
 
 } // namespace
 
+Translation Translator::seal(TranslationRecord R, uint32_t Entry,
+                             uint32_t Generation) {
+  R.Words.assign(Code.data() + Entry, Code.data() + Code.size());
+  // Sites and resume points are recorded in emission order, so already
+  // sorted by word.
+  std::sort(R.PlanByPc.begin(), R.PlanByPc.end());
+  return Translation(std::make_shared<const TranslationRecord>(std::move(R)),
+                     Entry, Generation);
+}
+
 Translation Translator::translate(const GuestBlock &Block,
                                   const PlanFn &Plan, uint32_t Generation,
                                   const TranslationOpts &Opts) {
   HostAssembler Asm(Code);
-  Translation T;
-  T.GuestPc = Block.StartPc;
-  T.EntryWord = Asm.pos();
-  T.GuestInsts = static_cast<uint32_t>(Block.size());
-  T.Generation = Generation;
-  T.GuestRanges.push_back({Block.StartPc, Block.endPc()});
+  TranslationRecord R;
+  uint32_t Entry = Asm.pos();
+  R.GuestPc = Block.StartPc;
+  R.GuestInsts = static_cast<uint32_t>(Block.size());
+  R.GuestRanges.push_back({Block.StartPc, Block.endPc()});
 
-  BodyEmitter E(Asm, T, Block, Plan, Opts.IcWays, Opts.FusionMask);
+  BodyEmitter E(Asm, R, Entry, Block, Plan, Opts.IcWays, Opts.FusionMask);
 
   // Block-granularity multi-version (paper section IV-D): find the
   // first multi-version site; one alignment check there selects between
@@ -800,13 +819,7 @@ Translation Translator::translate(const GuestBlock &Block,
   }
 
   Asm.finish();
-  // Capture each fused core's final word values (after label
-  // resolution) for HostVerifier's byte-exact re-check.
-  for (FusedSite &F : T.FusedSites)
-    for (uint32_t W = F.Begin; W != F.End; ++W)
-      F.Words.push_back(Code.word(W));
-  T.EndWord = Asm.pos();
-  return T;
+  return seal(std::move(R), Entry, Generation);
 }
 
 Translation Translator::translateTrace(const std::vector<GuestBlock> &Blocks,
@@ -815,11 +828,10 @@ Translation Translator::translateTrace(const std::vector<GuestBlock> &Blocks,
                                        const TranslationOpts &Opts) {
   assert(Blocks.size() >= 2 && "a trace spans at least two blocks");
   HostAssembler Asm(Code);
-  Translation T;
-  T.GuestPc = Blocks.front().StartPc;
-  T.EntryWord = Asm.pos();
-  T.Generation = Generation;
-  T.IsTrace = true;
+  TranslationRecord R;
+  uint32_t Entry = Asm.pos();
+  R.GuestPc = Blocks.front().StartPc;
+  R.IsTrace = true;
 
   // One side-exit stub per unique off-trace target, shared by every
   // constituent (bound after the straight-line body).
@@ -827,14 +839,14 @@ Translation Translator::translateTrace(const std::vector<GuestBlock> &Blocks,
 
   for (size_t B = 0; B != Blocks.size(); ++B) {
     const GuestBlock &Blk = Blocks[B];
-    T.Constituents.push_back(Blk.StartPc);
-    T.GuestInsts += static_cast<uint32_t>(Blk.size());
+    R.Constituents.push_back(Blk.StartPc);
+    R.GuestInsts += static_cast<uint32_t>(Blk.size());
     // Guest ranges deduplicated: loop unrolling repeats constituents.
     std::pair<uint32_t, uint32_t> Range{Blk.StartPc, Blk.endPc()};
-    if (std::find(T.GuestRanges.begin(), T.GuestRanges.end(), Range) ==
-        T.GuestRanges.end())
-      T.GuestRanges.push_back(Range);
-    BodyEmitter E(Asm, T, Blk, Plan, Opts.IcWays, Opts.FusionMask);
+    if (std::find(R.GuestRanges.begin(), R.GuestRanges.end(), Range) ==
+        R.GuestRanges.end())
+      R.GuestRanges.push_back(Range);
+    BodyEmitter E(Asm, R, Entry, Blk, Plan, Opts.IcWays, Opts.FusionMask);
     if (B + 1 != Blocks.size()) {
       E.Continues = true;
       E.NextPc = Blocks[B + 1].StartPc;
@@ -851,15 +863,11 @@ Translation Translator::translateTrace(const std::vector<GuestBlock> &Blocks,
     Asm.bind(KV.second);
     Asm.materialize32(RegExitPc, KV.first);
     uint32_t W = Asm.srv(SrvFunc::Exit);
-    T.Exits.push_back({W, KV.first, /*Direct=*/true, /*Chained=*/false});
+    R.Exits.push_back({W - Entry, KV.first, /*Direct=*/true});
   }
 
   Asm.finish();
-  for (FusedSite &F : T.FusedSites)
-    for (uint32_t W = F.Begin; W != F.End; ++W)
-      F.Words.push_back(Code.word(W));
-  T.EndWord = Asm.pos();
-  return T;
+  return seal(std::move(R), Entry, Generation);
 }
 
 namespace {

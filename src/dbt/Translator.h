@@ -55,8 +55,9 @@ public:
 
   explicit Translator(host::CodeSpace &Code) : Code(Code) {}
 
-  /// Translate \p Block at the arena tail.  \p Generation tags
-  /// retranslations (0 for the first translation of a block).
+  /// Translate \p Block at the arena tail, building its shared record.
+  /// \p Generation tags retranslations (0 for the first translation of
+  /// a block).
   Translation translate(const GuestBlock &Block, const PlanFn &Plan,
                         uint32_t Generation = 0,
                         const TranslationOpts &Opts = TranslationOpts());
@@ -66,7 +67,7 @@ public:
   /// control flow falls through between constituents; off-trace edges
   /// branch to shared side-exit stubs (one chainable Srv Exit per unique
   /// target).  \p Plan must reproduce each site's original MDA treatment
-  /// (the engine replays Translation::PlanByPc), so the trace is
+  /// (the engine replays TranslationRecord::PlanByPc), so the trace is
   /// architecturally identical to running its constituents.
   Translation translateTrace(const std::vector<GuestBlock> &Blocks,
                              const PlanFn &Plan, uint32_t Generation,
@@ -103,6 +104,10 @@ public:
                                    const AdaptiveProbe *Probe = nullptr);
 
 private:
+  /// Copy the words emitted since \p Entry into \p R, sort its plans by
+  /// PC, and wrap it in the first live copy.
+  Translation seal(TranslationRecord R, uint32_t Entry, uint32_t Generation);
+
   host::CodeSpace &Code;
 };
 

@@ -54,16 +54,18 @@ void checkRunCompleted(const dbt::RunResult &R, const std::string &What);
 /// runner is runPolicy(*Info, Spec, Scale, Config); a cell may instead
 /// carry its own Run closure (ablations whose policy options are not
 /// expressible as a PolicySpec, chaos campaigns carrying a FaultPlan).
+/// Every member has a default initializer, so a designated initializer
+/// may name only the fields it sets.
 struct MatrixCell {
   const workloads::BenchmarkInfo *Info = nullptr;
-  mda::PolicySpec Spec;
-  dbt::EngineConfig Config;
+  mda::PolicySpec Spec{};
+  dbt::EngineConfig Config{};
   /// Label for failure diagnostics; defaults to "<bench> under <policy>".
-  std::string Label;
+  std::string Label{};
   /// Custom runner overriding the default runPolicy path.  Must be
   /// self-contained: it executes on a worker thread, concurrently with
   /// other cells.
-  std::function<dbt::RunResult()> Run;
+  std::function<dbt::RunResult()> Run{};
 
   std::string label() const;
 };

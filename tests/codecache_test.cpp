@@ -19,6 +19,7 @@
 
 #include "analysis/HostVerifier.h"
 #include "dbt/CodeCache.h"
+#include "dbt/TranslationCapture.h"
 #include "dbt/TranslationService.h"
 #include "dbt/Translator.h"
 #include "host/CodeSpace.h"
@@ -29,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <random>
 
 using namespace mdabt;
@@ -679,11 +681,12 @@ struct CacheHarness {
 
   /// Chain \p Src's direct exit to \p Target; returns the exit word.
   uint32_t chain(dbt::Translation &Src, dbt::Translation &Target) {
-    for (dbt::ExitSite &X : Src.Exits) {
+    for (size_t I = 0; I != Src.Rec->Exits.size(); ++I) {
+      const dbt::TranslationRecord::RelExit &X = Src.Rec->Exits[I];
       if (X.Direct && X.TargetGuestPc == Target.GuestPc) {
-        EXPECT_TRUE(Cache.chain(X.SrvWord, Target));
-        X.Chained = true;
-        return X.SrvWord;
+        EXPECT_TRUE(Cache.chain(Src.exitWord(I), Target));
+        Src.Chained[I] = true;
+        return Src.exitWord(I);
       }
     }
     ADD_FAILURE() << "no direct exit to " << Target.GuestPc;
@@ -802,17 +805,16 @@ TEST(CodeCacheUnitTest, VerifierInputOfChainedPairAndStubPasses) {
   H.chain(A, B);
   // Redirect block 0's load to an MDA stub, the way the exception
   // handler does.
-  ASSERT_EQ(A.MemWordToGuestPc.size(), 1u);
-  uint32_t Fault = A.MemWordToGuestPc.begin()->first;
+  ASSERT_EQ(A.Rec->MemWordToGuestPc.size(), 1u);
+  uint32_t Fault = A.EntryWord + A.Rec->MemWordToGuestPc[0].first;
   host::HostInst Load;
   ASSERT_TRUE(host::decodeHost(H.Code.word(Fault), Load));
   std::optional<dbt::Translator::StubInfo> S = H.Trans.emitStub(Load, Fault);
   ASSERT_TRUE(S);
   ASSERT_TRUE(
       H.Cache.patchVerified(Fault, *host::branchTo(Fault, S->Entry)));
-  A.PatchedWords.push_back(Fault);
-  A.MemWordToGuestPc.erase(Fault);
-  H.Cache.addStub(S->Entry, S->End, A);
+  H.Cache.addStub(A, Fault, S->Entry, S->End);
+  EXPECT_FALSE(A.siteAt(Fault));
   EXPECT_EQ(H.Cache.owner(S->Entry), &A);
 
   analysis::VerifierInput In = H.Cache.verifierInput();
@@ -823,4 +825,94 @@ TEST(CodeCacheUnitTest, VerifierInputOfChainedPairAndStubPasses) {
   // Without the stub region the patched branch lands nowhere live.
   In.Blocks[0].Stubs.clear();
   EXPECT_FALSE(analysis::verifyCodeSpace(H.Code, In).ok());
+}
+
+// A body retired while it still runs (a supersede from inside its own
+// trap handler) drops its lease, so the service may evict the entry it
+// was installed from.  The live copy shares that entry's record and must
+// keep answering the trap path's and the write barrier's lookups.
+TEST(CodeCacheUnitTest, RetiredBodyOutlivesItsEvictedServiceEntry) {
+  guest::ProgramBuilder PB("codecache-lifetime");
+  uint32_t LoadPc = PB.codeAddress();
+  PB.ldl(3, guest::mem(4, 0));
+  PB.stl(guest::mem(4, 8), 3);
+  uint32_t HaltPc = PB.codeAddress();
+  PB.halt();
+  guest::GuestMemory Mem;
+  Mem.loadImage(PB.build());
+  Mem.setWriteWatcher([](uint32_t, unsigned) {});
+  host::CodeSpace Code;
+  dbt::Translator Trans(Code);
+  dbt::CodeCache Cache(Code, Mem, obs::Tracer(), 0, [] {});
+  dbt::TranslationService::Config Cfg;
+  Cfg.Shards = 1;
+  Cfg.MaxEntries = 2;
+  dbt::TranslationService Svc(Cfg);
+
+  // Publish the block from a scratch arena, then install a copy of the
+  // shared entry, as a second tenant would.
+  dbt::GuestBlock Block = dbt::discoverBlock(Mem, LoadPc);
+  dbt::Translator::PlanFn Plan = [](uint32_t, const guest::GuestInst &) {
+    return dbt::MemPlan::Normal;
+  };
+  dbt::CacheKey Key = dbt::translationContentKey(Mem, &Block, 1, Plan,
+                                                 dbt::TranslationOpts(), false);
+  host::CodeSpace Scratch;
+  dbt::Translator Producer(Scratch);
+  std::optional<dbt::Translation> Produced;
+  dbt::TranslationLease L;
+  ASSERT_FALSE(dbt::acquireOrPublish(
+      Svc, Key,
+      [&]() -> const dbt::Translation & {
+        Produced.emplace(Producer.translate(Block, Plan));
+        return *Produced;
+      },
+      L));
+  Produced.reset();
+  Code.append(0); // a different base than the producer's
+  dbt::Translation &T = Cache.instantiate(L.get(), 0);
+  Cache.lease(T, std::move(L));
+  Cache.install(T, 0);
+  Cache.map(T);
+
+  uint32_t LoadWord = 0, StoreWord = 0;
+  for (uint32_t W = T.EntryWord; W != T.EndWord; ++W)
+    if (std::optional<uint32_t> Pc = T.siteAt(W))
+      (*Pc == LoadPc ? LoadWord : StoreWord) = W;
+  ASSERT_NE(LoadWord, 0u);
+  ASSERT_NE(StoreWord, 0u);
+  std::optional<dbt::SmcResume> Want = T.resumeAt(StoreWord);
+  ASSERT_TRUE(Want);
+  // The store traps and is redirected to a stub.
+  host::HostInst Store;
+  ASSERT_TRUE(host::decodeHost(Code.word(StoreWord), Store));
+  std::optional<dbt::Translator::StubInfo> S = Trans.emitStub(Store, StoreWord);
+  ASSERT_TRUE(S);
+  ASSERT_TRUE(Cache.patchVerified(StoreWord,
+                                  *host::branchTo(StoreWord, S->Entry)));
+  Cache.addStub(T, StoreWord, S->Entry, S->End);
+
+  Cache.retire(T);
+  EXPECT_EQ(Svc.liveLeases(), 0u);
+  // Two more publishes overflow the capacity and evict the entry.
+  for (uint8_t I = 0; I != 2; ++I) {
+    dbt::TranslationRecord Other;
+    Other.Words = {I};
+    Svc.publish(dbt::cacheKeyFromBytes(&I, 1),
+                std::make_shared<const dbt::TranslationRecord>(Other));
+  }
+  EXPECT_EQ(Svc.evictions(), 1u);
+  EXPECT_FALSE(Svc.acquire(Key));
+
+  EXPECT_EQ(Cache.owner(LoadWord), &T);
+  EXPECT_EQ(T.siteAt(LoadWord), LoadPc);
+  EXPECT_FALSE(T.siteAt(StoreWord));
+  EXPECT_FALSE(T.resumeAt(LoadWord));
+  for (uint32_t W : {StoreWord, S->Entry, S->End - 1}) {
+    std::optional<dbt::SmcResume> R = T.resumeAt(W);
+    ASSERT_TRUE(R) << W;
+    EXPECT_EQ(R->EndWord, Want->EndWord);
+    EXPECT_EQ(R->ResumePc, Want->ResumePc);
+  }
+  EXPECT_EQ(Want->ResumePc, HaltPc);
 }

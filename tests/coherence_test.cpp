@@ -113,8 +113,11 @@ struct CoherenceHarness {
 
 /// A host word of \p T that performs a guest store.
 uint32_t storeWord(const dbt::Translation &T) {
-  EXPECT_FALSE(T.StoreResume.empty());
-  return T.StoreResume.begin()->first;
+  for (uint32_t W = T.EntryWord; W != T.EndWord; ++W)
+    if (T.resumeAt(W))
+      return W;
+  ADD_FAILURE() << "no store word";
+  return 0;
 }
 
 } // namespace
@@ -172,7 +175,9 @@ TEST(CoherenceUnitTest, StopDecisions) {
   dbt::Translation &Other = H.install(1);
   dbt::Translation &T = H.install(2);
   uint32_t Word = storeWord(T);
-  dbt::SmcResume Want = T.StoreResume.at(Word);
+  std::optional<dbt::SmcResume> Resume = T.resumeAt(Word);
+  ASSERT_TRUE(Resume);
+  dbt::SmcResume Want = *Resume;
 
   // A live running block that stores into its own bytes stops.
   Coherence::Store S = H.Coh.store(H.Pc[2], 4, Word);
@@ -207,7 +212,7 @@ TEST(CoherenceUnitTest, StopDecisions) {
 
   // A running word without resume metadata is reported, not stopped.
   dbt::Translation &Live = H.install(2);
-  ASSERT_EQ(Live.StoreResume.count(Live.EntryWord), 0u);
+  ASSERT_FALSE(Live.resumeAt(Live.EntryWord));
   S = H.Coh.store(H.Pc[2], 4, Live.EntryWord);
   EXPECT_FALSE(S.Stop);
   EXPECT_TRUE(S.Unstoppable);
@@ -254,7 +259,7 @@ TEST(CoherenceUnitTest, RevocationReportsEachUnprovenTranslationOnce) {
   dbt::Translation &Proven = H.install(0, MemPlan::Elide);
   dbt::Translation &B = H.install(1, MemPlan::Elide);
   dbt::Translation &C = H.install(2, MemPlan::Elide);
-  ASSERT_EQ(B.PlanByPc.size(), 2u);
+  ASSERT_EQ(B.Rec->PlanByPc.size(), 2u);
   H.Coh.store(H.End, 4, std::nullopt); // stale the analysis
   std::optional<Victims> Revoked = H.Coh.reanalyze();
   ASSERT_TRUE(Revoked);

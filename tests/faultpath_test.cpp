@@ -14,7 +14,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/HostVerifier.h"
 #include "dbt/CodeCache.h"
+#include "dbt/Coherence.h"
 #include "dbt/FaultPath.h"
 #include "dbt/Translator.h"
 #include "guest/Assembler.h"
@@ -25,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <optional>
 #include <vector>
 
 using namespace mdabt;
@@ -81,9 +84,10 @@ struct FaultHarness {
         [](uint32_t, const guest::GuestInst &) { return dbt::MemPlan::Normal; }));
     Cache.install(*T, 0);
     Cache.map(*T);
-    for (const auto &KV : T->MemWordToGuestPc)
-      (KV.second == LoadPc ? LoadWord : StoreWord) = KV.first;
-    ExitWord = T->Exits.at(0).SrvWord;
+    for (uint32_t W = T->EntryWord; W != T->EndWord; ++W)
+      if (std::optional<uint32_t> Pc = T->siteAt(W))
+        (*Pc == LoadPc ? LoadWord : StoreWord) = W;
+    ExitWord = T->exitWord(0);
   }
 
   /// A delivery for the instruction currently at \p Word.
@@ -179,8 +183,9 @@ TEST(FaultPathUnitTest, RedirectReadsBackAsBranchToAndRepeatIsStale) {
   ASSERT_TRUE(Br);
   EXPECT_EQ(H.Code.word(H.LoadWord), *Br);
   EXPECT_EQ(H.Cache.owner(StubEntry), H.T);
-  EXPECT_EQ(H.T->MemWordToGuestPc.count(H.LoadWord), 0u);
-  EXPECT_EQ(H.T->PatchedWords, std::vector<uint32_t>{H.LoadWord});
+  EXPECT_FALSE(H.T->siteAt(H.LoadWord));
+  ASSERT_EQ(H.T->Patches.size(), 1u);
+  EXPECT_EQ(H.T->Patches[0].Word, H.LoadWord);
   ASSERT_TRUE(H.Faults.lastPatch());
   EXPECT_EQ(H.Faults.lastPatch()->HostPc, H.LoadWord);
 
@@ -213,7 +218,7 @@ TEST(FaultPathUnitTest, AdaptiveStubClaimsRuntimeAndRevertRestoresWord) {
   H.Mem.store(Mailbox, 4, H.LoadWord + 1);
   EXPECT_TRUE(H.Faults.pollRevert());
   EXPECT_EQ(H.Code.word(H.LoadWord), Original);
-  EXPECT_EQ(H.T->MemWordToGuestPc.at(H.LoadWord), H.LoadPc);
+  EXPECT_EQ(H.T->siteAt(H.LoadWord), H.LoadPc);
   EXPECT_EQ(H.Mem.load(Mailbox, 4), 0u);
   EXPECT_EQ(H.Faults.stats().Reverts, 1u);
   EXPECT_FALSE(H.Faults.pollRevert()); // consumed
@@ -407,5 +412,128 @@ TEST(FaultPathUnitTest, StubOutOfBranchRangeIsEmulated) {
     EXPECT_FALSE(H.Faults.lastPatch());
     EXPECT_FALSE(H.Faults.pollRevert());
     EXPECT_EQ(H.Mem.load(Mailbox, 4), H.LoadWord + 1);
+  }
+}
+
+namespace {
+
+/// The guest PC the trap path resolves for the instruction now at
+/// \p Word, probed with a delivery the policy declines to patch: the
+/// TrapTaken event names the site, a class-2 spurious delivery means the
+/// word is no memory site (any more).
+std::optional<uint32_t> probeSite(FaultHarness &H, uint32_t Word) {
+  bool Patch = H.Policy.Decision.PatchStub;
+  H.Policy.Decision.PatchStub = false;
+  size_t Seen = H.Events.snapshot().size();
+  H.Faults.deliver(H.faultAt(Word));
+  H.Policy.Decision.PatchStub = Patch;
+  std::vector<obs::TraceEvent> New = H.Events.snapshot();
+  for (size_t I = Seen; I != New.size(); ++I) {
+    if (New[I].Kind == obs::TraceEventKind::TrapTaken)
+      return New[I].GuestPc;
+    if (New[I].Kind == obs::TraceEventKind::TrapSpurious) {
+      EXPECT_EQ(New[I].B, 2u);
+    }
+  }
+  return std::nullopt;
+}
+
+/// The Reverted flag of each of the block's patch records, in order.
+std::vector<bool> revertedFlags(const FaultHarness &H) {
+  analysis::VerifierInput In = H.Cache.verifierInput();
+  EXPECT_EQ(In.Blocks.size(), 1u);
+  std::vector<bool> Flags;
+  for (const analysis::VerifierPatch &P : In.Blocks.at(0).Patches) {
+    EXPECT_EQ(P.Word, H.LoadWord);
+    Flags.push_back(P.Reverted);
+  }
+  return Flags;
+}
+
+} // namespace
+
+TEST(FaultPathUnitTest, StoreFromStubStopsAtPatchedWordsResumePoint) {
+  FaultHarness H;
+  H.Policy.Decision.PatchStub = true;
+  dbt::Coherence Coh(H.Cache, H.Mem, obs::Tracer(), H.BlockPc, 0);
+  // Where a store from the body word itself stops the episode.
+  dbt::Coherence::Store Want = Coh.store(H.BlockPc, 4, H.StoreWord);
+  ASSERT_TRUE(Want.Stop);
+
+  dbt::FaultPath::Delivery D = H.Faults.deliver(H.faultAt(H.StoreWord));
+  ASSERT_EQ(D.Patched, H.T);
+  uint32_t StubEnd = H.Code.size();
+  ASSERT_GT(StubEnd, D.StubEntry);
+  // Every word of the stub stops exactly where the word it replaces
+  // would: the store now executes out of the stub.
+  for (uint32_t W = D.StubEntry; W != StubEnd; ++W) {
+    dbt::Coherence::Store S = Coh.store(H.BlockPc, 4, W);
+    ASSERT_TRUE(S.Stop) << W;
+    EXPECT_EQ(S.Stop->EndWord, Want.Stop->EndWord) << W;
+    EXPECT_EQ(S.Stop->ResumePc, Want.Stop->ResumePc) << W;
+    EXPECT_FALSE(S.Unstoppable);
+  }
+  // A load's stub has no resume point to inherit.
+  D = H.Faults.deliver(H.faultAt(H.LoadWord));
+  ASSERT_EQ(D.Patched, H.T);
+  EXPECT_TRUE(Coh.store(H.BlockPc, 4, D.StubEntry).Unstoppable);
+}
+
+TEST(FaultPathUnitTest, SiteLookupFollowsPatchRevertAndRepatch) {
+  FaultHarness H;
+  H.Policy.Decision.PatchStub = true;
+  H.Policy.Decision.AdaptiveStub = true;
+  H.Policy.Decision.RevertThreshold = 4;
+  EXPECT_EQ(probeSite(H, H.LoadWord), H.LoadPc);
+  EXPECT_TRUE(revertedFlags(H).empty());
+
+  ASSERT_EQ(H.Faults.deliver(H.faultAt(H.LoadWord)).Patched, H.T);
+  EXPECT_EQ(probeSite(H, H.LoadWord), std::nullopt);
+  EXPECT_EQ(revertedFlags(H), std::vector<bool>{false});
+
+  H.Mem.store(Mailbox, 4, H.LoadWord + 1);
+  ASSERT_TRUE(H.Faults.pollRevert());
+  EXPECT_EQ(probeSite(H, H.LoadWord), H.LoadPc);
+  EXPECT_EQ(revertedFlags(H), std::vector<bool>{true});
+
+  // A re-patch leaves a second record for the same word; both read as
+  // patched, and both as reverted after the next revert.
+  dbt::FaultPath::Delivery D = H.Faults.deliver(H.faultAt(H.LoadWord));
+  ASSERT_EQ(D.Patched, H.T);
+  EXPECT_EQ(D.InstPc, H.LoadPc);
+  EXPECT_EQ(probeSite(H, H.LoadWord), std::nullopt);
+  EXPECT_EQ(revertedFlags(H), (std::vector<bool>{false, false}));
+  EXPECT_TRUE(analysis::verifyCodeSpace(H.Code, H.Cache.verifierInput()).ok());
+
+  H.Mem.store(Mailbox, 4, H.LoadWord + 1);
+  ASSERT_TRUE(H.Faults.pollRevert());
+  EXPECT_EQ(probeSite(H, H.LoadWord), H.LoadPc);
+  EXPECT_EQ(revertedFlags(H), (std::vector<bool>{true, true}));
+  EXPECT_TRUE(analysis::verifyCodeSpace(H.Code, H.Cache.verifierInput()).ok());
+  // The store site was never touched.
+  EXPECT_EQ(probeSite(H, H.StoreWord), H.StorePc);
+}
+
+TEST(FaultPathUnitTest, RungTwoForceInlinesOnlyUnpatchedSites) {
+  for (bool Revert : {false, true}) {
+    SCOPED_TRACE(Revert ? "patched, then reverted" : "patched");
+    FaultHarness H;
+    H.Policy.Decision.PatchStub = true;
+    H.Policy.Decision.AdaptiveStub = true;
+    H.Policy.Decision.RevertThreshold = 4;
+    ASSERT_EQ(H.Faults.deliver(H.faultAt(H.LoadWord)).Patched, H.T);
+    if (Revert) {
+      H.Mem.store(Mailbox, 4, H.LoadWord + 1);
+      ASSERT_TRUE(H.Faults.pollRevert());
+    }
+    // A storm at a word of the block that is no memory site goes
+    // straight to rung 2: every site the block still traps at is
+    // force-inlined, and a patched one no longer traps.
+    H.storm(H.ExitWord);
+    FaultPath::Escalation E = H.Faults.escalate(H.faultAt(H.ExitWord));
+    EXPECT_EQ(E.Block, H.T);
+    EXPECT_EQ(E.Rung, 2u);
+    EXPECT_TRUE(H.Faults.forcedInline(H.StorePc));
+    EXPECT_EQ(H.Faults.forcedInline(H.LoadPc), Revert);
   }
 }

@@ -370,20 +370,22 @@ TEST(FusionEmitTest, FusedBlockIsDenserByExactlyTheSavedWords) {
   Translation TOff = Off.translate(Blk, Plan, 0, OffOpts);
   Translation TOn = On.translate(Blk, Plan, 0, OnOpts);
 
-  EXPECT_TRUE(TOff.FusedSites.empty());
-  ASSERT_EQ(TOn.FusedSites.size(), 5u);
+  EXPECT_TRUE(TOff.Rec->FusedSites.empty());
+  ASSERT_EQ(TOn.Rec->FusedSites.size(), 5u);
   uint32_t Saved = 0;
-  for (const FusedSite &F : TOn.FusedSites) {
+  TOn.forEachFusedCore([&](const TranslationRecord::RelFusedSite &F,
+                           uint32_t Begin, uint32_t End,
+                           std::span<const uint32_t> Words) {
     EXPECT_LT(F.Rule, NumFusionRules);
-    EXPECT_LT(F.Begin, F.End);
-    EXPECT_GE(F.Begin, TOn.EntryWord);
-    EXPECT_LE(F.End, TOn.EndWord);
-    ASSERT_EQ(F.Words.size(), F.End - F.Begin);
-    for (uint32_t K = 0; K != F.Words.size(); ++K)
-      EXPECT_EQ(F.Words[K], OnCode.word(F.Begin + K))
-          << "captured core diverges at word " << K;
+    EXPECT_LT(Begin, End);
+    EXPECT_GE(Begin, TOn.EntryWord);
+    EXPECT_LE(End, TOn.EndWord);
+    ASSERT_EQ(Words.size(), End - Begin);
+    for (uint32_t K = 0; K != Words.size(); ++K)
+      EXPECT_EQ(Words[K], OnCode.word(Begin + K))
+          << "recorded core diverges at word " << K;
     Saved += F.SavedWords;
-  }
+  });
   EXPECT_GT(Saved, 0u);
   EXPECT_EQ((TOff.EndWord - TOff.EntryWord) -
                 (TOn.EndWord - TOn.EntryWord),
@@ -392,14 +394,12 @@ TEST(FusionEmitTest, FusedBlockIsDenserByExactlyTheSavedWords) {
   // Fused memory sites keep their fault-attribution and episode-stop
   // metadata: same guest PCs as the unfused rendering.
   std::vector<uint32_t> OffPcs, OnPcs;
-  for (const auto &KV : TOff.MemWordToGuestPc)
-    OffPcs.push_back(KV.second);
-  for (const auto &KV : TOn.MemWordToGuestPc)
-    OnPcs.push_back(KV.second);
+  TOff.forEachSite([&](uint32_t Pc) { OffPcs.push_back(Pc); });
+  TOn.forEachSite([&](uint32_t Pc) { OnPcs.push_back(Pc); });
   std::sort(OffPcs.begin(), OffPcs.end());
   std::sort(OnPcs.begin(), OnPcs.end());
   EXPECT_EQ(OffPcs, OnPcs);
-  EXPECT_FALSE(TOn.StoreResume.empty());
+  EXPECT_FALSE(TOn.Rec->StoreResume.empty());
 }
 
 // -- architectural invisibility ----------------------------------------------

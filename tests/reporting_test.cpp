@@ -132,8 +132,6 @@ TEST(DisassemblyTest, DumpAnnotatesTranslation) {
 }
 
 TEST(DisassemblyTest, MarksPatchedWords) {
-  dbt::Translation T;
-  T.GuestPc = 0x1000;
   host::CodeSpace Code;
   {
     host::HostAssembler Asm(Code);
@@ -141,9 +139,11 @@ TEST(DisassemblyTest, MarksPatchedWords) {
     Asm.srv(host::SrvFunc::Halt);
     Asm.finish();
   }
-  T.EntryWord = 0;
-  T.EndWord = Code.size();
-  T.PatchedWords.push_back(0);
+  auto R = std::make_shared<dbt::TranslationRecord>();
+  R->GuestPc = 0x1000;
+  R->Words.assign(Code.data(), Code.data() + Code.size());
+  dbt::Translation T(R, 0, 0);
+  T.patch(0, Code.size(), Code.size());
   std::string Dump = dbt::dumpTranslation(T, Code);
   EXPECT_NE(Dump.find("patched by the exception handler"),
             std::string::npos);

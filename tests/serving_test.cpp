@@ -31,6 +31,11 @@ using namespace mdabt::testutil;
 
 namespace {
 
+/// \p T as the immutable shared record the cache holds.
+std::shared_ptr<const dbt::TranslationRecord> record(dbt::TranslationRecord T) {
+  return std::make_shared<const dbt::TranslationRecord>(std::move(T));
+}
+
 /// A serving run: Verify on (any structural slip is a typed abort, not
 /// silent corruption) plus the full dispatch surface so cached entries
 /// carry exits, IC sites and superblock metadata.
@@ -121,7 +126,7 @@ TEST(CacheKeyTest, ContentSensitivity) {
 
 TEST(SharedCacheTest, LeaseRefcountLifecycle) {
   dbt::TranslationService Cache;
-  dbt::CachedTranslation T;
+  dbt::TranslationRecord T;
   T.GuestPc = 0x1000;
   T.Words = {1, 2, 3};
   dbt::CacheKey Key = dbt::cacheKeyFromBytes(
@@ -130,7 +135,7 @@ TEST(SharedCacheTest, LeaseRefcountLifecycle) {
   EXPECT_FALSE(Cache.acquire(Key)); // cold miss
   EXPECT_EQ(Cache.misses(), 1u);
 
-  dbt::TranslationLease L1 = Cache.publish(Key, T);
+  dbt::TranslationLease L1 = Cache.publish(Key, record(T));
   EXPECT_TRUE(L1);
   EXPECT_EQ(Cache.entries(), 1u);
   EXPECT_EQ(Cache.liveLeases(), 1u);
@@ -139,7 +144,7 @@ TEST(SharedCacheTest, LeaseRefcountLifecycle) {
   EXPECT_TRUE(L2);
   EXPECT_EQ(Cache.hits(), 1u);
   EXPECT_EQ(Cache.liveLeases(), 2u);
-  EXPECT_EQ(L2.get().GuestPc, 0x1000u);
+  EXPECT_EQ(L2.get()->GuestPc, 0x1000u);
 
   L1.release();
   EXPECT_EQ(Cache.liveLeases(), 1u);
@@ -153,16 +158,16 @@ TEST(SharedCacheTest, FirstWriterWinsOnKeyRace) {
   dbt::TranslationService Cache;
   dbt::CacheKey Key = dbt::cacheKeyFromBytes(
       reinterpret_cast<const uint8_t *>("dup"), 3);
-  dbt::CachedTranslation A;
+  dbt::TranslationRecord A;
   A.GuestPc = 1;
   A.Words = {42};
-  dbt::CachedTranslation B;
+  dbt::TranslationRecord B;
   B.GuestPc = 2;
   B.Words = {43};
-  dbt::TranslationLease LA = Cache.publish(Key, A);
-  dbt::TranslationLease LB = Cache.publish(Key, B);
+  dbt::TranslationLease LA = Cache.publish(Key, record(A));
+  dbt::TranslationLease LB = Cache.publish(Key, record(B));
   EXPECT_EQ(Cache.entries(), 1u);
-  EXPECT_EQ(LB.get().GuestPc, 1u); // the loser leases the winner's entry
+  EXPECT_EQ(LB.get()->GuestPc, 1u); // the loser leases the winner's entry
   EXPECT_EQ(Cache.liveLeases(), 2u);
 }
 
@@ -174,15 +179,15 @@ TEST(SharedCacheTest, LeasedEntriesAreNeverEvicted) {
   auto KeyOf = [](uint8_t I) {
     return dbt::cacheKeyFromBytes(&I, 1);
   };
-  dbt::CachedTranslation T;
+  dbt::TranslationRecord T;
   T.Words = {7};
   // Hold a lease on entry 0; fill past capacity.
-  dbt::TranslationLease Held = Cache.publish(KeyOf(0), T);
-  dbt::TranslationLease L1 = Cache.publish(KeyOf(1), T);
+  dbt::TranslationLease Held = Cache.publish(KeyOf(0), record(T));
+  dbt::TranslationLease L1 = Cache.publish(KeyOf(1), record(T));
   L1.release();
-  dbt::TranslationLease L2 = Cache.publish(KeyOf(2), T);
+  dbt::TranslationLease L2 = Cache.publish(KeyOf(2), record(T));
   L2.release();
-  dbt::TranslationLease L3 = Cache.publish(KeyOf(3), T);
+  dbt::TranslationLease L3 = Cache.publish(KeyOf(3), record(T));
   L3.release();
   EXPECT_GT(Cache.evictions(), 0u);
   // The leased entry survived every eviction round.
@@ -351,8 +356,9 @@ void spit(const char *Path, const std::vector<uint8_t> &Bytes) {
   std::FILE *F = std::fopen(Path, "wb");
   ASSERT_NE(F, nullptr);
   // An empty vector's data() may be null, which fwrite must not get.
-  if (!Bytes.empty())
+  if (!Bytes.empty()) {
     ASSERT_EQ(std::fwrite(Bytes.data(), 1, Bytes.size(), F), Bytes.size());
+  }
   std::fclose(F);
 }
 
@@ -445,16 +451,16 @@ TEST(ServingPersistTest, CorruptArtifactsAreRejectedWhole) {
 // bounds are all that keeps metadata no translator emits away from the
 // install path.
 TEST(ServingPersistTest, OutOfRangeMetadataIsRejectedWhole) {
-  auto Load = [](const dbt::CachedTranslation &T, std::string &Err) {
+  auto Load = [](const dbt::TranslationRecord &T, std::string &Err) {
     dbt::TranslationService Producer;
-    Producer.publish(dbt::CacheKey{1, 2}, T);
+    Producer.publish(dbt::CacheKey{1, 2}, record(T));
     EXPECT_TRUE(Producer.save(ArtifactPath));
     dbt::TranslationService Victim;
     bool Ok = Victim.load(ArtifactPath, nullptr, &Err);
     EXPECT_EQ(Victim.entries(), Ok ? 1u : 0u);
     return Ok;
   };
-  dbt::CachedTranslation Base;
+  dbt::TranslationRecord Base;
   Base.GuestPc = 0x1000;
   Base.Words.assign(16, 0);
   std::string Err;
@@ -462,19 +468,19 @@ TEST(ServingPersistTest, OutOfRangeMetadataIsRejectedWhole) {
   // An inline-cache way must fit inside the entry's words: a begin of
   // 0xFFFFFFFF would wrap a naive end check and put the way at the word
   // before the entry, inside the previous translation.
-  dbt::CachedTranslation WrappedWay = Base;
+  dbt::TranslationRecord WrappedWay = Base;
   WrappedWay.IcSites.push_back({0, {0xFFFFFFFFu}});
   EXPECT_FALSE(Load(WrappedWay, Err));
   EXPECT_EQ(Err, "malformed entry");
   // A guest range must end inside the guest address space, or installing
   // the entry would watch pages past the write-watch table.
-  dbt::CachedTranslation FarRange = Base;
+  dbt::TranslationRecord FarRange = Base;
   FarRange.GuestRanges.push_back({0x1000, 0xFFFFFFF0u});
   EXPECT_FALSE(Load(FarRange, Err));
   EXPECT_EQ(Err, "malformed entry");
 
   // The boundaries themselves stay valid.
-  dbt::CachedTranslation Edge = Base;
+  dbt::TranslationRecord Edge = Base;
   Edge.IcSites.push_back({0, {16 - dbt::IcWayWords}});
   Edge.GuestRanges.push_back({0x1000, guest::layout::MemorySize});
   Err.clear();

@@ -394,7 +394,7 @@ TEST(TranslatorTest, RecordsMemWordMapping) {
   Translator Trans(Code);
   Translation T = Trans.translate(
       Blk, [](uint32_t, const guest::GuestInst &) { return MemPlan::Normal; });
-  EXPECT_EQ(T.MemWordToGuestPc.size(), 2u);
-  EXPECT_EQ(T.GuestInsts, Blk.size());
+  EXPECT_EQ(T.Rec->MemWordToGuestPc.size(), 2u);
+  EXPECT_EQ(T.Rec->GuestInsts, Blk.size());
   EXPECT_GT(T.EndWord, T.EntryWord);
 }
