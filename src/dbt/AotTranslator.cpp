@@ -48,8 +48,9 @@ void AotTranslator::pretranslateAll() {
     if (Service) {
       // A hit is a warm start: someone (a previous run, the disk
       // artifact, or a concurrent tenant) already produced these words.
-      U.FromCache = acquireOrPublish(*Service, U.Key, Translate, U.Lease);
-      U.Record = U.Lease.get();
+      Served Got = acquireOrPublish(*Service, U.Key, Translate);
+      U.Record = std::move(Got.Rec);
+      U.FromCache = Got.Hit;
       S.FromCache += U.FromCache ? 1 : 0;
     } else {
       U.Record = Translate().Rec;
@@ -68,7 +69,6 @@ AotTranslator::Unit *AotTranslator::find(uint32_t Pc) {
 
 void AotTranslator::stale(Unit &U) {
   U.Stale = true;
-  U.Lease.release();
   ++S.StaleDropped;
   for (const auto &R : U.Record->GuestRanges)
     Mem.unwatchRange(R.first, R.second);

@@ -66,9 +66,6 @@ public:
     /// serving-attached; kept after installation so a capacity flush can
     /// re-install without re-translating.
     std::shared_ptr<const TranslationRecord> Record;
-    /// Held for the whole run when serving-attached, so eviction can
-    /// never retire the entry while this run may still install it.
-    TranslationLease Lease;
     bool FromCache = false;
     /// Bytes overwritten or plans revised: never install.
     bool Stale = false;
@@ -117,7 +114,7 @@ public:
   const Stats &stats() const { return S; }
 
 private:
-  /// Mark \p U stale: release its lease and its watches.
+  /// Mark \p U stale: release its watches.
   void stale(Unit &U);
 
   guest::GuestMemory &Mem;

@@ -326,9 +326,6 @@ bool CodeCache::retire(Translation &Old) {
     Stuck &= evictIcWay(*Ref.Owner, Ref.Site, Ref.Way, /*Retired=*/true);
   }
   Old.IncomingIcWays.clear();
-  // Purely local: another run's lease on the same shared entry is
-  // untouched, so a tenant retiring its own copies never retires ours.
-  Leases.erase(&Old);
   return Stuck;
 }
 
@@ -356,6 +353,5 @@ void CodeCache::flush() {
   BlockMap.clear();
   Regions.clear();
   Store.clear();
-  Leases.clear();
   StaleChainWords.clear();
 }

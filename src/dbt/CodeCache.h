@@ -17,7 +17,6 @@
 ///  * the write-barrier index of live translations per guest watch page,
 ///    together with the GuestMemory watches it holds; Coherence asks it
 ///    for each barrier store's victims (`overlapping`);
-///  * the shared-cache leases backing service-installed translations;
 ///  * the quarantine of host words whose unlink patch did not stick.
 ///
 /// The cache decides nothing: which block to translate, when to retire
@@ -32,7 +31,6 @@
 
 #include "analysis/HostVerifier.h"
 #include "dbt/Translation.h"
-#include "dbt/TranslationService.h"
 #include "guest/GuestMemory.h"
 #include "host/CodeSpace.h"
 #include "obs/TraceSink.h"
@@ -90,10 +88,6 @@ public:
   /// live copy of it there.
   Translation &instantiate(std::shared_ptr<const TranslationRecord> R,
                            uint32_t Generation);
-  /// Hold \p L until \p T leaves service (retire or flush).
-  void lease(const Translation &T, TranslationLease L) {
-    Leases.emplace(&T, std::move(L));
-  }
 
   // -- registering ---------------------------------------------------------
 
@@ -105,9 +99,11 @@ public:
   /// enters it.
   void map(Translation &T) { BlockMap[T.GuestPc] = &T; }
   /// Register the exception stub [Entry, End) that \p T's body word
-  /// \p Word now branches to.
-  void addStub(Translation &T, uint32_t Word, uint32_t Entry, uint32_t End) {
-    T.patch(Word, Entry, End);
+  /// \p Word now branches to; \p Adaptive if the stub may ask for the
+  /// original word back (paper Fig. 8).
+  void addStub(Translation &T, uint32_t Word, uint32_t Entry, uint32_t End,
+               bool Adaptive) {
+    T.patch(Word, Entry, End, Adaptive);
     Regions[Entry] = {End, &T};
   }
 
@@ -178,11 +174,11 @@ public:
   IcFill fillIc(Translation &Owner, uint32_t Site, Translation &Target,
                 uint32_t &WayBegin);
   /// Take \p T out of service: unmap it from the write barrier, restore
-  /// every incoming chain to `srv Exit`, retire every inline-cache way
-  /// that targets it, and drop its lease.  Its body stays owned (and
-  /// `owner` resolves it) until the next flush.  False if an unlink
-  /// patch did not stick: the word is then quarantined and may still
-  /// branch into the dead body.
+  /// every incoming chain to `srv Exit`, and retire every inline-cache
+  /// way that targets it.  Its body stays owned (and `owner` resolves
+  /// it) until the next flush.  False if an unlink patch did not stick:
+  /// the word is then quarantined and may still branch into the dead
+  /// body.
   bool retire(Translation &T);
   /// Drop every translation, index and the arena itself.  Only legal
   /// when no translated code is running.
@@ -218,8 +214,6 @@ private:
   std::unordered_map<uint32_t, Translation *> BlockMap;
   /// Host-word region -> owning translation (bodies and stubs).
   std::map<uint32_t, std::pair<uint32_t, Translation *>> Regions;
-  /// Shared-cache leases, one per service-installed translation.
-  std::unordered_map<const Translation *, TranslationLease> Leases;
   /// Exit and inline-cache words whose unlink patch did not stick:
   /// excused from the verifier's liveness checks until the next flush.
   std::unordered_set<uint32_t> StaleChainWords;

@@ -13,7 +13,7 @@
 ///
 /// Every translation enters the arena through one pipeline.  obtain()
 /// produces it — translated locally by the stateless Translator or, when
-/// EngineConfig::Service is set, leased from the process-wide shared
+/// EngineConfig::Service is set, taken from the process-wide shared
 /// cache — and install() registers it, whichever of the three producers
 /// asked: a demand block, a superblock trace or a pre-translated AOT
 /// unit.  Either way the run installs a private copy in its own
@@ -276,23 +276,18 @@ private:
     // unroll copies included, so a trace's exact shape is part of it.
     CacheKey Key = translationContentKey(Mem, Blocks.data(), Blocks.size(),
                                          Plan, Opts, IsTrace);
-    TranslationLease L;
-    uint64_t Evicted = 0;
-    FromCache = acquireOrPublish(*Config.Service, Key, Translate, L, &Evicted);
+    Served Got = acquireOrPublish(*Config.Service, Key, Translate);
+    FromCache = Got.Hit;
     if (FromCache) {
-      T = &Cache.instantiate(L.get(), Generation);
+      T = &Cache.instantiate(std::move(Got.Rec), Generation);
       ++CacheHits;
       CacheHitInsts += Insts;
     } else {
       ++CacheMisses;
-      CacheEvictions += Evicted;
     }
     Trace.emit(FromCache ? obs::TraceEventKind::CacheHit
                          : obs::TraceEventKind::CacheMiss,
                Pc, Pc, Key.Lo, Generation);
-    if (Evicted)
-      Trace.emit(obs::TraceEventKind::CacheEvict, Pc, Pc, Evicted, 0);
-    Cache.lease(*T, std::move(L));
     return T;
   }
 
@@ -438,7 +433,6 @@ private:
     assert(Mem.watchedPages() == AotPages.size() &&
            "write-watch refcounts must drain on flush");
 #endif
-    Faults.flush();
     PendingFlush = false;
     LastCodeWords = 0; // emission accounting stays monotone
     ++Flushes;
@@ -939,9 +933,7 @@ private:
   obs::Histogram *HTrapBlock;
   obs::Histogram *HInterpInsts;
 
-  /// The live translations and every index over them.  Its shared-cache
-  /// leases are drained when the run ends, so the service's live-lease
-  /// count returns to its pre-run level no matter how the run ended.
+  /// The live translations and every index over them.
   CodeCache Cache;
   /// The trap path and the degradation ledger.
   FaultPath Faults;
@@ -1013,7 +1005,6 @@ private:
 
   uint64_t CacheHits = 0;
   uint64_t CacheMisses = 0;
-  uint64_t CacheEvictions = 0;
   uint64_t CacheHitInsts = 0;
 
   /// True while Machine.run() is on the stack: a write-barrier hit
@@ -1257,7 +1248,6 @@ RunResult ExecutionContext::run() {
   if (Config.Service) {
     Reg.addCounter("cache.hits", CacheHits);
     Reg.addCounter("cache.misses", CacheMisses);
-    Reg.addCounter("cache.evictions", CacheEvictions);
     Reg.addCounter("cache.hit_insts", CacheHitInsts);
   }
   if (Config.HashDispatch) {

@@ -87,11 +87,9 @@ FaultPath::Delivery FaultPath::deliver(const FaultInfo &F) {
     return {FaultAction::Fixup}; // too far to branch to: emulate instead
   if (Adaptive) {
     // The revertible stub of paper Fig. 8 (right) claims its counter
-    // cell, and remembers the original word so the monitor can patch it
-    // back when the stub reports a run of aligned executions.
+    // cell; the record keeps the original word for the revert.
     Mem.store(NextCounterCell, 4, 0);
     NextCounterCell += 4;
-    PatchedOriginals[F.HostPc] = {Code.word(F.HostPc), InstPc};
   }
   Trace.emit(obs::TraceEventKind::StubEmitted, InstPc, T->GuestPc,
              Stub->Entry, Adaptive ? 1 : 0);
@@ -102,11 +100,9 @@ FaultPath::Delivery FaultPath::deliver(const FaultInfo &F) {
     // The redirect did not stick; the original instruction is still in
     // place.  Emulate this occurrence and let a later trap retry the
     // patch (or the watchdog escalate).
-    if (Adaptive)
-      PatchedOriginals.erase(F.HostPc);
     return {FaultAction::Fixup};
   }
-  Cache.addStub(*T, F.HostPc, Stub->Entry, Stub->End);
+  Cache.addStub(*T, F.HostPc, Stub->Entry, Stub->End, Adaptive);
   ++S.Patches;
   LastPatch = F;
   return {FaultAction::Retry, T, InstPc, Stub->Entry, D.Supersede};
@@ -155,17 +151,21 @@ bool FaultPath::pollRevert() {
     return false;
   Mem.store(MailboxAddr, 4, 0);
   uint32_t FaultWord = Posted - 1;
-  auto It = PatchedOriginals.find(FaultWord);
-  if (It == PatchedOriginals.end())
-    return false;
-  if (!Cache.patchVerified(FaultWord, It->second.first))
-    return false; // revert failed; the stub stays in place and stays correct
+  // Only an unreverted adaptive patch at the posted word is revertible:
+  // a stale post (the word since reverted, re-patched plain, or flushed)
+  // is ignored.
   Translation *T = Cache.owner(FaultWord);
-  if (T)
-    T->revert(FaultWord);
-  Trace.emit(obs::TraceEventKind::StubReverted, It->second.second,
-             T ? T->GuestPc : 0, FaultWord, 0);
-  PatchedOriginals.erase(It);
+  auto Revertible = [&](const StubPatch &P) {
+    return P.Word == FaultWord && P.Adaptive && !P.Reverted;
+  };
+  if (!T || std::none_of(T->Patches.begin(), T->Patches.end(), Revertible))
+    return false;
+  uint32_t Original = T->Rec->Words[FaultWord - T->EntryWord];
+  if (!Cache.patchVerified(FaultWord, Original))
+    return false; // revert failed; the stub stays in place and stays correct
+  T->revert(FaultWord);
+  Trace.emit(obs::TraceEventKind::StubReverted,
+             T->siteAt(FaultWord).value_or(0), T->GuestPc, FaultWord, 0);
   ++S.Reverts;
   return true;
 }

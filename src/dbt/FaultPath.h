@@ -14,8 +14,7 @@
 ///  * MDA stub emission and the verified redirect of the faulting word
 ///    (paper Fig. 5);
 ///  * the adaptive-revert runtime (Fig. 8, right): the mailbox and
-///    counter cells in the BT-runtime region, the patched originals and
-///    the revert poll;
+///    counter cells in the BT-runtime region and the revert poll;
 ///  * the record of the last patched fault, replayed by the spurious-trap
 ///    injection;
 ///  * the trap-storm watchdog and its three-rung degradation ladder —
@@ -130,8 +129,6 @@ public:
   /// reverted.  Until the first adaptive stub claims the runtime region,
   /// it is guest memory and is left alone.
   bool pollRevert();
-  /// The arena was flushed: no adaptive stub is left to revert.
-  void flush() { PatchedOriginals.clear(); }
   /// Zero the claimed runtime cells, which are not guest-visible state,
   /// so the memory hash is comparable with an interpreter run.
   void scrubRuntime();
@@ -186,9 +183,6 @@ private:
   Stats S;
 
   uint32_t NextCounterCell = FirstCounterCell;
-  /// Adaptively patched word -> (original word, guest inst PC).
-  std::unordered_map<uint32_t, std::pair<uint32_t, uint32_t>>
-      PatchedOriginals;
   std::optional<host::FaultInfo> LastPatch;
 
   /// Watchdog state.

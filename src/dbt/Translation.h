@@ -218,6 +218,7 @@ struct StubPatch {
   uint32_t Word = 0;      ///< the patched body word
   uint32_t StubEntry = 0; ///< the stub, [StubEntry, StubEnd)
   uint32_t StubEnd = 0;
+  bool Adaptive = false; ///< the stub may ask for Word back (paper Fig. 8)
   bool Reverted = false; ///< an adaptive stub patched Word back since
 };
 
@@ -349,8 +350,9 @@ struct Translation {
   // -- the exception handler's patches ---------------------------------------
 
   /// Body word \p Word now branches to the stub [StubEntry, StubEnd).
-  void patch(uint32_t Word, uint32_t StubEntry, uint32_t StubEnd) {
-    Patches.push_back({Word, StubEntry, StubEnd, false});
+  void patch(uint32_t Word, uint32_t StubEntry, uint32_t StubEnd,
+             bool Adaptive) {
+    Patches.push_back({Word, StubEntry, StubEnd, Adaptive, false});
   }
   /// An adaptive stub patched the original op back in at \p Word.
   void revert(uint32_t Word) {

@@ -57,13 +57,10 @@ CacheKey mdabt::dbt::translationContentKey(
   return cacheKeyFromBytes(M.data(), M.size());
 }
 
-bool mdabt::dbt::acquireOrPublish(
+Served mdabt::dbt::acquireOrPublish(
     TranslationService &Service, const CacheKey &Key,
-    const std::function<const Translation &()> &Translate,
-    TranslationLease &Lease, uint64_t *Evicted) {
-  Lease = Service.acquire(Key);
-  if (Lease)
-    return true;
-  Lease = Service.publish(Key, Translate().Rec, Evicted);
-  return false;
+    const std::function<const Translation &()> &Translate) {
+  if (TranslationService::Record R = Service.acquire(Key))
+    return {std::move(R), true};
+  return {Service.publish(Key, Translate().Rec), false};
 }

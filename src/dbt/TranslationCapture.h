@@ -15,7 +15,7 @@
 ///    constituent's raw guest bytes, and the MemPlan the plan chain
 ///    returns for every planned site — and hashes it into the 128-bit
 ///    cache key;
-///  * `acquireOrPublish` is the one lookup sequence: lease the entry
+///  * `acquireOrPublish` is the one lookup sequence: take the record
 ///    under a key, or translate and publish the translator's own
 ///    TranslationRecord.
 ///
@@ -50,14 +50,18 @@ CacheKey translationContentKey(const guest::GuestMemory &Mem,
                                const Translator::PlanFn &Plan,
                                const TranslationOpts &Opts, bool IsTrace);
 
-/// Lease the entry under \p Key from \p Service into \p Lease and
-/// return true.  On a miss, call \p Translate (which emits the
-/// translation and returns it), publish its record under \p Key, lease
-/// the published entry and return false; \p Evicted, if given, receives
-/// the number of entries the publish evicted.
-bool acquireOrPublish(TranslationService &Service, const CacheKey &Key,
-                      const std::function<const Translation &()> &Translate,
-                      TranslationLease &Lease, uint64_t *Evicted = nullptr);
+/// The record acquireOrPublish served, and whether it was a cache hit.
+struct Served {
+  TranslationService::Record Rec;
+  bool Hit = false;
+};
+
+/// The record under \p Key in \p Service, as a hit.  On a miss, call
+/// \p Translate (which emits the translation and returns it), publish
+/// its record under \p Key and return the resident record (the first
+/// writer's, on a race) as a miss.
+Served acquireOrPublish(TranslationService &Service, const CacheKey &Key,
+                        const std::function<const Translation &()> &Translate);
 
 } // namespace dbt
 } // namespace mdabt

@@ -48,126 +48,51 @@ size_t TranslationRecord::footprintBytes() const {
   return N;
 }
 
-// -- TranslationLease --------------------------------------------------------
-
-TranslationLease &TranslationLease::operator=(TranslationLease &&O) noexcept {
-  if (this != &O) {
-    release();
-    E = std::move(O.E);
-  }
-  return *this;
-}
-
-TranslationLease::~TranslationLease() { release(); }
-
-void TranslationLease::release() {
-  if (!E)
-    return;
-  E->Leases.fetch_sub(1, std::memory_order_acq_rel);
-  E.reset();
-}
-
 // -- TranslationService ------------------------------------------------------
 
-TranslationService::TranslationService(Config C) {
-  uint32_t N = std::min(64u, std::max(1u, C.Shards));
-  Shards = std::vector<Shard>(N);
-  if (C.MaxEntries != 0)
-    PerShardCap = (C.MaxEntries + N - 1) / N;
-}
-
-TranslationLease TranslationService::acquire(const CacheKey &Key) {
+TranslationService::Record TranslationService::acquire(const CacheKey &Key) {
   Shard &S = shardFor(Key);
   std::lock_guard<std::mutex> Lock(S.M);
-  for (const std::shared_ptr<detail::CacheEntry> &E : S.Entries) {
-    if (E->Key == Key) {
-      E->Leases.fetch_add(1, std::memory_order_acq_rel);
+  for (const Entry &E : S.Entries) {
+    if (E.Key == Key) {
       StatHits.fetch_add(1, std::memory_order_relaxed);
-      return TranslationLease(E);
+      return E.T;
     }
   }
   StatMisses.fetch_add(1, std::memory_order_relaxed);
-  return TranslationLease();
+  return nullptr;
 }
 
-std::shared_ptr<detail::CacheEntry>
-TranslationService::insertLocked(Shard &S, const CacheKey &Key,
-                                 std::shared_ptr<const TranslationRecord> T,
-                                 uint64_t &Evicted) {
-  // First writer wins: a racing publisher of the same key leases the
-  // resident entry (the records are byte-identical by key design).
-  for (const std::shared_ptr<detail::CacheEntry> &E : S.Entries)
-    if (E->Key == Key)
-      return E;
-  if (PerShardCap != 0 && S.Entries.size() >= PerShardCap) {
-    // Evict oldest unleased entries until under capacity.  Leased
-    // entries are skipped — a tenant's live translation is never
-    // retired by another tenant's insert pressure.
-    std::stable_sort(S.Entries.begin(), S.Entries.end(),
-                     [](const std::shared_ptr<detail::CacheEntry> &A,
-                        const std::shared_ptr<detail::CacheEntry> &B) {
-                       return A->Seq < B->Seq;
-                     });
-    for (size_t I = 0;
-         I < S.Entries.size() && S.Entries.size() >= PerShardCap;) {
-      if (S.Entries[I]->Leases.load(std::memory_order_acquire) == 0) {
-        S.Entries.erase(S.Entries.begin() + static_cast<ptrdiff_t>(I));
-        ++Evicted;
-        StatEvictions.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        ++I;
-      }
-    }
-  }
-  auto E = std::make_shared<detail::CacheEntry>();
-  E->Key = Key;
-  E->T = std::move(T);
-  E->Seq = S.NextSeq++;
-  S.Entries.push_back(E);
-  StatInserts.fetch_add(1, std::memory_order_relaxed);
-  return E;
-}
-
-TranslationLease
-TranslationService::publish(const CacheKey &Key,
-                            std::shared_ptr<const TranslationRecord> T,
-                            uint64_t *Evicted) {
+TranslationService::Record TranslationService::publish(const CacheKey &Key,
+                                                       Record T) {
   Shard &S = shardFor(Key);
-  uint64_t Ev = 0;
-  std::shared_ptr<detail::CacheEntry> E;
-  {
-    std::lock_guard<std::mutex> Lock(S.M);
-    E = insertLocked(S, Key, std::move(T), Ev);
-    E->Leases.fetch_add(1, std::memory_order_acq_rel);
-  }
-  if (Evicted)
-    *Evicted = Ev;
-  return TranslationLease(E);
+  std::lock_guard<std::mutex> Lock(S.M);
+  // First writer wins: a racing publisher of the same key gets the
+  // resident record (the records are byte-identical by key design).
+  for (const Entry &E : S.Entries)
+    if (E.Key == Key)
+      return E.T;
+  S.Entries.push_back({Key, T});
+  StatInserts.fetch_add(1, std::memory_order_relaxed);
+  return T;
 }
 
 template <typename Fn> uint64_t TranslationService::sumEntries(Fn F) const {
   uint64_t N = 0;
   for (const Shard &S : Shards) {
     std::lock_guard<std::mutex> Lock(S.M);
-    for (const std::shared_ptr<detail::CacheEntry> &E : S.Entries)
-      N += F(*E);
+    for (const Entry &E : S.Entries)
+      N += F(E);
   }
   return N;
 }
 
 uint64_t TranslationService::entries() const {
-  return sumEntries([](const detail::CacheEntry &) { return 1; });
-}
-
-uint64_t TranslationService::liveLeases() const {
-  return sumEntries([](const detail::CacheEntry &E) {
-    return E.Leases.load(std::memory_order_acquire);
-  });
+  return sumEntries([](const Entry &) { return 1; });
 }
 
 uint64_t TranslationService::footprintBytes() const {
-  return sumEntries(
-      [](const detail::CacheEntry &E) { return E.T->footprintBytes(); });
+  return sumEntries([](const Entry &E) { return E.T->footprintBytes(); });
 }
 
 // -- disk persistence --------------------------------------------------------
@@ -415,20 +340,17 @@ bool TranslationService::save(const std::string &Path,
                               std::string *Err) const {
   // Snapshot every shard in key order so the artifact is deterministic
   // regardless of insertion interleaving.
-  std::vector<std::shared_ptr<detail::CacheEntry>> All;
+  std::vector<Entry> All;
   for (const Shard &S : Shards) {
     std::lock_guard<std::mutex> Lock(S.M);
     All.insert(All.end(), S.Entries.begin(), S.Entries.end());
   }
-  std::sort(All.begin(), All.end(),
-            [](const std::shared_ptr<detail::CacheEntry> &A,
-               const std::shared_ptr<detail::CacheEntry> &B) {
-              return A->Key.Hi != B->Key.Hi ? A->Key.Hi < B->Key.Hi
-                                            : A->Key.Lo < B->Key.Lo;
-            });
+  std::sort(All.begin(), All.end(), [](const Entry &A, const Entry &B) {
+    return A.Key.Hi != B.Key.Hi ? A.Key.Hi < B.Key.Hi : A.Key.Lo < B.Key.Lo;
+  });
   std::vector<uint8_t> Payload;
-  for (const std::shared_ptr<detail::CacheEntry> &E : All)
-    serializeEntry(Payload, E->Key, *E->T);
+  for (const Entry &E : All)
+    serializeEntry(Payload, E.Key, *E.T);
   std::vector<uint8_t> File;
   put32(File, ArtifactMagic);
   put32(File, FormatVersion);
@@ -473,8 +395,7 @@ bool TranslationService::load(const std::string &Path, obs::TraceSink *Sink,
     return fail(Err, "payload checksum mismatch");
   // Parse and validate everything before touching the cache: a corrupt
   // artifact must be rejected whole, never half-merged.
-  std::vector<std::pair<CacheKey, std::shared_ptr<const TranslationRecord>>>
-      Parsed;
+  std::vector<std::pair<CacheKey, Record>> Parsed;
   Parsed.reserve(static_cast<size_t>(std::min<uint64_t>(Count, 65536)));
   for (uint64_t I = 0; I != Count; ++I) {
     CacheKey Key;
@@ -486,12 +407,8 @@ bool TranslationService::load(const std::string &Path, obs::TraceSink *Sink,
   }
   if (C.At != C.N)
     return fail(Err, "trailing bytes after last entry");
-  for (auto &KV : Parsed) {
-    Shard &S = shardFor(KV.first);
-    uint64_t Ev = 0;
-    std::lock_guard<std::mutex> Lock(S.M);
-    insertLocked(S, KV.first, std::move(KV.second), Ev);
-  }
+  for (auto &KV : Parsed)
+    publish(KV.first, std::move(KV.second));
   if (Sink) {
     obs::TraceEvent E;
     E.Kind = obs::TraceEventKind::CacheLoad;

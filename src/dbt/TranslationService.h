@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The process-wide serving layer: TranslationService, the sharded,
-/// refcounted translation cache shared by concurrent ExecutionContexts
+/// append-only translation cache shared by concurrent ExecutionContexts
 /// (docs/SERVING.md).
 ///
 /// Entries are keyed by a content hash over everything that determines
@@ -29,11 +29,12 @@
 /// record.  Runs mutate only their private words (chains, stubs,
 /// inline-cache fills); the record stays pristine.
 ///
-/// Leases are the cross-tenant safety mechanism: a run acquires a lease
-/// per installed translation and releases it when the translation
-/// leaves service (invalidate/flush) or the run ends.  Eviction only
-/// ever considers unleased entries, so SMC invalidation or a flush
-/// storm in one run can never retire an entry another run still holds.
+/// The map is append-only: a translation is a deterministic function of
+/// its key, so an entry is never replaced or evicted.  Records are
+/// shared immutably (`std::shared_ptr<const TranslationRecord>`), so
+/// the live copies in every run, the AOT units and the entry own the
+/// record together, and whatever one run retires or flushes leaves the
+/// others untouched.
 ///
 /// The cache serializes to a versioned, checksummed artifact
 /// (save/load) so a warm fleet start performs no re-translation of
@@ -47,6 +48,7 @@
 #include "dbt/Translation.h"
 #include "obs/TraceSink.h"
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -73,46 +75,7 @@ struct CacheKey {
 /// into a CacheKey.
 CacheKey cacheKeyFromBytes(const uint8_t *Bytes, size_t Size);
 
-namespace detail {
-/// One shard-resident entry.  Lease count is atomic so release never
-/// takes the shard lock.
-struct CacheEntry {
-  CacheKey Key;
-  std::shared_ptr<const TranslationRecord> T;
-  std::atomic<uint64_t> Leases{0};
-  uint64_t Seq = 0; ///< insertion order within the shard (FIFO evict)
-};
-} // namespace detail
-
-/// RAII lease on one cache entry.  While any lease is live the entry
-/// cannot be evicted; destruction (or release()) decrements the count.
-/// Movable, not copyable.
-class TranslationLease {
-public:
-  TranslationLease() = default;
-  TranslationLease(TranslationLease &&O) noexcept : E(std::move(O.E)) {}
-  TranslationLease &operator=(TranslationLease &&O) noexcept;
-  TranslationLease(const TranslationLease &) = delete;
-  TranslationLease &operator=(const TranslationLease &) = delete;
-  ~TranslationLease();
-
-  explicit operator bool() const { return E != nullptr; }
-  /// The leased translation.  A copy of the pointer keeps the record
-  /// alive after the lease is released and the entry evicted.
-  const std::shared_ptr<const TranslationRecord> &get() const {
-    return E->T;
-  }
-  /// Drop the lease early (idempotent).
-  void release();
-
-private:
-  friend class TranslationService;
-  explicit TranslationLease(std::shared_ptr<detail::CacheEntry> E)
-      : E(std::move(E)) {}
-  std::shared_ptr<detail::CacheEntry> E;
-};
-
-/// The sharded, refcounted translation cache: the single object an
+/// The sharded, append-only translation cache: the single object an
 /// EngineConfig points at (EngineConfig::Service).  All methods are
 /// thread-safe; each shard has its own mutex.  A key picks its shard by
 /// CacheKey::Lo, and a lookup is a linear scan of that shard's entry
@@ -120,42 +83,25 @@ private:
 /// using it.
 class TranslationService {
 public:
-  struct Config {
-    /// Lock shards (clamped to 1..64).
-    uint32_t Shards = 8;
-    /// Entry-count capacity; 0 = unbounded.  On overflow the inserting
-    /// shard evicts its oldest *unleased* entries (leased entries are
-    /// never evicted, so capacity may be exceeded transiently while
-    /// every entry is leased).
-    uint64_t MaxEntries = 0;
-  };
+  using Record = std::shared_ptr<const TranslationRecord>;
 
-  TranslationService() : TranslationService(Config{8, 0}) {}
-  explicit TranslationService(Config C);
+  /// Look up \p Key; on a hit returns the resident record (and counts a
+  /// hit), on a miss returns null (and counts a miss).
+  Record acquire(const CacheKey &Key);
 
-  /// Look up \p Key; on a hit returns a live lease (and counts a hit),
-  /// on a miss returns an empty lease (and counts a miss).
-  TranslationLease acquire(const CacheKey &Key);
-
-  /// Publish a freshly translated entry and lease it.  If another run
-  /// raced us to the same key, the first writer wins and its entry is
-  /// leased instead (the loser's record is not inserted — both are
-  /// byte-identical by construction of the key).  \p Evicted, when
-  /// non-null, receives the number of entries evicted to make room.
-  TranslationLease publish(const CacheKey &Key,
-                           std::shared_ptr<const TranslationRecord> T,
-                           uint64_t *Evicted = nullptr);
+  /// Publish a freshly translated record under \p Key and return the
+  /// resident one.  If another run raced us to the same key, the first
+  /// writer wins and its record is returned instead (the loser's record
+  /// is not inserted — both are byte-identical by construction of the
+  /// key).
+  Record publish(const CacheKey &Key, Record T);
 
   // -- stats (monotonic process-lifetime counters) ---------------------
   uint64_t hits() const { return StatHits.load(); }
   uint64_t misses() const { return StatMisses.load(); }
   uint64_t inserts() const { return StatInserts.load(); }
-  uint64_t evictions() const { return StatEvictions.load(); }
   /// Entries currently resident (takes every shard lock).
   uint64_t entries() const;
-  /// Sum of live lease counts over resident entries (takes every shard
-  /// lock).  Zero once every run has released its translations.
-  uint64_t liveLeases() const;
   /// Approximate resident payload bytes (takes every shard lock).
   uint64_t footprintBytes() const;
 
@@ -180,30 +126,26 @@ public:
   static constexpr uint32_t FormatVersion = 2;
 
 private:
+  static constexpr size_t NumShards = 8;
+
+  struct Entry {
+    CacheKey Key;
+    Record T;
+  };
   struct Shard {
     mutable std::mutex M;
-    std::vector<std::shared_ptr<detail::CacheEntry>> Entries;
-    uint64_t NextSeq = 0;
+    std::vector<Entry> Entries;
   };
 
-  Shard &shardFor(const CacheKey &Key) {
-    return Shards[Key.Lo % Shards.size()];
-  }
-  /// Insert under the shard lock; returns the resident entry (existing
-  /// one on a key race) and bumps \p Evicted per eviction.
-  std::shared_ptr<detail::CacheEntry>
-  insertLocked(Shard &S, const CacheKey &Key,
-               std::shared_ptr<const TranslationRecord> T, uint64_t &Evicted);
+  Shard &shardFor(const CacheKey &Key) { return Shards[Key.Lo % NumShards]; }
 
   /// Sum \p F over every resident entry, each shard under its lock.
   template <typename Fn> uint64_t sumEntries(Fn F) const;
 
-  std::vector<Shard> Shards;
-  uint64_t PerShardCap = 0; ///< ceil(MaxEntries / Shards), 0 = unbounded
+  std::array<Shard, NumShards> Shards;
   std::atomic<uint64_t> StatHits{0};
   std::atomic<uint64_t> StatMisses{0};
   std::atomic<uint64_t> StatInserts{0};
-  std::atomic<uint64_t> StatEvictions{0};
 };
 
 } // namespace dbt

@@ -70,7 +70,6 @@ namespace obs {
   X(BudgetExceeded, "budget.exceeded")                                       \
   X(CacheHit, "cache.hit")                                                   \
   X(CacheMiss, "cache.miss")                                                 \
-  X(CacheEvict, "cache.evict")                                               \
   X(CacheLoad, "cache.load")                                                 \
   X(FusionApplied, "fusion.applied")                                         \
   X(FusionSummary, "fusion.summary")                                         \

@@ -813,7 +813,7 @@ TEST(CodeCacheUnitTest, VerifierInputOfChainedPairAndStubPasses) {
   ASSERT_TRUE(S);
   ASSERT_TRUE(
       H.Cache.patchVerified(Fault, *host::branchTo(Fault, S->Entry)));
-  H.Cache.addStub(A, Fault, S->Entry, S->End);
+  H.Cache.addStub(A, Fault, S->Entry, S->End, /*Adaptive=*/false);
   EXPECT_FALSE(A.siteAt(Fault));
   EXPECT_EQ(H.Cache.owner(S->Entry), &A);
 
@@ -828,10 +828,10 @@ TEST(CodeCacheUnitTest, VerifierInputOfChainedPairAndStubPasses) {
 }
 
 // A body retired while it still runs (a supersede from inside its own
-// trap handler) drops its lease, so the service may evict the entry it
-// was installed from.  The live copy shares that entry's record and must
-// keep answering the trap path's and the write barrier's lookups.
-TEST(CodeCacheUnitTest, RetiredBodyOutlivesItsEvictedServiceEntry) {
+// trap handler) stays owned until the next flush.  The copy installed
+// from a service entry shares that entry's record and must keep
+// answering the trap path's and the write barrier's lookups.
+TEST(CodeCacheUnitTest, RetiredServedBodyKeepsAnsweringLookups) {
   guest::ProgramBuilder PB("codecache-lifetime");
   uint32_t LoadPc = PB.codeAddress();
   PB.ldl(3, guest::mem(4, 0));
@@ -844,10 +844,7 @@ TEST(CodeCacheUnitTest, RetiredBodyOutlivesItsEvictedServiceEntry) {
   host::CodeSpace Code;
   dbt::Translator Trans(Code);
   dbt::CodeCache Cache(Code, Mem, obs::Tracer(), 0, [] {});
-  dbt::TranslationService::Config Cfg;
-  Cfg.Shards = 1;
-  Cfg.MaxEntries = 2;
-  dbt::TranslationService Svc(Cfg);
+  dbt::TranslationService Svc;
 
   // Publish the block from a scratch arena, then install a copy of the
   // shared entry, as a second tenant would.
@@ -860,18 +857,16 @@ TEST(CodeCacheUnitTest, RetiredBodyOutlivesItsEvictedServiceEntry) {
   host::CodeSpace Scratch;
   dbt::Translator Producer(Scratch);
   std::optional<dbt::Translation> Produced;
-  dbt::TranslationLease L;
-  ASSERT_FALSE(dbt::acquireOrPublish(
-      Svc, Key,
-      [&]() -> const dbt::Translation & {
+  dbt::Served Got = dbt::acquireOrPublish(
+      Svc, Key, [&]() -> const dbt::Translation & {
         Produced.emplace(Producer.translate(Block, Plan));
         return *Produced;
-      },
-      L));
+      });
+  ASSERT_FALSE(Got.Hit);
   Produced.reset();
   Code.append(0); // a different base than the producer's
-  dbt::Translation &T = Cache.instantiate(L.get(), 0);
-  Cache.lease(T, std::move(L));
+  dbt::Translation &T = Cache.instantiate(std::move(Got.Rec), 0);
+  EXPECT_EQ(T.Rec, Svc.acquire(Key)) << "the copy shares the entry's record";
   Cache.install(T, 0);
   Cache.map(T);
 
@@ -890,19 +885,9 @@ TEST(CodeCacheUnitTest, RetiredBodyOutlivesItsEvictedServiceEntry) {
   ASSERT_TRUE(S);
   ASSERT_TRUE(Cache.patchVerified(StoreWord,
                                   *host::branchTo(StoreWord, S->Entry)));
-  Cache.addStub(T, StoreWord, S->Entry, S->End);
+  Cache.addStub(T, StoreWord, S->Entry, S->End, /*Adaptive=*/false);
 
   Cache.retire(T);
-  EXPECT_EQ(Svc.liveLeases(), 0u);
-  // Two more publishes overflow the capacity and evict the entry.
-  for (uint8_t I = 0; I != 2; ++I) {
-    dbt::TranslationRecord Other;
-    Other.Words = {I};
-    Svc.publish(dbt::cacheKeyFromBytes(&I, 1),
-                std::make_shared<const dbt::TranslationRecord>(Other));
-  }
-  EXPECT_EQ(Svc.evictions(), 1u);
-  EXPECT_FALSE(Svc.acquire(Key));
 
   EXPECT_EQ(Cache.owner(LoadWord), &T);
   EXPECT_EQ(T.siteAt(LoadWord), LoadPc);

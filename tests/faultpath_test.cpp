@@ -233,6 +233,44 @@ TEST(FaultPathUnitTest, AdaptiveStubClaimsRuntimeAndRevertRestoresWord) {
   EXPECT_EQ(H.Mem.load(FirstCell + 8, 4), 9u);
 }
 
+// The revert reads the original word and the guest PC from the record,
+// so only an unreverted adaptive patch is revertible: a post left over
+// for a word since reverted and re-patched with a plain stub must leave
+// the plain stub in place.
+TEST(FaultPathUnitTest, StalePostAfterPlainRepatchIsIgnored) {
+  FaultHarness H;
+  H.Policy.Decision.PatchStub = true;
+  H.Policy.Decision.AdaptiveStub = true;
+  H.Policy.Decision.RevertThreshold = 4;
+  uint32_t Original = H.Code.word(H.LoadWord);
+  ASSERT_EQ(H.Faults.deliver(H.faultAt(H.LoadWord)).Patched, H.T);
+  H.Mem.store(Mailbox, 4, H.LoadWord + 1);
+  ASSERT_TRUE(H.Faults.pollRevert());
+  ASSERT_EQ(H.Code.word(H.LoadWord), Original);
+  std::vector<obs::TraceEvent> Reverted;
+  for (const obs::TraceEvent &E : H.Events.snapshot())
+    if (E.Kind == obs::TraceEventKind::StubReverted)
+      Reverted.push_back(E);
+  ASSERT_EQ(Reverted.size(), 1u);
+  EXPECT_EQ(Reverted[0].GuestPc, H.LoadPc);
+  EXPECT_EQ(Reverted[0].BlockPc, H.BlockPc);
+  EXPECT_EQ(Reverted[0].A, H.LoadWord);
+
+  // The load traps again and is re-patched with a plain stub.
+  H.Policy.Decision.AdaptiveStub = false;
+  ASSERT_EQ(H.Faults.deliver(H.faultAt(H.LoadWord)).Patched, H.T);
+  uint32_t Plain = H.Code.word(H.LoadWord);
+  ASSERT_NE(Plain, Original);
+
+  H.Mem.store(Mailbox, 4, H.LoadWord + 1); // stale
+  EXPECT_FALSE(H.Faults.pollRevert());
+  EXPECT_EQ(H.Mem.load(Mailbox, 4), 0u); // consumed all the same
+  EXPECT_EQ(H.Code.word(H.LoadWord), Plain);
+  EXPECT_FALSE(H.T->siteAt(H.LoadWord));
+  EXPECT_EQ(H.Faults.stats().Reverts, 1u);
+  EXPECT_TRUE(analysis::verifyCodeSpace(H.Code, H.Cache.verifierInput()).ok());
+}
+
 TEST(FaultPathUnitTest, MailboxIsGuestMemoryWithoutAdaptiveStub) {
   FaultHarness H;
   H.Policy.Decision.PatchStub = true; // plain stubs only

@@ -140,11 +140,17 @@ std::vector<SeqParam> allParams() {
 INSTANTIATE_TEST_SUITE_P(AllSizesOffsetsDisps, MdaSequenceTest,
                          ::testing::ValuesIn(allParams()),
                          [](const ::testing::TestParamInfo<SeqParam> &I) {
-                           return "s" + std::to_string(I.param.Size) + "_o" +
-                                  std::to_string(I.param.Offset) + "_d" +
-                                  (I.param.Disp < 0
-                                       ? "m" + std::to_string(-I.param.Disp)
-                                       : std::to_string(I.param.Disp));
+                           // Appended piece by piece: GCC 12 warns
+                           // (-Wrestrict) on `"m" + std::string&&`.
+                           std::string Name = "s";
+                           Name.append(std::to_string(I.param.Size))
+                               .append("_o")
+                               .append(std::to_string(I.param.Offset))
+                               .append(I.param.Disp < 0 ? "_dm" : "_d")
+                               .append(std::to_string(I.param.Disp < 0
+                                                          ? -I.param.Disp
+                                                          : I.param.Disp));
+                           return Name;
                          });
 
 TEST(MdaSequenceLengthTest, MatchesEmittedLength) {

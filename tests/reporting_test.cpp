@@ -143,7 +143,7 @@ TEST(DisassemblyTest, MarksPatchedWords) {
   R->GuestPc = 0x1000;
   R->Words.assign(Code.data(), Code.data() + Code.size());
   dbt::Translation T(R, 0, 0);
-  T.patch(0, Code.size(), Code.size());
+  T.patch(0, Code.size(), Code.size(), /*Adaptive=*/false);
   std::string Dump = dbt::dumpTranslation(T, Code);
   EXPECT_NE(Dump.find("patched by the exception handler"),
             std::string::npos);

@@ -8,8 +8,8 @@
 /// The multi-tenant serving layer (docs/SERVING.md): concurrent runs
 /// sharing one TranslationService must each stay byte-identical to an
 /// isolated-engine oracle — including hostile self-modifying tenants in
-/// the mix and with the structural verifier on — must leak zero cache
-/// leases at shutdown, and must reject a truncated or bit-flipped disk
+/// the mix and with the structural verifier on — must hold no shared
+/// record once they end, and must reject a truncated or bit-flipped disk
 /// artifact whole rather than ever executing from it.
 ///
 //===----------------------------------------------------------------------===//
@@ -122,9 +122,9 @@ TEST(CacheKeyTest, ContentSensitivity) {
   EXPECT_NE(KA.Hi, KB.Hi);
 }
 
-// -- lease / refcount lifecycle ---------------------------------------------
+// -- hit / miss / pointer lifecycle ------------------------------------------
 
-TEST(SharedCacheTest, LeaseRefcountLifecycle) {
+TEST(SharedCacheTest, HitMissPointerLifecycle) {
   dbt::TranslationService Cache;
   dbt::TranslationRecord T;
   T.GuestPc = 0x1000;
@@ -135,23 +135,25 @@ TEST(SharedCacheTest, LeaseRefcountLifecycle) {
   EXPECT_FALSE(Cache.acquire(Key)); // cold miss
   EXPECT_EQ(Cache.misses(), 1u);
 
-  dbt::TranslationLease L1 = Cache.publish(Key, record(T));
-  EXPECT_TRUE(L1);
+  auto Published = Cache.publish(Key, record(T));
+  ASSERT_TRUE(Published);
   EXPECT_EQ(Cache.entries(), 1u);
-  EXPECT_EQ(Cache.liveLeases(), 1u);
+  EXPECT_EQ(Cache.inserts(), 1u);
+  EXPECT_EQ(Published.use_count(), 2); // the entry and this copy
 
-  dbt::TranslationLease L2 = Cache.acquire(Key);
-  EXPECT_TRUE(L2);
+  auto Hit = Cache.acquire(Key);
+  EXPECT_EQ(Hit, Published); // one shared record, not a copy
   EXPECT_EQ(Cache.hits(), 1u);
-  EXPECT_EQ(Cache.liveLeases(), 2u);
-  EXPECT_EQ(L2.get()->GuestPc, 0x1000u);
+  EXPECT_EQ(Hit->GuestPc, 0x1000u);
+  EXPECT_EQ(Hit.use_count(), 3);
 
-  L1.release();
-  EXPECT_EQ(Cache.liveLeases(), 1u);
-  L1.release(); // idempotent
-  EXPECT_EQ(Cache.liveLeases(), 1u);
-  { dbt::TranslationLease Moved = std::move(L2); }
-  EXPECT_EQ(Cache.liveLeases(), 0u);
+  // Dropping the callers' copies leaves the entry resident.
+  Published.reset();
+  Hit.reset();
+  EXPECT_EQ(Cache.entries(), 1u);
+  EXPECT_EQ(Cache.acquire(Key).use_count(), 2);
+  EXPECT_EQ(Cache.hits(), 2u);
+  EXPECT_EQ(Cache.misses(), 1u);
 }
 
 TEST(SharedCacheTest, FirstWriterWinsOnKeyRace) {
@@ -164,34 +166,12 @@ TEST(SharedCacheTest, FirstWriterWinsOnKeyRace) {
   dbt::TranslationRecord B;
   B.GuestPc = 2;
   B.Words = {43};
-  dbt::TranslationLease LA = Cache.publish(Key, record(A));
-  dbt::TranslationLease LB = Cache.publish(Key, record(B));
+  auto RA = Cache.publish(Key, record(A));
+  auto RB = Cache.publish(Key, record(B));
   EXPECT_EQ(Cache.entries(), 1u);
-  EXPECT_EQ(LB.get()->GuestPc, 1u); // the loser leases the winner's entry
-  EXPECT_EQ(Cache.liveLeases(), 2u);
-}
-
-TEST(SharedCacheTest, LeasedEntriesAreNeverEvicted) {
-  dbt::TranslationService::Config Cfg;
-  Cfg.Shards = 1;
-  Cfg.MaxEntries = 2;
-  dbt::TranslationService Cache(Cfg);
-  auto KeyOf = [](uint8_t I) {
-    return dbt::cacheKeyFromBytes(&I, 1);
-  };
-  dbt::TranslationRecord T;
-  T.Words = {7};
-  // Hold a lease on entry 0; fill past capacity.
-  dbt::TranslationLease Held = Cache.publish(KeyOf(0), record(T));
-  dbt::TranslationLease L1 = Cache.publish(KeyOf(1), record(T));
-  L1.release();
-  dbt::TranslationLease L2 = Cache.publish(KeyOf(2), record(T));
-  L2.release();
-  dbt::TranslationLease L3 = Cache.publish(KeyOf(3), record(T));
-  L3.release();
-  EXPECT_GT(Cache.evictions(), 0u);
-  // The leased entry survived every eviction round.
-  EXPECT_TRUE(Cache.acquire(KeyOf(0)));
+  EXPECT_EQ(Cache.inserts(), 1u);
+  EXPECT_EQ(RB->GuestPc, 1u); // the loser gets the winner's record
+  EXPECT_EQ(RB, RA);
 }
 
 // -- engine integration ------------------------------------------------------
@@ -214,7 +194,6 @@ TEST(ServingTest, ColdRunIdenticalToIsolatedEngine) {
   EXPECT_EQ(RCold.Counters.get("cache.hits"), 0u);
   EXPECT_EQ(RCold.Counters.get("cache.misses"),
             Service.inserts());
-  EXPECT_EQ(Service.liveLeases(), 0u) << "lease leak";
 }
 
 TEST(ServingTest, WarmRunHitsEverythingAndSkipsTranslation) {
@@ -237,7 +216,6 @@ TEST(ServingTest, WarmRunHitsEverythingAndSkipsTranslation) {
   // translation cost: warm modeled translate-cycles must shrink.
   EXPECT_LT(RWarm.Counters.get("cycles.translate"),
             RCold.Counters.get("cycles.translate"));
-  EXPECT_EQ(Service.liveLeases(), 0u) << "lease leak";
 }
 
 TEST(ServingTest, CapacityFlushReinstallsCachedCopiesAtNewBases) {
@@ -253,7 +231,6 @@ TEST(ServingTest, CapacityFlushReinstallsCachedCopiesAtNewBases) {
   expectMatchesOracle(R, O, "capacity-flush serving");
   EXPECT_GT(R.Counters.get("dbt.flushes"), 0u);
   EXPECT_GT(R.Counters.get("cache.hits"), 0u);
-  EXPECT_EQ(Service.liveLeases(), 0u) << "lease leak";
 
   dbt::EngineConfig Isolated = Config;
   Isolated.Service = nullptr;
@@ -278,13 +255,12 @@ TEST(ServingTest, HostileSmcTenantsMatchOracleAndCannotPoison) {
   }
   dbt::RunResult R = runWith(Benign, dpehSpec(), servingConfig(&Service));
   expectMatchesOracle(R, BenignO, "benign tenant after hostile runs");
-  EXPECT_EQ(Service.liveLeases(), 0u) << "lease leak";
 }
 
 TEST(ServingTest, ConcurrentMixedTenantsByteIdenticalToOracles) {
   // N threads × mixed benign + self-modifying guests against ONE shared
   // cache, Verify on.  Every run must reproduce its isolated oracle
-  // exactly, and the cache must drain to zero leases at shutdown.
+  // exactly.
   struct Tenant {
     guest::GuestImage Image;
     mda::PolicySpec Spec;
@@ -322,8 +298,6 @@ TEST(ServingTest, ConcurrentMixedTenantsByteIdenticalToOracles) {
     for (unsigned R = 0; R != RoundsPerThread; ++R)
       expectSameRun(Got[TI][R], Tenants[(TI + R) % Tenants.size()].Expected,
                     "concurrent tenant");
-  EXPECT_EQ(Service.liveLeases(), 0u)
-      << "refcount leak at shutdown";
   EXPECT_GT(Service.hits(), 0u);
 }
 
@@ -363,6 +337,40 @@ void spit(const char *Path, const std::vector<uint8_t> &Bytes) {
 }
 
 } // namespace
+
+// Records are shared immutably between the service and every run's live
+// copies, AOT units included, so once the runs end the entry is the only
+// holder left: whatever a run flushed, retired or staled, it kept no
+// record alive and took none away.
+TEST(ServingTest, EndedRunsLeaveTheEntryTheOnlyHolder) {
+  dbt::TranslationService Service;
+  dbt::EngineConfig Config = servingConfig(&Service);
+  Config.CodeCacheLimitWords = 200; // capacity flushes mid-run
+  Config.Aot = dbt::AotMode::Hybrid;
+  guest::GuestImage Image = manyHotFuncsProgram(1500, 6);
+  for (int Round = 0; Round != 2; ++Round) // cold, then all hits
+    expectMatchesOracle(runWith(Image, ehSpec(), Config),
+                        interpretOracle(Image), "served run");
+  for (const workloads::HostileProgram &P : workloads::hostileCatalog())
+    runWith(P.Image, dpehSpec(), servingConfig(&Service));
+
+  // The artifact's first entry starts with its key, after the 32-byte
+  // header (magic, version, count, payload size, checksum).
+  ASSERT_TRUE(Service.save(ArtifactPath));
+  std::vector<uint8_t> Bytes = slurp(ArtifactPath);
+  std::remove(ArtifactPath);
+  ASSERT_GE(Bytes.size(), 48u);
+  auto U64At = [&](size_t At) {
+    uint64_t V = 0;
+    for (int I = 7; I >= 0; --I)
+      V = V << 8 | Bytes[At + I];
+    return V;
+  };
+  dbt::CacheKey Key{U64At(32), U64At(40)};
+  std::shared_ptr<const dbt::TranslationRecord> Rec = Service.acquire(Key);
+  ASSERT_TRUE(Rec) << "the first saved key is resident";
+  EXPECT_EQ(Rec.use_count(), 2) << "the service entry plus this copy";
+}
 
 TEST(ServingPersistTest, DiskWarmedStartPerformsNoRetranslation) {
   dbt::TranslationService Producer;

@@ -15,8 +15,8 @@
 #
 # Inside dbt, the per-run code cache (dbt/CodeCache.*) sits below the
 # engine: it may not include dbt/Engine.h, dbt/Policy.h,
-# dbt/AotTranslator.h, dbt/TranslationCapture.h, or any chaos/ or mda/
-# header.  The per-run trap path (dbt/FaultPath.*) sits between the two:
+# dbt/AotTranslator.h, dbt/TranslationCapture.h,
+# dbt/TranslationService.h, or any chaos/ or mda/ header.  The per-run trap path (dbt/FaultPath.*) sits between the two:
 # it reaches code only through the cache and decides through the policy
 # interface, so it may not include dbt/Engine.h, dbt/AotTranslator.h,
 # dbt/TranslationCapture.h, or any analysis/ or mda/ header.  Guest-code
@@ -31,9 +31,9 @@
 # OS stays in one place.
 #
 # Usage: check_layering.sh [--self-test] [src-dir]
-#   --self-test: build synthetic trees containing a back-edge, a
-#   forbidden code-cache, trap-path and coherence edge, and a stray
-#   <sys/mman.h>, and assert the lint demonstrably FAILS on each (the CI
+#   --self-test: build synthetic trees containing a back-edge, forbidden
+#   code-cache (engine and service), trap-path and coherence edges, and a
+#   stray <sys/mman.h>, and assert the lint demonstrably FAILS on each (the CI
 #   negative test), then exit 0.
 set -u
 
@@ -74,8 +74,8 @@ forbidden_edge() { # $1 = file relative to src dir, $2 = included header
   case "$1:$2" in
   dbt/CodeCache.*:dbt/Engine.h | dbt/CodeCache.*:dbt/Policy.h | \
     dbt/CodeCache.*:dbt/AotTranslator.h | dbt/CodeCache.*:dbt/TranslationCapture.h | \
-    dbt/CodeCache.*:chaos/* | dbt/CodeCache.*:mda/*)
-    echo "the code cache may not depend on the engine, policies, AOT, capture, chaos or mda"
+    dbt/CodeCache.*:dbt/TranslationService.h | dbt/CodeCache.*:chaos/* | dbt/CodeCache.*:mda/*)
+    echo "the code cache may not depend on the engine, policies, AOT, capture, the shared service, chaos or mda"
     return 0 ;;
   dbt/FaultPath.*:dbt/Engine.h | dbt/FaultPath.*:dbt/AotTranslator.h | \
     dbt/FaultPath.*:dbt/TranslationCapture.h | \
@@ -156,13 +156,15 @@ self_test() {
   expect_caught "$tmp" guest/Bad.h dbt/Engine.h
   # A same-layer edge the code cache may not take.
   expect_caught "$tmp" dbt/CodeCache.h dbt/Engine.h
+  # The code cache holds records, never the shared service.
+  expect_caught "$tmp" dbt/CodeCache.h dbt/TranslationService.h
   # A same-layer edge the trap path may not take.
   expect_caught "$tmp" dbt/FaultPath.h dbt/Engine.h
   # A same-layer edge guest-code coherence may not take.
   expect_caught "$tmp" dbt/Coherence.h dbt/Engine.h
   # Mapping memory outside the guest memory's storage file.
   expect_caught "$tmp" dbt/CodeCache.cpp "<sys/mman.h>"
-  echo "check_layering: self-test ok (synthetic back-edge, code-cache, trap-path, coherence and <sys/mman.h> edges caught)"
+  echo "check_layering: self-test ok (synthetic back-edge, code-cache, code-cache service, trap-path, coherence and <sys/mman.h> edges caught)"
   exit 0
 }
 

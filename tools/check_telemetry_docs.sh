@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
 # Fail if any trace event kind defined in src/obs/TraceEvent.h is not
-# documented in docs/TELEMETRY.md.  Run from anywhere in the repo.
+# documented in docs/TELEMETRY.md, or if the document lists what the code
+# no longer has: a wire name in the event catalog table that
+# TraceEvent.h does not define, or a `cache.*` counter in the Metrics
+# section that src/dbt/ExecutionContext.cpp does not register.  Run from
+# anywhere in the repo.
 set -u
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -51,8 +55,39 @@ for name in $extra; do
   fi
 done
 
+# Reverse direction: the event catalog table (the rows under the
+# "| Wire name |" header) and the Metrics section's `cache.*` counters
+# must name nothing the code has dropped.
+documented_events=$(awk '/^\| Wire name \|/ { t = 1; next }
+  t && !/^\|/ { exit }
+  t { print }' "$DOC" | sed -n 's/^| `\([^`]*\)` |.*/\1/p')
+if [ -z "$documented_events" ]; then
+  echo "check_telemetry_docs: no event table parsed from $DOC" >&2
+  exit 1
+fi
+stale=0
+for name in $documented_events; do
+  if ! printf '%s\n' $names | grep -qxF "$name"; then
+    echo "check_telemetry_docs: docs/TELEMETRY.md documents event '$name', which src/obs/TraceEvent.h does not define" >&2
+    stale=1
+  fi
+done
+registered=$(sed -n 's/.*addCounter("\(cache\.[a-z_]*\)".*/\1/p' "$SERVING_CTX")
+documented_counters=$(awk '/^## / { m = ($0 == "## Metrics") } m' "$DOC" |
+  grep -o '`cache\.[a-z_]*`' | tr -d '`' | sort -u)
+for name in $documented_counters; do
+  if ! printf '%s\n' $registered | grep -qxF "$name"; then
+    echo "check_telemetry_docs: docs/TELEMETRY.md documents counter '$name', which src/dbt/ExecutionContext.cpp does not register" >&2
+    stale=1
+  fi
+done
+
 if [ "$missing" -ne 0 ]; then
   echo "check_telemetry_docs: FAILED — add the missing events/metrics to the catalog" >&2
   exit 1
 fi
-echo "check_telemetry_docs: OK ($count event kinds and serving metrics all documented)"
+if [ "$stale" -ne 0 ]; then
+  echo "check_telemetry_docs: FAILED — remove the stale events/counters from the catalog" >&2
+  exit 1
+fi
+echo "check_telemetry_docs: OK ($count event kinds and serving metrics all documented, none stale)"
