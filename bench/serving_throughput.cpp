@@ -66,11 +66,11 @@ struct Tenant {
 
 /// The serving configuration every request runs under: full dispatch
 /// surface, analysis on so hostile SMC tenants exercise verdict
-/// revocation.  The structural verifier stays off here — it re-walks
-/// the whole code cache after every mutation, which is the right
-/// paranoia for tests/serving_test.cpp but would drown the throughput
-/// this bench exists to measure; oracle identity is still enforced on
-/// every request.
+/// revocation.  The structural verifier stays off here — it checks the
+/// code cache after every mutation and sweeps all of it at the end of
+/// every run, which is the right paranoia for tests/serving_test.cpp but
+/// is not part of the serving path this bench measures; oracle
+/// identity is still enforced on every request.
 dbt::EngineConfig servingConfig(dbt::TranslationService *Service) {
   dbt::EngineConfig Config;
   Config.Analysis = true;

@@ -51,6 +51,27 @@
 ///     prove reachable.  Skipped when the engine supplies no
 ///     reachable-range set (AOT off).
 ///
+/// Where each check runs.  A translation's body is a copy of an
+/// immutable record, so most of what a sweep proves about it was already
+/// true of the record:
+///
+///  * the record proof (proveRecord) runs checks 1-3, 6 and 9 once over
+///    a record's pristine words, with every branch required to land
+///    inside the body;
+///  * the per-run pass (verifyChanges) covers only what changed since
+///    the last pass, read from the code cache's VerifierJournal: body
+///    words must still equal their record's words except at the
+///    record's mutation points (memory sites, exits, inline-cache
+///    ways), which keep checks 4, 5 and 7; a body word that differs
+///    anywhere else is BodyWordChanged.  Check 1 covers the rewritten
+///    words and the appended tail, stubs are checked when emitted,
+///    check 8 covers the guest bytes stored to, check 10 runs at
+///    install, and a retirement rechecks every exit and inline-cache
+///    way that still targets the dead entry;
+///  * the full sweep (verifyCodeSpace) checks everything.  The engine
+///    runs it at the end of every run and as the AOT output check; the
+///    tests use it as the oracle for the other two.
+///
 /// The verifier is read-only and engine-agnostic: the engine describes
 /// its bookkeeping through `VerifierInput` and gets a `VerifyReport`
 /// back.
@@ -62,6 +83,8 @@
 
 #include "host/CodeSpace.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -90,6 +113,9 @@ enum class VerifyIssueKind : uint8_t {
                   ///< words the translator emitted.
   AotUnreachable, ///< AOT-installed translation covers guest bytes
                   ///< outside the statically recovered reachable set.
+  BodyWordChanged, ///< Live body word differs from its record's word
+                   ///< outside the record's mutation points (per-run
+                   ///< pass only; aux is the record's word).
 };
 
 const char *verifyIssueKindName(VerifyIssueKind K);
@@ -133,6 +159,8 @@ struct VerifierFusedSite {
   std::span<const uint32_t> Words; ///< Reference words, size == End - Begin.
 };
 
+struct RecordProof;
+
 /// One live translation as the engine knows it.
 /// Every member has a default initializer, so an aggregate initializer
 /// may stop after the fields it sets.
@@ -153,6 +181,11 @@ struct VerifierBlock {
   std::vector<VerifierFusedSite> FusedSites{};
   /// Installed by the static AOT pre-translator (check 10).
   bool AotInstalled = false;
+  /// The record's pristine words, which [EntryWord, EndWord) must equal
+  /// outside the record's mutation points, and the record's proof; the
+  /// per-run pass reads both, the full sweep neither.
+  std::span<const uint32_t> Pristine{};
+  const RecordProof *Proof = nullptr;
 };
 
 /// The engine's view of the cache, handed to the verifier.
@@ -176,6 +209,10 @@ struct VerifierInput {
   /// sorted and non-overlapping (check 10: every AOT-installed block's
   /// guest ranges must lie inside them).  Null disables the check.
   const std::vector<VerifierRegion> *ReachableRanges = nullptr;
+  /// Every live body and stub, sorted by Begin (disjoint).  The per-run
+  /// pass's liveness index, which requires Blocks sorted by EntryWord
+  /// too; the full sweep derives its own from Blocks.
+  std::vector<VerifierRegion> LiveRegions{};
 };
 
 struct VerifyReport {
@@ -187,9 +224,123 @@ struct VerifyReport {
   bool ok() const { return Issues.empty(); }
 };
 
-/// Run all checks over \p Code as described by \p Input.
+/// What the record-level checks proved about one translation record.
+struct RecordProof {
+  /// Checks 1-3, 6 and 9 hold on the pristine words, and every branch
+  /// lands inside the body.
+  bool Clean = false;
+  /// No mutation point lies inside one of the record's MDA sequences,
+  /// so rewriting one cannot change check 6 unless the new word could
+  /// start or continue a sequence.
+  bool PointsClear = false;
+  /// Sorted body offsets of the words a run may rewrite: memory sites
+  /// (stub patches, reverts), exits (chains) and inline-cache ways.
+  std::vector<uint32_t> Points;
+};
+
+/// Prove the record whose pristine words are \p Words, with mutation
+/// points \p Points (body offsets, any order, may repeat) and fused
+/// cores \p FusedCores (body offsets).
+RecordProof proveRecord(std::span<const uint32_t> Words,
+                        std::vector<uint32_t> Points,
+                        std::span<const VerifierRegion> FusedCores);
+
+/// A record's proof, computed at most once by whichever verification
+/// first needs it and then shared by every thread that reads the record.
+class RecordProofMemo {
+public:
+  RecordProofMemo() = default;
+  /// A copy starts unproven: it belongs to a record of its own.
+  RecordProofMemo(const RecordProofMemo &) {}
+  RecordProofMemo &operator=(const RecordProofMemo &) {
+    delete P.exchange(nullptr, std::memory_order_acq_rel);
+    return *this;
+  }
+  ~RecordProofMemo() { delete P.load(std::memory_order_acquire); }
+
+  /// The proof, computing it with \p Prove on first use.  Racing first
+  /// uses each compute one and keep the first published.
+  template <typename Fn> const RecordProof &get(Fn Prove) const {
+    if (const RecordProof *Q = P.load(std::memory_order_acquire))
+      return *Q;
+    const RecordProof *Mine = new RecordProof(Prove());
+    const RecordProof *Expected = nullptr;
+    if (P.compare_exchange_strong(Expected, Mine, std::memory_order_acq_rel))
+      return *Mine;
+    delete Mine;
+    return *Expected;
+  }
+  /// The proof if one was computed, else null.
+  const RecordProof *peek() const {
+    return P.load(std::memory_order_acquire);
+  }
+
+private:
+  mutable std::atomic<const RecordProof *> P{nullptr};
+};
+
+/// What changed in the arena since the last pass.  The code cache keeps
+/// it as it mutates; every pass resets it.
+struct VerifierJournal {
+  /// The arena as the last pass saw it.  A word that differs from it was
+  /// rewritten since (by the cache's patches, or by anything else); the
+  /// words past its end were appended since.
+  std::vector<uint32_t> Vouched;
+  /// Entry words of the blocks installed since the last pass.
+  std::vector<uint32_t> Installed;
+  /// Stubs registered since the last pass.
+  std::vector<VerifierRegion> Stubs;
+  /// Entry words of the blocks retired since the last pass: the exits
+  /// and inline-cache ways that still target one are rechecked.
+  std::vector<uint32_t> Retired;
+  /// Guest byte ranges stored to since the last pass (check 8), each
+  /// with the epoch of the newest store into it.
+  struct GuestStore {
+    uint32_t Begin = 0;
+    uint32_t End = 0;
+    uint64_t Epoch = 0;
+  };
+  std::vector<GuestStore> Stores;
+  /// The newest store epoch journaled this run: a block born before it
+  /// is checked against every dirtied byte when installed.
+  uint64_t NewestStore = 0;
+
+  /// Journal a guest store to [Begin, End) at \p Epoch.
+  void store(uint32_t Begin, uint32_t End, uint64_t Epoch) {
+    NewestStore = std::max(NewestStore, Epoch);
+    // A burst of stores into one range is one entry.
+    if (!Stores.empty() && Begin <= Stores.back().End &&
+        Stores.back().Begin <= End) {
+      GuestStore &Last = Stores.back();
+      Last = {std::min(Last.Begin, Begin), std::max(Last.End, End), Epoch};
+      return;
+    }
+    Stores.push_back({Begin, End, Epoch});
+  }
+  /// The last pass vouched for all of \p Code.
+  void vouchAll(const host::CodeSpace &Code) {
+    Vouched.assign(Code.data(), Code.data() + Code.size());
+    Installed.clear();
+    Stubs.clear();
+    Retired.clear();
+    Stores.clear();
+  }
+};
+
+/// The full sweep: run all checks over \p Code as described by
+/// \p Input.
 VerifyReport verifyCodeSpace(const host::CodeSpace &Code,
                              const VerifierInput &Input);
+
+/// The per-run pass: the checks whose outcome \p Journal's changes can
+/// affect, given that the previous pass found nothing.  Reports what the
+/// full sweep would, plus BodyWordChanged at each live body word that
+/// differs from its record outside the record's mutation points.
+/// Requires \p Input's LiveRegions, Blocks sorted by EntryWord and every
+/// block's Pristine and Proof.  Vouches for \p Code afterwards.
+VerifyReport verifyChanges(const host::CodeSpace &Code,
+                           const VerifierInput &Input,
+                           VerifierJournal &Journal);
 
 } // namespace analysis
 } // namespace mdabt

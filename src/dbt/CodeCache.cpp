@@ -43,14 +43,45 @@ template <typename Fn> void forEachPage(uint32_t Lo, uint32_t Hi, Fn F) {
     F(P);
 }
 
+/// \p R's record proof, computed on first use.  The mutation points are
+/// the words a run may rewrite: memory sites (stub patches and reverts),
+/// exits (chains) and every word of every inline-cache way.
+const analysis::RecordProof &proofOf(const TranslationRecord &R) {
+  return R.Proof.get([&] {
+    std::vector<uint32_t> Points;
+    for (const auto &[Word, Pc] : R.MemWordToGuestPc)
+      Points.push_back(Word);
+    for (const TranslationRecord::RelExit &X : R.Exits)
+      Points.push_back(X.Word);
+    for (const TranslationRecord::RelIcSite &Site : R.IcSites)
+      for (uint32_t Begin : Site.WayBegins)
+        for (uint32_t K = 0; K != IcWayWords; ++K)
+          Points.push_back(Begin + K);
+    std::vector<analysis::VerifierRegion> Cores;
+    for (const TranslationRecord::RelFusedSite &F : R.FusedSites)
+      Cores.push_back({F.Begin, F.End});
+    return analysis::proveRecord(R.Words, std::move(Points), Cores);
+  });
+}
+
+/// Order verifier regions and blocks by their first word.
+bool beginsBefore(uint32_t W, const analysis::VerifierRegion &R) {
+  return W < R.Begin;
+}
+bool entersBefore(uint32_t W, const analysis::VerifierBlock &B) {
+  return W < B.EntryWord;
+}
+
 } // namespace
 
 CodeCache::CodeCache(host::CodeSpace &Code, guest::GuestMemory &Mem,
                      obs::Tracer Trace, uint32_t PatchFailureLimit,
-                     std::function<void()> OnPatchFailed)
+                     std::function<void()> OnPatchFailed, bool Verified)
     : Code(Code), Mem(Mem), Trace(Trace),
       PatchFailureLimit(PatchFailureLimit),
-      OnPatchFailed(std::move(OnPatchFailed)) {}
+      OnPatchFailed(std::move(OnPatchFailed)), Verified(Verified) {
+  In.IcWayWords = IcWayWords;
+}
 
 // -- producing entries -------------------------------------------------------
 
@@ -80,6 +111,26 @@ void CodeCache::install(Translation &T, uint64_t Epoch) {
     forEachPage(R.first, R.second,
                 [&](uint32_t P) { TrackedByPage[P].push_back(&T); });
   }
+  if (!Verified)
+    return;
+  In.Blocks.insert(std::upper_bound(In.Blocks.begin(), In.Blocks.end(),
+                                    T.EntryWord, entersBefore),
+                   describe(T));
+  addLive(T.EntryWord, T.EndWord);
+  Journal.Installed.push_back(T.EntryWord);
+}
+
+void CodeCache::addStub(Translation &T, uint32_t Word, uint32_t Entry,
+                        uint32_t End, bool Adaptive) {
+  T.patch(Word, Entry, End, Adaptive);
+  Regions[Entry] = {End, &T};
+  // A trap may still patch a retired body that is running; its stub is
+  // as dead as the body.
+  if (!Verified || !T.Valid)
+    return;
+  refresh(T);
+  addLive(Entry, End);
+  Journal.Stubs.push_back({Entry, End});
 }
 
 void CodeCache::untrack(Translation &T) {
@@ -114,44 +165,71 @@ std::vector<Translation *> CodeCache::overlapping(uint32_t Addr,
   return Victims;
 }
 
-analysis::VerifierInput CodeCache::verifierInput() const {
-  analysis::VerifierInput In;
-  for (const Translation &T : Store) {
-    if (!T.Valid)
-      continue;
-    analysis::VerifierBlock B;
-    B.EntryWord = T.EntryWord;
-    B.EndWord = T.EndWord;
-    B.BornEpoch = T.BornEpoch;
-    B.AotInstalled = T.AotInstalled;
-    for (const auto &R : T.Rec->GuestRanges)
-      B.GuestRanges.push_back({R.first, R.second});
-    for (size_t I = 0; I != T.Rec->Exits.size(); ++I)
-      B.ExitWords.push_back(T.exitWord(I));
-    for (uint32_t S = 0; S != T.IcSites.size(); ++S) {
-      for (uint32_t W = 0; W != T.IcSites[S].Ways.size(); ++W) {
-        const IcWay &Way = T.IcSites[S].Ways[W];
-        if (!Way.Stale) // quarantined ways are covered by ExemptWords
-          B.IcWays.push_back({T.icWayBegin(S, W), Way.Filled,
-                              Way.TargetEntry, Way.TargetGuestPc});
-      }
+analysis::VerifierBlock CodeCache::describe(const Translation &T) const {
+  analysis::VerifierBlock B;
+  B.EntryWord = T.EntryWord;
+  B.EndWord = T.EndWord;
+  B.BornEpoch = T.BornEpoch;
+  B.AotInstalled = T.AotInstalled;
+  for (const auto &R : T.Rec->GuestRanges)
+    B.GuestRanges.push_back({R.first, R.second});
+  for (size_t I = 0; I != T.Rec->Exits.size(); ++I)
+    B.ExitWords.push_back(T.exitWord(I));
+  for (uint32_t S = 0; S != T.IcSites.size(); ++S) {
+    for (uint32_t W = 0; W != T.IcSites[S].Ways.size(); ++W) {
+      const IcWay &Way = T.IcSites[S].Ways[W];
+      if (!Way.Stale) // quarantined ways are covered by ExemptWords
+        B.IcWays.push_back({T.icWayBegin(S, W), Way.Filled, Way.TargetEntry,
+                            Way.TargetGuestPc});
     }
-    // Stubs are appended at the arena tail, so patch order is entry
-    // order.
-    for (const StubPatch &P : T.Patches) {
-      B.Patches.push_back({P.Word, !T.patched(P.Word)});
-      B.Stubs.push_back({P.StubEntry, P.StubEnd});
-    }
-    T.forEachFusedCore([&](const TranslationRecord::RelFusedSite &F,
-                           uint32_t Begin, uint32_t End,
-                           std::span<const uint32_t> Words) {
-      B.FusedSites.push_back({F.Rule, Begin, End, Words});
-    });
-    In.Blocks.push_back(std::move(B));
   }
-  In.ExemptWords = StaleChainWords;
-  In.IcWayWords = IcWayWords;
-  return In;
+  // Stubs are appended at the arena tail, so patch order is entry order.
+  for (const StubPatch &P : T.Patches) {
+    B.Patches.push_back({P.Word, !T.patched(P.Word)});
+    B.Stubs.push_back({P.StubEntry, P.StubEnd});
+  }
+  T.forEachFusedCore([&](const TranslationRecord::RelFusedSite &F,
+                         uint32_t Begin, uint32_t End,
+                         std::span<const uint32_t> Words) {
+    B.FusedSites.push_back({F.Rule, Begin, End, Words});
+  });
+  B.Pristine = T.Rec->Words;
+  B.Proof = T.Rec->Proof.peek();
+  return B;
+}
+
+analysis::VerifierBlock *CodeCache::block(uint32_t Entry) {
+  auto It = std::upper_bound(In.Blocks.begin(), In.Blocks.end(), Entry,
+                             entersBefore);
+  if (It == In.Blocks.begin() || std::prev(It)->EntryWord != Entry)
+    return nullptr;
+  return &*std::prev(It);
+}
+
+void CodeCache::addLive(uint32_t Begin, uint32_t End) {
+  std::vector<analysis::VerifierRegion> &L = In.LiveRegions;
+  L.insert(std::upper_bound(L.begin(), L.end(), Begin, beginsBefore),
+           {Begin, End});
+}
+
+void CodeCache::dropLive(uint32_t Begin) {
+  std::vector<analysis::VerifierRegion> &L = In.LiveRegions;
+  auto It = std::upper_bound(L.begin(), L.end(), Begin, beginsBefore);
+  if (It != L.begin() && std::prev(It)->Begin == Begin)
+    L.erase(std::prev(It));
+}
+
+analysis::VerifyReport CodeCache::verify(bool Full) {
+  assert(Verified && "verify needs the verifier's input and journal");
+  // Prove each block's record at the first pass that sees the block.
+  for (analysis::VerifierBlock &B : In.Blocks)
+    if (!B.Proof)
+      B.Proof = &proofOf(*owner(B.EntryWord)->Rec);
+  if (!Full)
+    return analysis::verifyChanges(Code, In, Journal);
+  analysis::VerifyReport R = analysis::verifyCodeSpace(Code, In);
+  Journal.vouchAll(Code);
+  return R;
 }
 
 // -- mutations ---------------------------------------------------------------
@@ -217,12 +295,14 @@ bool CodeCache::evictIcWay(Translation &Owner, uint32_t Site, uint32_t WayIdx,
   if (!patchOrQuarantine(Begin, icDisabledGuardWord(), FinalBr)) {
     Way.Stale = true;
     Way.Filled = false;
+    refresh(Owner);
     return false;
   }
   Way.Filled = false;
   // Scrub the final branch so no branch into a dead entry survives in
   // verified code.
   patchOrQuarantine(FinalBr, hostNopWord(), FinalBr);
+  refresh(Owner);
   return true;
 }
 
@@ -296,12 +376,13 @@ CodeCache::IcFill CodeCache::fillIc(Translation &Owner, uint32_t SiteIdx,
     patchOrQuarantine(FinalBr, hostNopWord(), FinalBr);
     return IcFill::Failed;
   }
-  StaleChainWords.erase(FinalBr); // freshly verified content
+  In.ExemptWords.erase(FinalBr); // freshly verified content
   Way->Filled = true;
   Way->Stale = false;
   Way->TargetEntry = Target.EntryWord;
   Way->TargetGuestPc = Tag;
   Target.IncomingIcWays.push_back({&Owner, SiteIdx, WayIdx});
+  refresh(Owner);
   WayBegin = Begin;
   ++S.IcFills;
   return IcFill::Filled;
@@ -310,6 +391,16 @@ CodeCache::IcFill CodeCache::fillIc(Translation &Owner, uint32_t SiteIdx,
 bool CodeCache::retire(Translation &Old) {
   Old.Valid = false;
   untrack(Old);
+  // Leave the verifier's view.  The unlink patches below are changed
+  // words the next pass re-checks; one that did not stick is quarantined.
+  if (Verified) {
+    if (analysis::VerifierBlock *B = block(Old.EntryWord))
+      In.Blocks.erase(In.Blocks.begin() + (B - In.Blocks.data()));
+    dropLive(Old.EntryWord);
+    for (const StubPatch &P : Old.Patches)
+      dropLive(P.StubEntry);
+    Journal.Retired.push_back(Old.EntryWord);
+  }
   bool Stuck = true;
   for (uint32_t W : Old.IncomingChains)
     Stuck &= patchOrQuarantine(W, encodeHost(srvInst(SrvFunc::Exit)), W);
@@ -329,6 +420,14 @@ bool CodeCache::retire(Translation &Old) {
   return Stuck;
 }
 
+bool CodeCache::revert(Translation &T, uint32_t Word) {
+  if (!patchVerified(Word, T.Rec->Words[Word - T.EntryWord]))
+    return false;
+  T.revert(Word);
+  refresh(T);
+  return true;
+}
+
 void CodeCache::flush() {
 #ifndef NDEBUG
   // Chain/IC bookkeeping must be fully confined to the dying arena: a
@@ -341,7 +440,7 @@ void CodeCache::flush() {
       assert(Ref.Owner->icWayBegin(Ref.Site, Ref.Way) < Code.size() &&
              "incoming IC way outlives the arena");
   }
-  for (uint32_t W : StaleChainWords)
+  for (uint32_t W : In.ExemptWords)
     assert(W < Code.size() && "quarantined word outlives the arena");
 #endif
   // Retired translations were already untracked by retire().
@@ -353,5 +452,10 @@ void CodeCache::flush() {
   BlockMap.clear();
   Regions.clear();
   Store.clear();
-  StaleChainWords.clear();
+  In.ExemptWords.clear();
+  In.Blocks.clear();
+  In.LiveRegions.clear();
+  // Nothing is left to vouch for; the journaled stores keep their newest
+  // epoch for blocks installed later.
+  Journal.vouchAll(Code);
 }

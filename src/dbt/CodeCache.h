@@ -17,7 +17,10 @@
 ///  * the write-barrier index of live translations per guest watch page,
 ///    together with the GuestMemory watches it holds; Coherence asks it
 ///    for each barrier store's victims (`overlapping`);
-///  * the quarantine of host words whose unlink patch did not stick.
+///  * the quarantine of host words whose unlink patch did not stick;
+///  * when verification is on, the verifier's view of all of the above
+///    (`verifierInput`), kept current as it mutates, and the journal of
+///    what changed since the last verifier pass (`verify`).
 ///
 /// The cache decides nothing: which block to translate, when to retire
 /// one, what a failure costs and whether the run survives it are the
@@ -36,6 +39,7 @@
 #include "obs/TraceSink.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -71,10 +75,11 @@ public:
   /// write watches track live translations.  A verified patch that
   /// leaves the run unable to continue — the failure count passed
   /// \p PatchFailureLimit (0 = unlimited), or a rollback did not stick —
-  /// calls \p OnPatchFailed.
+  /// calls \p OnPatchFailed.  \p Verified keeps the verifier's input and
+  /// journal; without it, verifierInput and verify may not be called.
   CodeCache(host::CodeSpace &Code, guest::GuestMemory &Mem,
             obs::Tracer Trace, uint32_t PatchFailureLimit,
-            std::function<void()> OnPatchFailed);
+            std::function<void()> OnPatchFailed, bool Verified = true);
 
   // -- producing entries ---------------------------------------------------
 
@@ -102,10 +107,7 @@ public:
   /// \p Word now branches to; \p Adaptive if the stub may ask for the
   /// original word back (paper Fig. 8).
   void addStub(Translation &T, uint32_t Word, uint32_t Entry, uint32_t End,
-               bool Adaptive) {
-    T.patch(Word, Entry, End, Adaptive);
-    Regions[Entry] = {End, &T};
-  }
+               bool Adaptive);
 
   // -- queries -------------------------------------------------------------
 
@@ -124,7 +126,7 @@ public:
   }
   /// True if \p Word is quarantined (an unlink that did not stick).
   bool quarantined(uint32_t Word) const {
-    return StaleChainWords.count(Word) != 0;
+    return In.ExemptWords.count(Word) != 0;
   }
   /// Live translations whose compiled guest bytes overlap the store
   /// [Addr, Addr + Size), ordered by entry word.  A neighbour that only
@@ -138,10 +140,34 @@ public:
   }
   /// Translations held since the last flush, retired ones included.
   size_t size() const { return Store.size(); }
-  /// The verifier's view of the cache (blocks, stubs, quarantined
-  /// words); the caller adds the guest-side inputs.
-  analysis::VerifierInput verifierInput() const;
+  /// The verifier's view of the cache: live blocks sorted by entry,
+  /// their stubs, quarantined words and the guest-side inputs.
+  const analysis::VerifierInput &verifierInput() const {
+    assert(Verified && "verifier input kept only when verification is on");
+    return In;
+  }
   const Stats &stats() const { return S; }
+
+  // -- verification --------------------------------------------------------
+
+  /// The guest-side verifier inputs: dirtied guest bytes (check 8) and
+  /// the statically reachable ranges (check 10); null disables either.
+  void setGuestInputs(
+      const std::unordered_map<uint32_t, uint64_t> *DirtyEpoch,
+      const std::vector<analysis::VerifierRegion> *Reachable) {
+    In.GuestDirtyEpoch = DirtyEpoch;
+    In.ReachableRanges = Reachable;
+  }
+  /// Journal the barrier store [Addr, Addr + Size) at store epoch
+  /// \p Epoch (check 8 covers the bytes stored to since the last pass).
+  void noteGuestStore(uint32_t Addr, uint32_t Size, uint64_t Epoch) {
+    if (Verified)
+      Journal.store(Addr, Addr + Size, Epoch);
+  }
+  /// One verifier pass: the per-run pass over what changed since the
+  /// last pass (analysis::verifyChanges), or with \p Full the full sweep.
+  /// Either vouches for the whole arena afterwards.
+  analysis::VerifyReport verify(bool Full);
 
   /// Sort \p V by entry word: a deterministic retirement order (entry
   /// words are unique between flushes).
@@ -180,6 +206,10 @@ public:
   /// the word is then quarantined and may still branch into the dead
   /// body.
   bool retire(Translation &T);
+  /// Restore the original word of \p T's patched site \p Word (an
+  /// adaptive stub asked for it, paper Fig. 8).  False if the patch did
+  /// not stick; the stub then stays in place.
+  bool revert(Translation &T, uint32_t Word);
   /// Drop every translation, index and the arena itself.  Only legal
   /// when no translated code is running.
   void flush();
@@ -190,7 +220,7 @@ private:
   bool patchOrQuarantine(uint32_t Word, uint32_t Desired, uint32_t Suspect) {
     if (patchVerified(Word, Desired))
       return true;
-    StaleChainWords.insert(Suspect);
+    In.ExemptWords.insert(Suspect);
     return false;
   }
   /// Take way \p Way of \p Owner's inline-cache site \p Site out of
@@ -200,6 +230,21 @@ private:
   bool evictIcWay(Translation &Owner, uint32_t Site, uint32_t Way,
                   bool Retired);
   void untrack(Translation &T);
+  /// The verifier's description of live translation \p T.
+  analysis::VerifierBlock describe(const Translation &T) const;
+  /// The verifier block of the live translation entered at \p Entry, or
+  /// null.
+  analysis::VerifierBlock *block(uint32_t Entry);
+  /// Re-describe \p T after a change to its stubs or inline caches.
+  void refresh(const Translation &T) {
+    if (!Verified)
+      return;
+    if (analysis::VerifierBlock *B = block(T.EntryWord))
+      *B = describe(T);
+  }
+  /// Add or remove one live region of the verifier's index.
+  void addLive(uint32_t Begin, uint32_t End);
+  void dropLive(uint32_t Begin);
 
   host::CodeSpace &Code;
   guest::GuestMemory &Mem;
@@ -214,12 +259,17 @@ private:
   std::unordered_map<uint32_t, Translation *> BlockMap;
   /// Host-word region -> owning translation (bodies and stubs).
   std::map<uint32_t, std::pair<uint32_t, Translation *>> Regions;
-  /// Exit and inline-cache words whose unlink patch did not stick:
-  /// excused from the verifier's liveness checks until the next flush.
-  std::unordered_set<uint32_t> StaleChainWords;
   /// Live translations per guest watch page (GuestMemory::
   /// WatchPageShift): the write barrier's victim index.
   std::unordered_map<uint32_t, std::vector<Translation *>> TrackedByPage;
+  /// Keep In's blocks and live regions and the Journal.
+  bool Verified;
+  /// The verifier's view.  Its ExemptWords are kept in every mode: the
+  /// exit and inline-cache words whose unlink patch did not stick,
+  /// excused from the liveness checks until the next flush.
+  analysis::VerifierInput In;
+  /// What changed since the last verifier pass.
+  analysis::VerifierJournal Journal;
 };
 
 } // namespace dbt

@@ -87,7 +87,8 @@ public:
         HTrapBlock(&Reg.histogram("trap.block_faults")),
         HInterpInsts(&Reg.histogram("interp.block_insts")),
         Cache(Code, Mem, Trace, Hard.PatchFailureLimit,
-              [this] { Abort = RunError::PatchFailed; }),
+              [this] { Abort = RunError::PatchFailed; },
+              Config.Verify || Config.Aot != AotMode::Off),
         Faults(Code, Mem, Cache, Policy, Trace, Hard.MaxWatchdogTrips),
         Coh(Cache, Mem, Trace, Image.Entry, Image.StackTop) {
     Mem.loadImage(Image);
@@ -113,6 +114,7 @@ public:
       for (const auto &R : AotCfg->coverageRanges())
         AotReachable.push_back({R.first, R.second});
     }
+    Cache.setGuestInputs(&Coh.dirtyEpochs(), AotCfg ? &AotReachable : nullptr);
     Interp.setObserver(&Profiler);
     Machine.setFaultHandler(
         [this](const FaultInfo &F) { return onFault(F); });
@@ -447,17 +449,17 @@ private:
   // -- static AOT pre-translation (EngineConfig::Aot) -----------------------
 
   /// The AOT producer: instantiate one pending unit into the run's
-  /// arena.  \p Sweep runs the forced verifier sweep after a kept
-  /// install (the startup batch defers to one sweep over the whole
+  /// arena.  \p Check runs the forced verifier pass after a kept install
+  /// (the startup batch defers to one full sweep over the whole
   /// pre-populated cache instead); an oversize retirement is always
-  /// swept.
-  Translation *installAotUnit(AotTranslator::Unit &U, bool Sweep) {
+  /// checked.
+  Translation *installAotUnit(AotTranslator::Unit &U, bool Check) {
     Translation *T = &Cache.instantiate(U.Record, /*Generation=*/0);
     T->AotInstalled = true;
     ++AotInstalls;
     T = installHead(T, /*FromCache=*/true, obs::TraceEventKind::AotInstall,
                     U.FromCache ? 1 : 0);
-    if (Sweep || !T)
+    if (Check || !T)
       runVerifier(/*Force=*/true);
     return T;
   }
@@ -489,7 +491,7 @@ private:
         break;
       AotTranslator::Unit *U = Aot->find(KV.first);
       if (!U->Stale && !Faults.pinned(KV.first))
-        installAotUnit(*U, /*Sweep=*/false);
+        installAotUnit(*U, /*Check=*/false);
     }
     AotStartupCycles = now() - Cycles0;
     Trace.emit(obs::TraceEventKind::AotSummary,
@@ -498,7 +500,7 @@ private:
                AS.FromCache);
     // The AOT output checker: one full structural sweep (including the
     // reachability invariant) before the first guest instruction.
-    runVerifier(/*Force=*/true);
+    runVerifier(/*Force=*/true, /*Full=*/true);
   }
 
   /// The guest-code write barrier.  GuestMemory calls this for every
@@ -518,6 +520,7 @@ private:
     Coherence::Store St = Coh.store(
         Addr, Size,
         InNative ? std::optional(Machine.currentWord()) : std::nullopt);
+    Cache.noteGuestStore(Addr, Size, Coh.epoch());
     // Pending AOT units whose source bytes this store rewrote can never
     // be installed: the dynamic path re-discovers from the new bytes.
     if (Aot)
@@ -613,18 +616,16 @@ private:
 
   /// Run the structural verifier (EngineConfig::Verify) over the
   /// current cache.  Called after every mutation of installed code; a
-  /// violation aborts the run with VerifyFailed.  Read-only, so it is
-  /// safe even from fault-handler context.  \p Force runs the sweep
-  /// even when EngineConfig::Verify is off — the AOT output checker
+  /// violation aborts the run with VerifyFailed.  It only reads the
+  /// code, so it is safe even from fault-handler context.  The pass
+  /// checks what changed since the last one; \p Full sweeps everything
+  /// instead (end of run, the AOT output checker).  \p Force runs the
+  /// pass even when EngineConfig::Verify is off — the AOT output checker
   /// verifies statically produced code unconditionally.
-  void runVerifier(bool Force = false) {
+  void runVerifier(bool Force = false, bool Full = false) {
     if ((!Config.Verify && !Force) || Abort != RunError::None)
       return;
-    analysis::VerifierInput In = Cache.verifierInput();
-    In.GuestDirtyEpoch = &Coh.dirtyEpochs();
-    if (AotCfg)
-      In.ReachableRanges = &AotReachable;
-    analysis::VerifyReport Report = analysis::verifyCodeSpace(Code, In);
+    analysis::VerifyReport Report = Cache.verify(Full);
     VerifyWords += Report.WordsChecked;
     if (Report.ok()) {
       ++VerifyPasses;
@@ -1102,7 +1103,7 @@ RunResult ExecutionContext::run() {
       if (U && !U->Stale && !Faults.pinned(Cpu.Pc)) {
         if (!makeRoom())
           break;
-        T = installAotUnit(*U, /*Sweep=*/true);
+        T = installAotUnit(*U, /*Check=*/true);
         if (Abort != RunError::None)
           break;
       }
@@ -1170,8 +1171,8 @@ RunResult ExecutionContext::run() {
                  N, Heat[BlockPc]);
   }
 
-  // One final sweep over whatever the cache holds at end of run.
-  runVerifier();
+  // One final full sweep over whatever the cache holds at end of run.
+  runVerifier(/*Force=*/false, /*Full=*/true);
 
   RunError Err = Abort;
   if (Err == RunError::None && (Guarded || !Cpu.Halted))

@@ -160,10 +160,8 @@ bool FaultPath::pollRevert() {
   };
   if (!T || std::none_of(T->Patches.begin(), T->Patches.end(), Revertible))
     return false;
-  uint32_t Original = T->Rec->Words[FaultWord - T->EntryWord];
-  if (!Cache.patchVerified(FaultWord, Original))
+  if (!Cache.revert(*T, FaultWord))
     return false; // revert failed; the stub stays in place and stays correct
-  T->revert(FaultWord);
   Trace.emit(obs::TraceEventKind::StubReverted,
              T->siteAt(FaultWord).value_or(0), T->GuestPc, FaultWord, 0);
   ++S.Reverts;

@@ -20,6 +20,8 @@
 #ifndef MDABT_DBT_TRANSLATION_H
 #define MDABT_DBT_TRANSLATION_H
 
+#include "analysis/HostVerifier.h"
+
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -208,6 +210,11 @@ struct TranslationRecord {
   };
   /// In emission order (empty when TranslationOpts::FusionMask was 0).
   std::vector<RelFusedSite> FusedSites;
+
+  /// The verifier's record proof (analysis::proveRecord over Words),
+  /// computed by the first verification that needs it and then shared
+  /// by every copy, run and tenant of this record.
+  analysis::RecordProofMemo Proof;
 
   /// Approximate heap footprint, for accounting.
   size_t footprintBytes() const;
