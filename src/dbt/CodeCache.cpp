@@ -363,16 +363,13 @@ CodeCache::IcFill CodeCache::fillIc(Translation &Owner, uint32_t SiteIdx,
   // patchVerified restores a failed word, and the guard is still
   // disabled, so an interior failure leaves the way safely inert.
   for (const auto &P : Interior) {
-    if (!patchVerified(P.first, P.second)) {
-      ++S.IcFillFails;
+    if (!patchVerified(P.first, P.second))
       return IcFill::Failed;
-    }
   }
   if (!patchVerified(Begin, encodeHost(memInst(HostOp::Ldah, RegScratch1,
                                                Hi, RegZero)))) {
     // Guard never armed, but FinalBr now holds a live branch the
     // verifier cannot tie to a filled way: scrub it.
-    ++S.IcFillFails;
     patchOrQuarantine(FinalBr, hostNopWord(), FinalBr);
     return IcFill::Failed;
   }
@@ -384,7 +381,6 @@ CodeCache::IcFill CodeCache::fillIc(Translation &Owner, uint32_t SiteIdx,
   Target.IncomingIcWays.push_back({&Owner, SiteIdx, WayIdx});
   refresh(Owner);
   WayBegin = Begin;
-  ++S.IcFills;
   return IcFill::Filled;
 }
 

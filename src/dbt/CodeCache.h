@@ -60,8 +60,6 @@ public:
     uint64_t PatchRepairs = 0;  ///< patches that stuck only on a retry
     uint64_t PatchFailures = 0; ///< patches abandoned and rolled back
     uint64_t IcEvictions = 0;   ///< inline-cache ways taken out of service
-    uint64_t IcFills = 0;       ///< inline-cache ways filled
-    uint64_t IcFillFails = 0;   ///< fill patches that did not stick
   };
 
   /// Outcome of one inline-cache fill attempt (fillIc).

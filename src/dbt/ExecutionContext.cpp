@@ -20,13 +20,15 @@
 /// CodeSpace, so concurrent runs never share mutable code.
 ///
 /// The run's CodeCache owns the translations and every index over them,
-/// its FaultPath the trap path and the degradation ledger, and its
+/// its FaultPath the trap path and the degradation ledger, its
 /// Coherence what the run knows about guest code bytes (store epochs,
-/// dirty bytes, the alignment analysis).  This file decides what to
-/// translate, retire, charge and verify, and reaches cache, trap and
-/// coherence state only through them: the write barrier here charges
-/// the SMC trap, arms the episode stop Coherence asks for and retires
-/// the victims it reports.
+/// dirty bytes, the alignment analysis), and its Dispatch the hot
+/// dispatch mechanisms (the priced lookup, chaining, inline-cache fills,
+/// trace selection).  This file decides what to translate, retire,
+/// charge and verify, and reaches cache, trap, coherence and dispatch
+/// state only through them: the write barrier here charges the SMC
+/// trap, arms the episode stop Coherence asks for and retires the
+/// victims it reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +40,7 @@
 #include "dbt/AotTranslator.h"
 #include "dbt/CodeCache.h"
 #include "dbt/Coherence.h"
+#include "dbt/Dispatch.h"
 #include "dbt/FaultPath.h"
 #include "dbt/FusionRules.h"
 #include "dbt/GuestBlock.h"
@@ -62,16 +65,6 @@ using namespace mdabt::host;
 
 namespace {
 
-// Hot-dispatch shape (EngineConfig::InlineCaches / Superblocks).
-/// Inline-cache ways per indirect block exit.
-constexpr uint32_t InlineCacheWays = 2;
-/// Backward-chain events into one loop head before a trace is attempted.
-constexpr uint32_t TraceHotChains = 1;
-/// Maximum constituent blocks per superblock.
-constexpr uint32_t TraceMaxBlocks = 8;
-/// Formation attempts per head PC (bounds retry after de-opt).
-constexpr uint32_t TraceFormsPerHead = 8;
-
 /// All per-run state of the engine: built fresh by every Engine::run.
 /// Implements TraceClock so every emitted event is stamped with the
 /// run's current modeled cycle count.
@@ -90,7 +83,10 @@ public:
               [this] { Abort = RunError::PatchFailed; },
               Config.Verify || Config.Aot != AotMode::Off),
         Faults(Code, Mem, Cache, Policy, Trace, Hard.MaxWatchdogTrips),
-        Coh(Cache, Mem, Trace, Image.Entry, Image.StackTop) {
+        Coh(Cache, Mem, Trace, Image.Entry, Image.StackTop),
+        Disp(Cache, Mem, Trace, Cost,
+             {Config.EnableChaining, Config.HashDispatch, Config.InlineCaches,
+              Config.Superblocks}) {
     Mem.loadImage(Image);
     Cpu.reset(Image);
     // Guest-code write barrier (self-modifying-code coherence): the
@@ -183,7 +179,7 @@ private:
   /// in.
   TranslationOpts translationOpts() {
     TranslationOpts Opts = Policy.translationOpts();
-    Opts.IcWays = Config.InlineCaches ? InlineCacheWays : 0;
+    Opts.IcWays = Config.InlineCaches ? Dispatch::InlineCacheWays : 0;
     Opts.FusionMask =
         Config.Fusion ? (Config.FusionMask & FusionMaskAll) : 0;
     return Opts;
@@ -209,10 +205,12 @@ private:
                Sites.size(), Saved);
   }
 
-  /// The engine's plan chain as a translator callback.
-  Translator::PlanFn planChain() {
-    return [this](uint32_t Pc, const guest::GuestInst &I) {
-      return planMemOp(Pc, I);
+  /// The engine's plan chain as a translator callback; for a trace
+  /// \p P, under the constituents' recorded plans.
+  Translator::PlanFn planChain(const Dispatch::TracePlan *P = nullptr) {
+    return [this, P](uint32_t Pc, const guest::GuestInst &I) {
+      MemPlan Fresh = planMemOp(Pc, I);
+      return P ? P->plan(Pc, Fresh) : Fresh;
     };
   }
 
@@ -375,11 +373,7 @@ private:
     HTrapBlock->record(Old->FaultCount);
     Trace.emit(obs::TraceEventKind::BlockInvalidated, 0, Old->GuestPc,
                Old->FaultCount, Old->Generation);
-    if (Old->Rec->IsTrace) {
-      ++TraceDeopts;
-      Trace.emit(obs::TraceEventKind::TraceDeopt, 0, Old->GuestPc,
-                 Old->Rec->Constituents.size(), Old->Generation);
-    }
+    Disp.retiring(*Old);
     return Cache.retire(*Old);
   }
 
@@ -596,10 +590,10 @@ private:
     if (Abort != RunError::None)
       return;
     if (B.MaxTranslations != 0 &&
-        Translations + TracesFormed > B.MaxTranslations) {
+        Translations + Disp.stats().TracesFormed > B.MaxTranslations) {
       Abort = RunError::BudgetTranslations;
       Trace.emit(obs::TraceEventKind::BudgetExceeded, 0, 0, 0,
-                 Translations + TracesFormed);
+                 Translations + Disp.stats().TracesFormed);
     } else if (B.MaxCodeBytes != 0 && CodeBytesEmitted > B.MaxCodeBytes) {
       Abort = RunError::BudgetCodeBytes;
       Trace.emit(obs::TraceEventKind::BudgetExceeded, 0, 0, 1,
@@ -710,194 +704,33 @@ private:
     Cpu.Checksum = Machine.R[RegChecksum];
   }
 
-  // -- chaining ------------------------------------------------------------
-
-  /// Chain the exit word \p Word of \p Src to \p Target's entry and
-  /// account for the patch.  False if the word keeps exiting through the
-  /// monitor.
-  bool chain(uint32_t Word, const Translation &Src, Translation &Target) {
-    if (!Cache.chain(Word, Target))
-      return false;
-    ChainCycles += Cost.ChainPatchCycles;
-    ++Chains;
-    Trace.emit(obs::TraceEventKind::BlockChained, Target.GuestPc,
-               Src.GuestPc, Word, Target.EntryWord);
-    return true;
-  }
-
-  void maybeChain(const ExitInfo &E) {
-    if (!Config.EnableChaining)
-      return;
-    Translation *Owner = Cache.owner(E.SrvWord);
-    if (!Owner || !Owner->Valid)
-      return;
-    std::optional<size_t> I = Owner->exitAt(E.SrvWord);
-    if (!I)
-      return;
-    const TranslationRecord::RelExit &X = Owner->Rec->Exits[*I];
-    if (!X.Direct || Owner->Chained[*I])
-      return;
-    Translation *Target = Cache.lookup(X.TargetGuestPc);
-    if (!Target || !chain(E.SrvWord, *Owner, *Target))
-      return; // keep exiting via the monitor
-    Owner->Chained[*I] = true;
-    runVerifier();
-    // A backward chain closes a native loop — the hotness signal for
-    // superblock formation.  (Chain events, not dispatch counts: a
-    // fully chained loop never revisits the monitor, so a dispatch
-    // counter would stop ticking exactly when the loop gets hot.)
-    if (Config.Superblocks && Abort == RunError::None &&
-        X.TargetGuestPc <= Owner->GuestPc &&
-        ++BackedgeHeat[X.TargetGuestPc] >= TraceHotChains)
-      tryFormSuperblock(X.TargetGuestPc);
-  }
-
-  /// On an indirect-exit miss, fill (or refill) an inline-cache way
-  /// with the observed target if it is translated (EngineConfig::
-  /// InlineCaches).  Any patch failure leaves the way disabled.
-  void maybeIcFill(const ExitInfo &E) {
-    if (!Config.InlineCaches || Abort != RunError::None)
-      return;
-    Translation *Owner = Cache.owner(E.SrvWord);
-    if (!Owner || !Owner->Valid)
-      return;
-    std::optional<uint32_t> Site = Owner->icSiteAt(E.SrvWord);
-    if (!Site)
-      return; // a direct exit's Srv word, not an IC fallback
-    ++IcMisses;
-    Translation *Target = Cache.lookup(E.GuestPc);
-    if (!Target)
-      return; // target not translated yet; a later miss can fill
-    uint32_t WayBegin = 0;
-    CodeCache::IcFill R = Cache.fillIc(*Owner, *Site, *Target, WayBegin);
-    if (R == CodeCache::IcFill::Skipped)
-      return; // keep going through the monitor
-    if (R == CodeCache::IcFill::Filled) {
-      ChainCycles +=
-          static_cast<uint64_t>(Cost.ChainPatchCycles) * IcWayWords;
-      Trace.emit(obs::TraceEventKind::DispatchIcFill, Target->GuestPc,
-                 Owner->GuestPc, WayBegin, Target->EntryWord);
-    }
-    runVerifier();
-  }
-
   // -- superblock formation ----------------------------------------------
 
-  /// Re-emit the hot chain of blocks starting at \p HeadPc as one
-  /// straight-line superblock (EngineConfig::Superblocks).  The trace
-  /// supersedes the head block in the block map; constituents' recorded
-  /// MemPlans are replayed so every memory site keeps its exact MDA
-  /// treatment.  De-optimization is ordinary invalidation: the trace
-  /// falls back to the still-installed constituent blocks.
-  void tryFormSuperblock(uint32_t HeadPc) {
+  /// Re-emit the hot loop at \p HeadPc as one straight-line superblock
+  /// (EngineConfig::Superblocks).  Dispatch selects the constituents;
+  /// their recorded MemPlans are replayed so every memory site keeps its
+  /// exact MDA treatment, and the trace supersedes the head in the block
+  /// map.  De-optimization is ordinary invalidation: the trace falls
+  /// back to the still-installed constituent blocks.
+  void formTrace(uint32_t HeadPc) {
     // Trace planning replays constituent MemPlans and consults the
     // analysis for fresh sites: both must be current.
     if (Faults.pinned(HeadPc) || !maybeReanalyze())
       return;
-    if (TraceFormsAt[HeadPc] >= TraceFormsPerHead)
+    std::optional<Dispatch::TracePlan> P = Disp.selectTrace(HeadPc);
+    if (!P)
       return;
-    Translation *Head = Cache.lookup(HeadPc);
-    if (!Head || Head->Rec->IsTrace)
-      return;
-
-    // Walk direct exits from the head, preferring chained (observed
-    // hot) edges, to pick the trace's constituents.
-    std::vector<uint32_t> Pcs;
-    std::unordered_set<uint32_t> Seen;
-    std::unordered_map<uint32_t, MemPlan> Plans;
-    uint32_t Pc = HeadPc;
-    bool ClosedAtHead = false;
-    while (Pcs.size() < TraceMaxBlocks) {
-      Translation *T = Cache.lookup(Pc);
-      if (!T || T->Rec->IsTrace)
-        break;
-      if (!Seen.insert(Pc).second) {
-        ClosedAtHead = Pc == HeadPc;
-        break; // closed the loop (or revisited): stop
-      }
-      Pcs.push_back(Pc);
-      Plans.insert(T->Rec->PlanByPc.begin(), T->Rec->PlanByPc.end());
-      const TranslationRecord::RelExit *Next = nullptr;
-      for (size_t I = 0; I != T->Rec->Exits.size(); ++I) {
-        const TranslationRecord::RelExit &X = T->Rec->Exits[I];
-        if (!X.Direct)
-          continue;
-        if (T->Chained[I]) {
-          Next = &X;
-          break;
-        }
-        if (!Next)
-          Next = &X;
-      }
-      if (!Next)
-        break; // indirect terminator: the trace ends here
-      Pc = Next->TargetGuestPc;
-    }
-    // A loop that closes back at the head is unrolled to fill the block
-    // budget: each extra copy turns the backedge's exit sequence
-    // (materialize exit PC + branch) into straight-line fallthrough,
-    // which is where a superblock actually earns its cycles on tight
-    // loops.  Only the final copy's backedge survives, and it chains to
-    // the trace's own entry like any other exit.
-    // One extra copy only: each further copy saves the same few exit
-    // instructions per circuit but multiplies code size (I-cache
-    // pressure — exactly the locality figs. 6/11 measure) and
-    // translation cycles.
-    if (ClosedAtHead && Pcs.size() * 2 <= TraceMaxBlocks) {
-      const std::vector<uint32_t> Body = Pcs;
-      Pcs.insert(Pcs.end(), Body.begin(), Body.end());
-    }
-    if (Pcs.size() < 2)
-      return; // a single-block "trace" would only re-emit the head
-
-    ++TraceFormsAt[HeadPc];
-    std::vector<GuestBlock> Blocks;
-    Blocks.reserve(Pcs.size());
-    for (uint32_t P : Pcs)
-      Blocks.push_back(discoverBlock(Mem, P));
-    // Each site gets the stronger of its recorded constituent plan and
-    // the policy's current verdict: never weaker than the constituent
-    // (the identity guarantee PlanByPc exists for), and never weaker
-    // than what the policy has learned since — a site the constituent
-    // emitted as a plain op and later patched to a stub re-emits with
-    // the MDA sequence inline, like any retranslation would, instead of
-    // re-faulting once per trace copy.
-    Translator::PlanFn Plan = [this, &Plans](uint32_t InstPc,
-                                             const guest::GuestInst &I) {
-      MemPlan Fresh = planMemOp(InstPc, I);
-      auto It = Plans.find(InstPc);
-      if (It == Plans.end() || It->second == MemPlan::Normal)
-        return Fresh;
-      return It->second; // keep the constituent's MDA treatment
-    };
     bool FromCache = false;
-    Translation *Tr = obtain(Blocks, Plan, Head->Generation + 1, FromCache);
+    Translation *Tr =
+        obtain(P->Blocks, planChain(&*P), P->Head->Generation + 1, FromCache);
     if (!Tr)
       return; // constituents stay in service; no harm done
-    ++TracesFormed;
-    TraceBlocksEmitted += Pcs.size();
-    if (!install(Tr, FromCache, obs::TraceEventKind::TraceFormed, Pcs.size(),
-                 Tr->EntryWord)) {
-      // The trace alone would thrash the cache: stop trying to form one
-      // at this head.
-      TraceFormsAt[HeadPc] = TraceFormsPerHead;
-      runVerifier();
-      return;
-    }
-    // Capture the head's incoming chains before invalidation unchains
-    // them: an unchained source never re-chains on its own, so without
-    // redirection every former backedge would round-trip through the
-    // monitor forever — the opposite of what the trace is for.
-    const std::vector<uint32_t> Incoming = Head->IncomingChains;
-    invalidate(Head);
-    Cache.map(*Tr);
-    for (uint32_t W : Incoming) {
-      if (Cache.quarantined(W))
-        continue; // the unchain did not stick; leave it quarantined
-      Translation *Src = Cache.owner(W);
-      if (Src && Src->Valid) // not the head's own backedge or a dead caller
-        chain(W, *Src, *Tr);
-    }
+    Disp.formed(*P);
+    bool Kept = install(Tr, FromCache, obs::TraceEventKind::TraceFormed,
+                        P->Blocks.size(), Tr->EntryWord);
+    if (Kept)
+      invalidate(P->Head);
+    Disp.placed(*P, Kept ? Tr : nullptr, ChainCycles);
     runVerifier();
   }
 
@@ -940,12 +773,9 @@ private:
   FaultPath Faults;
   /// Store epochs, dirty bytes, the alignment analysis and revocation.
   Coherence Coh;
+  /// The priced lookup, chaining, inline-cache fills, trace selection.
+  Dispatch Disp;
   std::unordered_map<uint32_t, uint32_t> Heat;
-
-  /// Backward-chain events per loop-head PC (superblock hotness).
-  std::unordered_map<uint32_t, uint32_t> BackedgeHeat;
-  /// Formation attempts per head PC (bounds retry after de-opt).
-  std::unordered_map<uint32_t, uint32_t> TraceFormsAt;
 
   /// Fault injection (chaos campaigns); disengaged in normal runs.
   std::optional<chaos::FaultInjector> Injector;
@@ -983,19 +813,12 @@ private:
   uint64_t InterpBlocks = 0;
   uint64_t Translations = 0;
   uint64_t Supersedes = 0;
-  uint64_t Chains = 0;
   uint64_t Flushes = 0;
   uint64_t NativeEntries = 0;
   uint64_t TranslateFailures = 0;
   uint64_t FlushesSuppressed = 0;
   uint64_t PlanAlignedElides = 0;
   uint64_t PlanInlineForced = 0;
-  uint64_t DispatchHits = 0;
-  uint64_t DispatchMisses = 0;
-  uint64_t IcMisses = 0;
-  uint64_t TracesFormed = 0;
-  uint64_t TraceBlocksEmitted = 0;
-  uint64_t TraceDeopts = 0;
   uint64_t FusionSites = 0;
   uint64_t FusionSavedWords = 0;
   uint64_t FusionBlocks = 0;
@@ -1082,17 +905,7 @@ RunResult ExecutionContext::run() {
       }
     }
 
-    // One block-map lookup on every dispatch; HashDispatch only selects
-    // the modeled price of a hit.  A miss is not priced on either path:
-    // it is folded into the interpretation/translation episode it starts.
-    Translation *T = Cache.lookup(Cpu.Pc);
-    if (T) {
-      ++DispatchHits;
-      MonitorCycles += Config.HashDispatch ? Cost.DispatchTableHitCycles
-                                           : Cost.MonitorDispatchCycles;
-    } else {
-      ++DispatchMisses;
-    }
+    Translation *T = Disp.lookup(Cpu.Pc, MonitorCycles);
 
     // Dispatch miss with a pending pre-translated unit: install it now,
     // before any heating — statically covered code never pays the
@@ -1138,8 +951,11 @@ RunResult ExecutionContext::run() {
         MonitorCycles += Cost.ChainPatchCycles; // one store into the cache
         runVerifier();
       }
-      maybeChain(E);
-      maybeIcFill(E);
+      Dispatch::Exit X = Disp.onExit(E, Abort != RunError::None, ChainCycles);
+      if (X.Patched)
+        runVerifier();
+      if (X.LoopHead && Abort == RunError::None)
+        formTrace(*X.LoopHead);
       continue;
     }
 
@@ -1218,7 +1034,7 @@ RunResult ExecutionContext::run() {
   Reg.addCounter("dbt.translations", Translations);
   Reg.addCounter("dbt.supersedes", Supersedes);
   Reg.addCounter("dbt.patches", FS.Patches);
-  Reg.addCounter("dbt.chains", Chains);
+  Reg.addCounter("dbt.chains", Disp.stats().Chains);
   Reg.addCounter("dbt.reverts", FS.Reverts);
   Reg.addCounter("dbt.flushes", Flushes);
   Reg.addCounter("dbt.native_entries", NativeEntries);
@@ -1251,21 +1067,7 @@ RunResult ExecutionContext::run() {
     Reg.addCounter("cache.misses", CacheMisses);
     Reg.addCounter("cache.hit_insts", CacheHitInsts);
   }
-  if (Config.HashDispatch) {
-    Reg.addCounter("dispatch.table_hits", DispatchHits);
-    Reg.addCounter("dispatch.table_misses", DispatchMisses);
-  }
-  if (Config.InlineCaches) {
-    Reg.addCounter("dispatch.ic_fills", Cache.stats().IcFills);
-    Reg.addCounter("dispatch.ic_misses", IcMisses);
-    Reg.addCounter("dispatch.ic_evictions", Cache.stats().IcEvictions);
-    Reg.addCounter("dispatch.ic_fill_fails", Cache.stats().IcFillFails);
-  }
-  if (Config.Superblocks) {
-    Reg.addCounter("trace.formed", TracesFormed);
-    Reg.addCounter("trace.blocks_emitted", TraceBlocksEmitted);
-    Reg.addCounter("trace.deopts", TraceDeopts);
-  }
+  Disp.exportMetrics(Reg);
   if (Config.Fusion) {
     Reg.addCounter("fusion.sites", FusionSites);
     Reg.addCounter("fusion.saved_words", FusionSavedWords);

@@ -11,17 +11,24 @@
 /// across retranslation, superblock formation and de-optimization, and
 /// the architectural-transparency guarantee (every combination
 /// reproduces the interpreter oracle and replays bit-identically)
-/// including under code-cache flush storms.
+/// including under code-cache flush storms.  The DispatchUnitTest suite
+/// drives dbt::Dispatch directly over a real CodeCache and Translator,
+/// without an engine.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
+#include "analysis/HostVerifier.h"
+#include "dbt/Dispatch.h"
+#include "dbt/Translator.h"
+#include "host/HostAssembler.h"
 #include "mda/PolicyFactory.h"
 #include "workloads/Hostile.h"
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -468,4 +475,450 @@ TEST(DispatchEngineTest, InlineCacheRetirementSurvivesSmcInvalidationStorm) {
   EXPECT_GT(R.Counters.get("dispatch.table_hits"), 0u);
   EXPECT_GT(R.Counters.get("dispatch.ic_fills"), 0u);
   EXPECT_GT(R.Counters.get("dispatch.ic_evictions"), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Dispatch without an engine: blocks the Translator emits for small guest
+// graphs, installed in a CodeCache, then chained, filled and walked.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Successor of a graph block that ends in an indirect jump (jmpr r2).
+constexpr int Indirect = -1;
+
+/// A code cache, translator and Dispatch over one guest program.
+struct DispatchHarness {
+  explicit DispatchHarness(
+      const guest::GuestImage &Image,
+      dbt::Dispatch::Options Opts = {/*Chaining=*/true,
+                                     /*HashDispatch=*/false,
+                                     /*InlineCaches=*/true,
+                                     /*Superblocks=*/true})
+      : Cache(Code, Mem, obs::Tracer(), /*PatchFailureLimit=*/0,
+              [this] { ++PatchAborts; }),
+        Disp(Cache, Mem, obs::Tracer(), Cost, Opts) {
+    Mem.loadImage(Image);
+    Mem.setWriteWatcher([](uint32_t, unsigned) {});
+  }
+
+  static dbt::MemPlan normal(uint32_t, const guest::GuestInst &) {
+    return dbt::MemPlan::Normal;
+  }
+  static dbt::TranslationOpts opts() {
+    dbt::TranslationOpts Opts;
+    Opts.IcWays = dbt::Dispatch::InlineCacheWays;
+    return Opts;
+  }
+
+  /// Translate, install and map the block at \p Pc.
+  dbt::Translation &install(uint32_t Pc) {
+    dbt::Translation &T = Cache.add(
+        Trans.translate(dbt::discoverBlock(Mem, Pc), normal, 0, opts()));
+    Cache.install(T, 0);
+    Cache.map(T);
+    return T;
+  }
+
+  /// The monitor exit through \p T's exit \p I toward \p GuestPc.
+  static host::ExitInfo exitOf(const dbt::Translation &T, size_t I,
+                               uint32_t GuestPc) {
+    host::ExitInfo E;
+    E.K = host::ExitInfo::Exit;
+    E.GuestPc = GuestPc;
+    E.SrvWord = T.exitWord(I);
+    return E;
+  }
+
+  /// Handle the exit through \p T's direct exit toward \p Target.
+  dbt::Dispatch::Exit exitTo(dbt::Translation &T, uint32_t Target) {
+    for (size_t I = 0; I != T.Rec->Exits.size(); ++I)
+      if (T.Rec->Exits[I].Direct && T.Rec->Exits[I].TargetGuestPc == Target)
+        return Disp.onExit(exitOf(T, I, Target), false, Cycles);
+    ADD_FAILURE() << "no direct exit to " << Target;
+    return {};
+  }
+
+  /// The guest PCs of a selected trace's constituents.
+  static std::vector<uint32_t> pcsOf(const dbt::Dispatch::TracePlan &P) {
+    std::vector<uint32_t> Pcs;
+    for (const dbt::GuestBlock &B : P.Blocks)
+      Pcs.push_back(B.StartPc);
+    return Pcs;
+  }
+
+  guest::GuestMemory Mem;
+  host::CodeSpace Code;
+  host::CostModel Cost;
+  dbt::Translator Trans{Code};
+  uint32_t PatchAborts = 0;
+  uint64_t Cycles = 0;
+  dbt::CodeCache Cache;
+  dbt::Dispatch Disp;
+};
+
+/// One guest block per entry of \p Succ: block I bumps r1 and jumps to
+/// block Succ[I], or ends in an indirect jump where Succ[I] is Indirect.
+/// \p Pcs receives each block's PC.
+guest::GuestImage graphProgram(const std::vector<int> &Succ,
+                               std::vector<uint32_t> &Pcs) {
+  guest::ProgramBuilder B("dispatch-graph");
+  std::vector<guest::ProgramBuilder::Label> L;
+  for (size_t I = 0; I != Succ.size(); ++I)
+    L.push_back(B.newLabel());
+  Pcs.clear();
+  for (size_t I = 0; I != Succ.size(); ++I) {
+    B.bind(L[I]);
+    Pcs.push_back(B.codeAddress());
+    B.addi(1, static_cast<int32_t>(I + 1));
+    if (Succ[I] == Indirect)
+      B.jmpr(2);
+    else
+      B.jmp(L[Succ[I]]);
+  }
+  return B.build();
+}
+
+/// The block PCs of a graphProgram, built before the harness over it.
+struct GraphPcs {
+  std::vector<uint32_t> Pcs;
+};
+
+/// graphProgram with every block installed.
+struct GraphHarness : GraphPcs, DispatchHarness {
+  explicit GraphHarness(const std::vector<int> &Succ)
+      : DispatchHarness(graphProgram(Succ, Pcs)) {
+    for (uint32_t Pc : Pcs)
+      Blocks.push_back(&install(Pc));
+  }
+  /// The constituents selected at block \p Head, or empty for none.
+  std::vector<uint32_t> select(unsigned Head) {
+    std::optional<dbt::Dispatch::TracePlan> P = Disp.selectTrace(Pcs[Head]);
+    return P ? pcsOf(*P) : std::vector<uint32_t>{};
+  }
+  /// The PCs of blocks \p Idx, in order.
+  std::vector<uint32_t> pcs(const std::vector<unsigned> &Idx) const {
+    std::vector<uint32_t> R;
+    for (unsigned I : Idx)
+      R.push_back(Pcs[I]);
+    return R;
+  }
+
+  std::vector<dbt::Translation *> Blocks;
+};
+
+} // namespace
+
+TEST(DispatchUnitTest, LookupCountsAndPricesHits) {
+  std::vector<uint32_t> Pcs;
+  guest::GuestImage Image = graphProgram({Indirect, Indirect}, Pcs);
+  for (bool Hash : {false, true}) {
+    DispatchHarness H(Image, {true, Hash, false, false});
+    dbt::Translation &T = H.install(Pcs[0]);
+    EXPECT_EQ(H.Disp.lookup(Pcs[0], H.Cycles), &T);
+    EXPECT_EQ(H.Disp.lookup(Pcs[1], H.Cycles), nullptr);
+    EXPECT_EQ(H.Disp.stats().Hits, 1u);
+    EXPECT_EQ(H.Disp.stats().Misses, 1u);
+    // Only the hit is priced, at the price HashDispatch selects.
+    EXPECT_EQ(H.Cycles, Hash ? H.Cost.DispatchTableHitCycles
+                             : H.Cost.MonitorDispatchCycles);
+  }
+}
+
+TEST(DispatchUnitTest, DirectExitChainsOnceAndSetsChained) {
+  GraphHarness H({1, 0}); // a two-block loop
+  dbt::Translation &A = *H.Blocks[0];
+  uint32_t Word = A.exitWord(0);
+  ASSERT_EQ(H.Code.word(Word), host::encodeHost(host::srvInst(
+                                   host::SrvFunc::Exit)));
+
+  dbt::Dispatch::Exit X = H.exitTo(A, H.Pcs[1]);
+  EXPECT_TRUE(X.Patched);
+  EXPECT_FALSE(X.LoopHead) << "a forward chain closes no loop";
+  EXPECT_TRUE(A.Chained[0]);
+  EXPECT_EQ(H.Code.word(Word), *host::branchTo(Word, H.Blocks[1]->EntryWord));
+  EXPECT_EQ(H.Blocks[1]->IncomingChains, std::vector<uint32_t>{Word});
+  EXPECT_EQ(H.Disp.stats().Chains, 1u);
+  EXPECT_EQ(H.Cycles, H.Cost.ChainPatchCycles);
+
+  // The same exit again (a chain that reaches the monitor anyway) does
+  // not chain twice.
+  X = H.exitTo(A, H.Pcs[1]);
+  EXPECT_FALSE(X.Patched);
+  EXPECT_EQ(H.Disp.stats().Chains, 1u);
+
+  // The backedge is a backward chain: formation is attempted at its
+  // target.
+  X = H.exitTo(*H.Blocks[1], H.Pcs[0]);
+  EXPECT_TRUE(X.Patched);
+  EXPECT_EQ(X.LoopHead, H.Pcs[0]);
+}
+
+TEST(DispatchUnitTest, BackwardChainReportsNoLoopHeadWithoutSuperblocks) {
+  std::vector<uint32_t> Pcs;
+  guest::GuestImage Image = graphProgram({1, 0}, Pcs);
+  DispatchHarness H(Image, {true, false, true, false});
+  dbt::Translation &A = H.install(Pcs[0]);
+  dbt::Translation &B = H.install(Pcs[1]);
+  EXPECT_TRUE(H.exitTo(B, Pcs[0]).Patched);
+  EXPECT_FALSE(H.exitTo(A, Pcs[1]).LoopHead);
+  EXPECT_FALSE(H.exitTo(B, Pcs[0]).LoopHead);
+}
+
+TEST(DispatchUnitTest, DirectExitToUntranslatedTargetKeepsExiting) {
+  std::vector<uint32_t> Pcs;
+  guest::GuestImage Image = graphProgram({1, 0}, Pcs);
+  DispatchHarness H(Image);
+  dbt::Translation &A = H.install(Pcs[0]);
+  EXPECT_FALSE(H.exitTo(A, Pcs[1]).Patched);
+  EXPECT_FALSE(A.Chained[0]);
+  // Chaining off: a translated target is not chained either.
+  DispatchHarness Off(Image, {false, false, true, true});
+  dbt::Translation &A2 = Off.install(Pcs[0]);
+  Off.install(Pcs[1]);
+  EXPECT_FALSE(Off.exitTo(A2, Pcs[1]).Patched);
+  EXPECT_EQ(Off.Disp.stats().Chains, 0u);
+}
+
+TEST(DispatchUnitTest, RetiredOwnerIsIgnored) {
+  GraphHarness H({1, 2, Indirect});
+  dbt::Translation &A = *H.Blocks[0];
+  dbt::Translation &C = *H.Blocks[2];
+  host::ExitInfo Direct = H.exitOf(A, 0, H.Pcs[1]);
+  host::ExitInfo Ic = H.exitOf(C, 0, H.Pcs[0]);
+  ASSERT_TRUE(H.Cache.retire(A));
+  ASSERT_TRUE(H.Cache.retire(C));
+  // The retired bodies still resolve (a trap may be in flight), but
+  // nothing is patched into them.
+  EXPECT_EQ(H.Cache.owner(Direct.SrvWord), &A);
+  EXPECT_FALSE(H.Disp.onExit(Direct, false, H.Cycles).Patched);
+  EXPECT_FALSE(H.Disp.onExit(Ic, false, H.Cycles).Patched);
+  EXPECT_FALSE(A.Chained[0]);
+  EXPECT_EQ(H.Disp.stats().Chains, 0u);
+  EXPECT_EQ(H.Disp.stats().IcMisses, 0u);
+  EXPECT_EQ(H.Cycles, 0u);
+}
+
+TEST(DispatchUnitTest, IcSiteCountsMissesAndFillsOnlyTranslatedTargets) {
+  GraphHarness H({Indirect, Indirect});
+  dbt::Translation &A = *H.Blocks[0];
+  ASSERT_EQ(A.IcSites.size(), 1u);
+  constexpr uint32_t Untranslated = 0x7000;
+  ASSERT_EQ(H.Cache.lookup(Untranslated), nullptr);
+
+  dbt::Dispatch::Exit X = H.Disp.onExit(H.exitOf(A, 0, Untranslated),
+                                        false, H.Cycles);
+  EXPECT_FALSE(X.Patched);
+  EXPECT_EQ(H.Disp.stats().IcMisses, 1u);
+  EXPECT_EQ(H.Disp.stats().IcFills, 0u);
+  EXPECT_FALSE(A.IcSites[0].Ways[0].Filled);
+
+  X = H.Disp.onExit(H.exitOf(A, 0, H.Pcs[1]), false, H.Cycles);
+  EXPECT_TRUE(X.Patched);
+  EXPECT_FALSE(X.LoopHead);
+  EXPECT_EQ(H.Disp.stats().IcMisses, 2u);
+  EXPECT_EQ(H.Disp.stats().IcFills, 1u);
+  EXPECT_EQ(H.Disp.stats().IcFillFails, 0u);
+  EXPECT_TRUE(A.IcSites[0].Ways[0].Filled);
+  EXPECT_EQ(A.IcSites[0].Ways[0].TargetGuestPc, H.Pcs[1]);
+  EXPECT_EQ(H.Cycles,
+            uint64_t(H.Cost.ChainPatchCycles) * dbt::IcWayWords);
+  EXPECT_EQ(H.Disp.stats().Chains, 0u) << "an indirect exit never chains";
+
+  // A run that is aborting counts and fills nothing more.
+  EXPECT_FALSE(
+      H.Disp.onExit(H.exitOf(A, 0, H.Pcs[0]), true, H.Cycles).Patched);
+  EXPECT_EQ(H.Disp.stats().IcMisses, 2u);
+}
+
+// A full site is refilled by evicting a way.  When the eviction's
+// guard-disable write does not stick, the fill fails before any way is
+// written, and that failure counts once.
+TEST(DispatchUnitTest, FailedVictimEvictionCountsOneFillFailure) {
+  GraphHarness H({Indirect, Indirect, Indirect, Indirect});
+  dbt::Translation &A = *H.Blocks[0];
+  ASSERT_EQ(A.IcSites[0].Ways.size(), 2u);
+  for (unsigned T : {1u, 2u})
+    ASSERT_TRUE(
+        H.Disp.onExit(H.exitOf(A, 0, H.Pcs[T]), false, H.Cycles).Patched);
+  ASSERT_EQ(H.Disp.stats().IcFills, 2u);
+
+  const uint32_t DisabledGuard = host::encodeHost(
+      host::brInst(host::HostOp::Br, host::RegZero,
+                   static_cast<int32_t>(dbt::IcWayWords) - 1));
+  H.Cache.setPatchFault(
+      [&](uint32_t, uint32_t &W) { return W != DisabledGuard; });
+  dbt::Dispatch::Exit X =
+      H.Disp.onExit(H.exitOf(A, 0, H.Pcs[3]), false, H.Cycles);
+  EXPECT_TRUE(X.Patched) << "a failed fill still needs the verifier";
+  EXPECT_EQ(H.Disp.stats().IcFillFails, 1u);
+  EXPECT_EQ(H.Disp.stats().IcFills, 2u);
+  EXPECT_EQ(H.Cache.stats().PatchFailures, 1u);
+  EXPECT_TRUE(A.IcSites[0].Ways[0].Stale) << "the victim is quarantined";
+  EXPECT_EQ(H.PatchAborts, 0u);
+}
+
+TEST(DispatchUnitTest, TracePrefersChainedDirectExit) {
+  // Block 0 ends in a conditional branch: exit 0 falls through to
+  // block 1, exit 1 is taken to block 2.
+  guest::ProgramBuilder B("dispatch-branch");
+  guest::ProgramBuilder::Label Taken = B.newLabel();
+  uint32_t Pcs[3];
+  Pcs[0] = B.codeAddress();
+  B.cmpi(1, 0);
+  B.jcc(guest::Cond::Eq, Taken);
+  Pcs[1] = B.codeAddress();
+  B.addi(1, 1);
+  B.jmpr(2);
+  B.bind(Taken);
+  Pcs[2] = B.codeAddress();
+  B.addi(1, 2);
+  B.jmpr(2);
+  DispatchHarness H(B.build());
+  dbt::Translation &Head = H.install(Pcs[0]);
+  H.install(Pcs[1]);
+  H.install(Pcs[2]);
+  ASSERT_EQ(Head.Rec->Exits.size(), 2u);
+  ASSERT_EQ(Head.Rec->Exits[0].TargetGuestPc, Pcs[1]);
+
+  std::optional<dbt::Dispatch::TracePlan> P = H.Disp.selectTrace(Pcs[0]);
+  ASSERT_TRUE(P);
+  EXPECT_EQ(H.pcsOf(*P), (std::vector<uint32_t>{Pcs[0], Pcs[1]}))
+      << "no chain yet: the first direct exit";
+  ASSERT_TRUE(H.exitTo(Head, Pcs[2]).Patched);
+  P = H.Disp.selectTrace(Pcs[0]);
+  ASSERT_TRUE(P);
+  EXPECT_EQ(H.pcsOf(*P), (std::vector<uint32_t>{Pcs[0], Pcs[2]}))
+      << "the chained (observed hot) exit wins";
+}
+
+TEST(DispatchUnitTest, TraceStopsAtIndirectExitRevisitAndBlockBound) {
+  {
+    GraphHarness H({1, Indirect});
+    EXPECT_EQ(H.select(0), H.pcs({0, 1}));
+  }
+  {
+    // 0 -> 1 -> 2 -> 1: the walk revisits block 1, not the head, so
+    // there is no unroll.
+    GraphHarness H({1, 2, 1});
+    EXPECT_EQ(H.select(0), H.pcs({0, 1, 2}));
+  }
+  {
+    // A ten-block ring is cut at TraceMaxBlocks.
+    GraphHarness H({1, 2, 3, 4, 5, 6, 7, 8, 9, 0});
+    ASSERT_EQ(dbt::Dispatch::TraceMaxBlocks, 8u);
+    EXPECT_EQ(H.select(0), H.pcs({0, 1, 2, 3, 4, 5, 6, 7}));
+  }
+  {
+    // The walk stops at a block that is not translated.
+    std::vector<uint32_t> Pcs;
+    guest::GuestImage Image = graphProgram({1, 2, 0}, Pcs);
+    DispatchHarness H(Image);
+    H.install(Pcs[0]);
+    H.install(Pcs[1]);
+    std::optional<dbt::Dispatch::TracePlan> P = H.Disp.selectTrace(Pcs[0]);
+    ASSERT_TRUE(P);
+    EXPECT_EQ(H.pcsOf(*P), (std::vector<uint32_t>{Pcs[0], Pcs[1]}));
+  }
+}
+
+TEST(DispatchUnitTest, LoopClosingAtHeadUnrollsOnceWhenItFits) {
+  {
+    GraphHarness H({0}); // a self-loop: unrolled into a two-block trace
+    EXPECT_EQ(H.select(0), H.pcs({0, 0}));
+  }
+  {
+    GraphHarness H({1, 0});
+    EXPECT_EQ(H.select(0), H.pcs({0, 1, 0, 1}));
+  }
+  {
+    GraphHarness H({1, 2, 3, 0}); // 2 x 4 == TraceMaxBlocks still fits
+    EXPECT_EQ(H.select(0), H.pcs({0, 1, 2, 3, 0, 1, 2, 3}));
+  }
+  {
+    GraphHarness H({1, 2, 3, 4, 0}); // 2 x 5 does not
+    EXPECT_EQ(H.select(0), H.pcs({0, 1, 2, 3, 4}));
+  }
+  {
+    // From block 3 the walk enters the ring 0 -> 1 -> 2 -> 0, which
+    // closes at block 0, not at the head: no unroll, though it fits.
+    GraphHarness H({1, 2, 0, 0});
+    EXPECT_EQ(H.select(3), H.pcs({3, 0, 1, 2}));
+  }
+}
+
+TEST(DispatchUnitTest, NoTraceOfASingleBlockOrAtANonBlockHead) {
+  GraphHarness H({Indirect, 0});
+  EXPECT_TRUE(H.select(0).empty()) << "one block with an indirect exit";
+  std::vector<uint32_t> Pcs;
+  guest::GuestImage Image = graphProgram({1, 0}, Pcs);
+  DispatchHarness Empty(Image);
+  EXPECT_FALSE(Empty.Disp.selectTrace(Pcs[0])) << "no live head";
+}
+
+TEST(DispatchUnitTest, FormationStopsAtPerHeadCap) {
+  GraphHarness H({1, 0, 3, 2});
+  for (uint32_t I = 0; I != dbt::Dispatch::TraceFormsPerHead; ++I)
+    EXPECT_EQ(H.select(0).size(), 4u) << "attempt " << I;
+  EXPECT_TRUE(H.select(0).empty()) << "the head used its attempts";
+  // Single-block walks are not attempts; another head has its own cap.
+  EXPECT_EQ(H.select(2).size(), 4u);
+
+  // An oversize trace sets the cap at once.
+  std::optional<dbt::Dispatch::TracePlan> P = H.Disp.selectTrace(H.Pcs[1]);
+  ASSERT_TRUE(P);
+  H.Disp.placed(*P, nullptr, H.Cycles);
+  EXPECT_TRUE(H.select(1).empty());
+  EXPECT_EQ(H.select(3).size(), 4u);
+}
+
+TEST(DispatchUnitTest, PlacedTraceServesHeadAndTakesItsIncomingChains) {
+  GraphHarness H({1, 0});
+  dbt::Translation &A = *H.Blocks[0];
+  dbt::Translation &B = *H.Blocks[1];
+  ASSERT_TRUE(H.exitTo(A, H.Pcs[1]).Patched);
+  uint32_t Backedge = B.exitWord(0);
+  ASSERT_EQ(H.exitTo(B, H.Pcs[0]).LoopHead, H.Pcs[0]);
+
+  std::optional<dbt::Dispatch::TracePlan> P = H.Disp.selectTrace(H.Pcs[0]);
+  ASSERT_TRUE(P);
+  EXPECT_EQ(P->Head, &A);
+  EXPECT_EQ(P->Incoming, std::vector<uint32_t>{Backedge});
+  dbt::Translation &Tr = H.Cache.add(H.Trans.translateTrace(
+      P->Blocks,
+      [&](uint32_t Pc, const guest::GuestInst &I) {
+        return P->plan(Pc, H.normal(Pc, I));
+      },
+      1, H.opts()));
+  H.Disp.formed(*P);
+  H.Cache.install(Tr, 0);
+  ASSERT_TRUE(H.Cache.retire(A));
+  ASSERT_EQ(H.Code.word(Backedge),
+            host::encodeHost(host::srvInst(host::SrvFunc::Exit)));
+  uint64_t Before = H.Cycles;
+  H.Disp.placed(*P, &Tr, H.Cycles);
+
+  EXPECT_EQ(H.Cache.lookup(H.Pcs[0]), &Tr);
+  EXPECT_EQ(H.Code.word(Backedge), *host::branchTo(Backedge, Tr.EntryWord));
+  EXPECT_EQ(Tr.IncomingChains, std::vector<uint32_t>{Backedge});
+  EXPECT_EQ(H.Cycles - Before, H.Cost.ChainPatchCycles);
+  EXPECT_EQ(H.Disp.stats().TracesFormed, 1u);
+  EXPECT_EQ(H.Disp.stats().TraceBlocksEmitted, 4u);
+  EXPECT_TRUE(analysis::verifyCodeSpace(H.Code, H.Cache.verifierInput()).ok());
+
+  // Its retirement is a de-optimization.
+  H.Disp.retiring(Tr);
+  EXPECT_EQ(H.Disp.stats().TraceDeopts, 1u);
+  H.Disp.retiring(B);
+  EXPECT_EQ(H.Disp.stats().TraceDeopts, 1u) << "a block is no trace";
+}
+
+TEST(DispatchUnitTest, TracePlanKeepsTheStrongerPlan) {
+  dbt::Dispatch::TracePlan P;
+  P.Recorded = {{0x100, dbt::MemPlan::Inline}, {0x104, dbt::MemPlan::Normal}};
+  EXPECT_EQ(P.plan(0x100, dbt::MemPlan::Normal), dbt::MemPlan::Inline);
+  EXPECT_EQ(P.plan(0x104, dbt::MemPlan::Inline), dbt::MemPlan::Inline);
+  EXPECT_EQ(P.plan(0x104, dbt::MemPlan::Elide), dbt::MemPlan::Elide);
+  EXPECT_EQ(P.plan(0x108, dbt::MemPlan::MultiVersion),
+            dbt::MemPlan::MultiVersion);
 }

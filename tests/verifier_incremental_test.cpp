@@ -311,7 +311,8 @@ void mutate(Harness &H, std::mt19937 &Rng, bool Corrupt) {
     if (!T || !Target || T->IcSites.empty())
       return;
     uint32_t Way = 0;
-    H.Cache.fillIc(*T, Rng() % T->IcSites.size(), *Target, Way);
+    H.Done.IcFills += H.Cache.fillIc(*T, Rng() % T->IcSites.size(), *Target,
+                                     Way) == dbt::CodeCache::IcFill::Filled;
     Check("ic-fill");
     return;
   }
@@ -459,7 +460,7 @@ Tally runSeeds(uint32_t Seeds, bool Corrupt, bool Torn) {
     Sum.Flushes += T.Flushes;
     Sum.Issues += T.Issues;
     Sum.BodyWordChanged += T.BodyWordChanged;
-    Sum.IcFills += H.Cache.stats().IcFills;
+    Sum.IcFills += T.IcFills;
     Sum.PatchFailures += H.Cache.stats().PatchFailures;
   }
   return Sum;

@@ -24,7 +24,12 @@
 # cache and the alignment analysis and reports to the engine, so it may
 # not include dbt/Engine.h, dbt/FaultPath.h, dbt/AotTranslator.h,
 # dbt/TranslationCapture.h, host/HostMachine.h, or any chaos/ or mda/
-# header.
+# header.  Hot dispatch (dbt/Dispatch.*) patches code only through the
+# cache and hands trace production back to the engine, so it may not
+# include dbt/Engine.h, dbt/FaultPath.h, dbt/Coherence.h,
+# dbt/AotTranslator.h, dbt/TranslationCapture.h,
+# dbt/TranslationService.h, dbt/Translator.h, or any chaos/, mda/ or
+# analysis/ header.
 #
 # One system header is owned too: only guest/GuestMemory.cpp, the guest
 # memory's storage, may include <sys/mman.h>, so mapping memory from the
@@ -32,9 +37,9 @@
 #
 # Usage: check_layering.sh [--self-test] [src-dir]
 #   --self-test: build synthetic trees containing a back-edge, forbidden
-#   code-cache (engine and service), trap-path and coherence edges, and a
-#   stray <sys/mman.h>, and assert the lint demonstrably FAILS on each (the CI
-#   negative test), then exit 0.
+#   code-cache (engine and service), trap-path, coherence and dispatch
+#   edges, and a stray <sys/mman.h>, and assert the lint demonstrably
+#   FAILS on each (the CI negative test), then exit 0.
 set -u
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -86,6 +91,12 @@ forbidden_edge() { # $1 = file relative to src dir, $2 = included header
     dbt/Coherence.*:dbt/AotTranslator.h | dbt/Coherence.*:dbt/TranslationCapture.h | \
     dbt/Coherence.*:host/HostMachine.h | dbt/Coherence.*:chaos/* | dbt/Coherence.*:mda/*)
     echo "coherence may not depend on the engine, trap path, AOT, capture, host machine, chaos or mda"
+    return 0 ;;
+  dbt/Dispatch.*:dbt/Engine.h | dbt/Dispatch.*:dbt/FaultPath.h | dbt/Dispatch.*:dbt/Coherence.h | \
+    dbt/Dispatch.*:dbt/AotTranslator.h | dbt/Dispatch.*:dbt/TranslationCapture.h | \
+    dbt/Dispatch.*:dbt/TranslationService.h | dbt/Dispatch.*:dbt/Translator.h | \
+    dbt/Dispatch.*:chaos/* | dbt/Dispatch.*:mda/* | dbt/Dispatch.*:analysis/*)
+    echo "hot dispatch may not depend on the engine, trap path, coherence, AOT, capture, the shared service, the translator, chaos, mda or analysis"
     return 0 ;;
   esac
   return 1
@@ -162,9 +173,11 @@ self_test() {
   expect_caught "$tmp" dbt/FaultPath.h dbt/Engine.h
   # A same-layer edge guest-code coherence may not take.
   expect_caught "$tmp" dbt/Coherence.h dbt/Engine.h
+  # Hot dispatch selects traces; the engine translates them.
+  expect_caught "$tmp" dbt/Dispatch.h dbt/Translator.h
   # Mapping memory outside the guest memory's storage file.
   expect_caught "$tmp" dbt/CodeCache.cpp "<sys/mman.h>"
-  echo "check_layering: self-test ok (synthetic back-edge, code-cache, code-cache service, trap-path, coherence and <sys/mman.h> edges caught)"
+  echo "check_layering: self-test ok (synthetic back-edge, code-cache, code-cache service, trap-path, coherence, dispatch and <sys/mman.h> edges caught)"
   exit 0
 }
 

@@ -3,7 +3,9 @@
 # documented in docs/TELEMETRY.md, or if the document lists what the code
 # no longer has: a wire name in the event catalog table that
 # TraceEvent.h does not define, or a `cache.*` counter in the Metrics
-# section that src/dbt/ExecutionContext.cpp does not register.  The
+# section that src/dbt/ExecutionContext.cpp does not register, or a
+# `dispatch.*` or `trace.*` counter there that the file registering the
+# hot-dispatch counters (src/dbt/Dispatch.h) does not register.  The
 # `verify.fail` row must list every verifier issue kind with its enum
 # index, as "<index> <name>" with the name verifyIssueKindName returns
 # (src/analysis/HostVerifier.cpp), and no kind the code no longer has.
@@ -36,6 +38,16 @@ for name in $names; do
   fi
 done
 
+# The counters with prefix $1 (an ERE alternation) that file $2 registers.
+registered_counters() {
+  grep -oE "addCounter\(\"($1)\.[a-z_]*\"" "$2" | sed 's/^addCounter("//; s/"$//'
+}
+# The counters with prefix $1 the Metrics section documents.
+documented_counters() {
+  awk '/^## / { m = ($0 == "## Metrics") } m' "$DOC" |
+    grep -oE "\`($1)\.[a-z_]*\`" | tr -d '`' | sort -u
+}
+
 # Serving-layer coverage: every cache.* counter the execution context
 # registers, and every field of the "serving" record that
 # bench/serving_throughput writes into results/bench_perf.json, must be
@@ -43,7 +55,7 @@ done
 SERVING_CTX="$ROOT/src/dbt/ExecutionContext.cpp"
 SERVING_BENCH="$ROOT/bench/serving_throughput.cpp"
 extra=$(
-  sed -n 's/.*addCounter("\(cache\.[a-z_]*\)".*/\1/p' "$SERVING_CTX"
+  registered_counters cache "$SERVING_CTX"
   sed -n 's/.*\\"\(serving_[a-z_]*\|warm_hit_rate\|cold_p[059]*_ms\|warm_p[059]*_ms\)\\".*/\1/p' "$SERVING_BENCH"
 )
 if [ -z "$extra" ]; then
@@ -58,9 +70,27 @@ for name in $extra; do
   fi
 done
 
+# Hot-dispatch coverage: every dispatch.* and trace.* counter, documented
+# in the Metrics section, and registered by the one file that registers
+# them.
+DISPATCH_FILES=$(grep -rlE 'addCounter\("(dispatch|trace)\.' "$ROOT/src")
+if [ "$(printf '%s\n' "$DISPATCH_FILES" | grep -c .)" -ne 1 ]; then
+  echo "check_telemetry_docs: expected one file under src/ to register the dispatch.*/trace.* counters, found: ${DISPATCH_FILES:-none}" >&2
+  exit 1
+fi
+dispatch_registered=$(registered_counters 'dispatch|trace' "$DISPATCH_FILES")
+for name in $dispatch_registered; do
+  count=$((count + 1))
+  if ! grep -qF "\`$name\`" "$DOC"; then
+    echo "check_telemetry_docs: hot-dispatch counter '$name' is not documented in docs/TELEMETRY.md" >&2
+    missing=1
+  fi
+done
+
 # Reverse direction: the event catalog table (the rows under the
-# "| Wire name |" header) and the Metrics section's `cache.*` counters
-# must name nothing the code has dropped.
+# "| Wire name |" header) and the Metrics section's `cache.*`,
+# `dispatch.*` and `trace.*` counters must name nothing the code has
+# dropped.
 documented_events=$(awk '/^\| Wire name \|/ { t = 1; next }
   t && !/^\|/ { exit }
   t { print }' "$DOC" | sed -n 's/^| `\([^`]*\)` |.*/\1/p')
@@ -75,12 +105,16 @@ for name in $documented_events; do
     stale=1
   fi
 done
-registered=$(sed -n 's/.*addCounter("\(cache\.[a-z_]*\)".*/\1/p' "$SERVING_CTX")
-documented_counters=$(awk '/^## / { m = ($0 == "## Metrics") } m' "$DOC" |
-  grep -o '`cache\.[a-z_]*`' | tr -d '`' | sort -u)
-for name in $documented_counters; do
+registered=$(registered_counters cache "$SERVING_CTX")
+for name in $(documented_counters cache); do
   if ! printf '%s\n' $registered | grep -qxF "$name"; then
     echo "check_telemetry_docs: docs/TELEMETRY.md documents counter '$name', which src/dbt/ExecutionContext.cpp does not register" >&2
+    stale=1
+  fi
+done
+for name in $(documented_counters 'dispatch|trace'); do
+  if ! printf '%s\n' $dispatch_registered | grep -qxF "$name"; then
+    echo "check_telemetry_docs: docs/TELEMETRY.md documents counter '$name', which ${DISPATCH_FILES#"$ROOT"/} does not register" >&2
     stale=1
   fi
 done
@@ -141,4 +175,4 @@ if [ "$stale" -ne 0 ]; then
   echo "check_telemetry_docs: FAILED — remove the stale events/counters from the catalog" >&2
   exit 1
 fi
-echo "check_telemetry_docs: OK ($count event kinds, serving metrics and verifier issue kinds all documented, none stale)"
+echo "check_telemetry_docs: OK ($count event kinds, serving and hot-dispatch metrics and verifier issue kinds all documented, none stale)"
